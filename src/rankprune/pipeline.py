@@ -1,11 +1,14 @@
 """Layer-by-layer compression orchestration.
 
-For each layer in order: collect input-norm statistics by forwarding the
-calibration batch through the already-compressed prefix, factor the
-attention matrices under the allocated budget, prune the FFN channel
-groups, then move on - so the statistics of layer i+1 always see the
-output of the compressed layer i.  The run is bit-deterministic given
-(model bytes, calibration bytes, seed, plan).
+Each calibration window is embedded once and its hidden state is carried
+from layer to layer.  For each layer in order: run the dense layer on
+every state to collect input-norm statistics, factor the attention
+matrices under the allocated budget, prune the FFN channel groups, then
+advance every state through the compressed layer - so the statistics of
+layer i+1 always see the output of the compressed layer i.  That is
+2L-1 layer passes per window for L layers, and the carried states take
+samples x tokens x dim float64 values.  The run is bit-deterministic
+given (model bytes, calibration bytes, seed, plan).
 """
 
 from __future__ import annotations
@@ -26,8 +29,10 @@ from .transformer import (
     Factored,
     TransformerLayer,
     TransformerModel,
-    collect_stats,
+    advance,
     count_params_macs,
+    embed,
+    layer_stats,
     model_from_tensors,
     model_to_tensors,
     site_for_projection,
@@ -139,10 +144,11 @@ def compress_model(
     layer_params_before = sum(_layer_param_count(layer) for layer in model.layers)
 
     work = model
+    states = [embed(model, window) for window in calib]
     layer_manifests: list[dict] = []
     layer_reports: list[dict] = []
     for i in range(cfg.n_layers):
-        stats = collect_stats(work, calib, i)
+        stats = layer_stats(work, states, i)
         weights = _dense_weights(work.layers[i])
         x_by_proj = {p: stats.by_site[site_for_projection(p)] for p in weights}
 
@@ -160,6 +166,10 @@ def compress_model(
             raise DecompositionError(f"layer {i}: {exc}") from exc
 
         work = work.replace_layer(i, new_layer)
+        if i + 1 < cfg.n_layers:
+            # In place, so at most one window's state exists twice.
+            for w, state in enumerate(states):
+                states[w] = advance(work, state, i)
         layer_manifests.append({"layer": i, "keep_ratio": plan.keep_ratio, "mha": mha_manifest, "ffn": ffn_manifest})
         layer_reports.append(
             {

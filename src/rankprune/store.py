@@ -14,6 +14,7 @@ import numpy as np
 from .config import ModelConfig
 from .container import read_container, write_container
 from .errors import (
+    ContainerFormatError,
     InfeasibleRatioError,
     ManifestError,
     MissingTensorError,
@@ -110,8 +111,8 @@ def load_model(path: str | Path, config: ModelConfig) -> dict[str, WeightMatrix]
     """Load a dense checkpoint, widening every tensor to float64.
 
     Every expected tensor must be present with the shape the config
-    implies; unexpected extras (e.g. rotary frequency buffers some
-    exporters include) are ignored.
+    implies and hold only finite values; unexpected extras (e.g. rotary
+    frequency buffers some exporters include) are ignored.
     """
     tensors, _ = read_container(path)
     shapes = expected_shapes(config)
@@ -125,9 +126,15 @@ def load_model(path: str | Path, config: ModelConfig) -> dict[str, WeightMatrix]
             raise ShapeMismatchError(
                 f"{path}: tensor {name!r} has shape {arr.shape}, expected {want}"
             )
+        _require_finite(path, name, arr)
         din_axis = 1 if arr.ndim == 2 and name != EMBED_NAME else None
         out[name] = WeightMatrix(name=name, data=arr.astype(np.float64), din_axis=din_axis)
     return out
+
+
+def _require_finite(path: str | Path, name: str, arr: np.ndarray) -> None:
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ContainerFormatError(f"{path}: tensor {name!r} holds NaN or infinite values")
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +351,8 @@ def write_compressed(out_dir: str | Path, tensors: dict[str, np.ndarray], manife
 def load_compressed(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
     """Load a compressed model directory (or its container file directly).
 
-    Returns (config, tensor map in float64/int64, manifest).
+    Returns (config, tensor map in float64/int64, manifest).  Float
+    tensors must hold only finite values.
     """
     path = Path(path)
     if path.is_dir():
@@ -358,6 +366,8 @@ def load_compressed(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     config = ModelConfig.from_dict(manifest["config"])
     tensors, _ = read_container(model_path)
+    for name, arr in tensors.items():
+        _require_finite(model_path, name, arr)
     validate_manifest(manifest, tensors, config)
     widened = {
         name: arr.astype(np.float64) if arr.dtype.kind == "f" else arr.astype(np.int64)

@@ -1,8 +1,12 @@
 """Minimal LLaMA-style forward pass on numpy.
 
-Runs one token stream at a time in float64 with no KV cache, no batching
-and no sampling: just enough machinery to capture calibration
-activations, score perplexity, and count parameters/MACs.  Factored
+Every layer pass runs on one window's hidden state, shape (tokens, dim),
+in float64 with no KV cache, no batching and no sampling: just enough
+machinery to capture calibration activations, score perplexity, and
+count parameters/MACs.  Calibration is built from three steps on such a
+state - embed a window (`embed`), reduce one layer's four input sites
+(`layer_stats`) and carry the state through one layer (`advance`) - so a
+caller can interleave them with compressing that layer.  Factored
 matrices participate in the forward as two sequential products (R then
 L), pruned FFNs at their reduced width, head-pruned attention with its
 reduced head count.
@@ -205,6 +209,18 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
 # Forward
 
 
+def embed(model: TransformerModel, tokens: np.ndarray) -> np.ndarray:
+    """Validate one token stream and return its initial hidden state, (tokens, dim)."""
+    tokens = np.asarray(tokens)
+    vocab = model.config.vocab_size
+    if tokens.ndim != 1 or tokens.size == 0:
+        raise DataError("token stream must be a non-empty 1-D sequence")
+    if tokens.min() < 0 or tokens.max() >= vocab:
+        bad = int(tokens[(tokens < 0) | (tokens >= vocab)][0])
+        raise DataError(f"token id {bad} outside vocabulary [0, {vocab})")
+    return model.embed[tokens]
+
+
 def forward(
     model: TransformerModel,
     tokens: np.ndarray,
@@ -219,13 +235,6 @@ def forward(
     and logits are None.  Causal masking is always enforced.
     """
     cfg = model.config
-    tokens = np.asarray(tokens)
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise DataError("token stream must be a non-empty 1-D sequence")
-    if tokens.min() < 0 or tokens.max() >= cfg.vocab_size:
-        bad = int(tokens[(tokens < 0) | (tokens >= cfg.vocab_size)][0])
-        raise DataError(f"token id {bad} outside vocabulary [0, {cfg.vocab_size})")
-
     capture = frozenset(capture) if capture else frozenset()
     captured: dict[tuple[int, str], np.ndarray] = {}
 
@@ -233,7 +242,7 @@ def forward(
         if site in capture and (capture_layers is None or layer_idx in capture_layers):
             captured[(layer_idx, site)] = values.copy()
 
-    x = model.embed[tokens]
+    x = embed(model, tokens)
 
     for i, layer in enumerate(model.layers):
         x = _layer_forward(cfg, layer, x, i, grab)
@@ -305,70 +314,95 @@ def site_for_projection(proj: str) -> str:
     return _SITE_FOR_PROJ[proj]
 
 
-def collect_stats(model: TransformerModel, calib: list[np.ndarray], layer: int) -> ActivationStats:
-    """x_din vectors for one layer's four input sites.
+def _site_sq_sums(model: TransformerModel, state: np.ndarray, layer: int) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Run one layer on one hidden state; return the per-feature sums of
+    squares of its four input sites and the layer's output."""
+    sq_sums: dict[str, np.ndarray] = {}
 
-    Layers before `layer` are forwarded as they currently are, so when
-    the caller compresses layer by layer the statistics see the already
-    compressed prefix.  Accumulation is sequential in sample order in
-    float64, which keeps the result bit-stable and order-invariant.
-    """
-    if not calib:
-        raise CalibrationError("calibration set is empty")
-    if not 0 <= layer < len(model.layers):
-        raise ValueError(f"layer index {layer} out of range")
-    sq_sums: dict[str, np.ndarray] | None = None
-    n_positions = 0
-    for stream in calib:
-        _, caps = forward(model, stream, capture=set(ALL_SITES), capture_layers={layer}, stop_after_layer=layer)
-        n_positions += len(stream)
-        if sq_sums is None:
-            sq_sums = {site: np.zeros(caps[(layer, site)].shape[1]) for site in ALL_SITES}
-        for site in ALL_SITES:
-            vals = caps[(layer, site)]
-            sq_sums[site] += np.einsum("lj,lj->j", vals, vals)
-    by_site = {site: np.sqrt(sq) for site, sq in sq_sums.items()}
+    def grab(_idx: int, site: str, values: np.ndarray) -> None:
+        # Reduce a C-ordered array, as a captured copy is, so the summation
+        # order never depends on how the producing op laid out its result.
+        vals = np.ascontiguousarray(values)
+        sq_sums[site] = np.einsum("lj,lj->j", vals, vals)
+
+    out = _layer_forward(model.config, model.layers[layer], state, layer, grab)
+    return sq_sums, out
+
+
+def _accumulate(acc: dict[str, np.ndarray] | None, sq_sums: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    # Sums of squares are non-negative, so starting from the first window
+    # equals starting from zeros (0.0 + x == x).
+    if acc is None:
+        return sq_sums
+    return {site: acc[site] + sq_sums[site] for site in ALL_SITES}
+
+
+def _stats(layer: int, sq_sums: dict[str, np.ndarray], sample_count: int, position_count: int) -> ActivationStats:
+    by_site = {site: np.sqrt(sq_sums[site]) for site in ALL_SITES}
     by_name = {}
     for proj, site in _SITE_FOR_PROJ.items():
-        if proj in ("gate_proj", "up_proj", "down_proj"):
+        if proj in store.FFN_PROJS:
             name = store.mlp_weight_name(layer, proj)
         else:
             name = store.attn_weight_name(layer, proj)
         by_name[name] = by_site[site]
     return ActivationStats(
-        by_name=by_name, by_site=by_site, sample_count=len(calib), position_count=n_positions
+        by_name=by_name, by_site=by_site, sample_count=sample_count, position_count=position_count
     )
+
+
+def layer_stats(model: TransformerModel, states: list[np.ndarray], layer: int) -> ActivationStats:
+    """x_din vectors for one layer's four input sites over carried hidden states.
+
+    Each state is one calibration window as it enters `layer`; the layer
+    runs once per state.  Accumulation is sequential in sample order in
+    float64, which keeps the result bit-stable and order-invariant.
+    """
+    if not states:
+        raise CalibrationError("calibration set is empty")
+    acc = None
+    for state in states:
+        acc = _accumulate(acc, _site_sq_sums(model, state, layer)[0])
+    return _stats(layer, acc, len(states), sum(len(state) for state in states))
+
+
+def _no_grab(_idx: int, _site: str, _values: np.ndarray) -> None:
+    pass
+
+
+def advance(model: TransformerModel, state: np.ndarray, layer: int) -> np.ndarray:
+    """Carry one hidden state through `layer` as the model currently has it."""
+    return _layer_forward(model.config, model.layers[layer], state, layer, _no_grab)
+
+
+def collect_stats(model: TransformerModel, calib: list[np.ndarray], layer: int) -> ActivationStats:
+    """x_din vectors for one layer's four input sites.
+
+    Every window is embedded and run through layers 0..layer-1 as they
+    currently are, so the statistics see the prefix as the caller left it.
+    """
+    if not 0 <= layer < len(model.layers):
+        raise ValueError(f"layer index {layer} out of range")
+    states = [embed(model, stream) for stream in calib]
+    for prefix in range(layer):
+        states = [advance(model, state, prefix) for state in states]
+    return layer_stats(model, states, layer)
 
 
 def collect_stats_all_layers(model: TransformerModel, calib: list[np.ndarray]) -> dict[int, ActivationStats]:
     """Stats for every layer from a single pass per sample (no compression
-    in between, so propagation through the prefix is the identity run)."""
+    in between, so each layer's output is the next layer's state)."""
     if not calib:
         raise CalibrationError("calibration set is empty")
     n_layers = len(model.layers)
-    sq_sums: dict[tuple[int, str], np.ndarray] = {}
-    n_positions = 0
+    acc: list[dict[str, np.ndarray] | None] = [None] * n_layers
     for stream in calib:
-        _, caps = forward(model, stream, capture=set(ALL_SITES))
-        n_positions += len(stream)
-        for key, vals in caps.items():
-            acc = sq_sums.get(key)
-            contrib = np.einsum("lj,lj->j", vals, vals)
-            sq_sums[key] = contrib if acc is None else acc + contrib
-    out: dict[int, ActivationStats] = {}
-    for layer in range(n_layers):
-        by_site = {site: np.sqrt(sq_sums[(layer, site)]) for site in ALL_SITES}
-        by_name = {}
-        for proj, site in _SITE_FOR_PROJ.items():
-            if proj in ("gate_proj", "up_proj", "down_proj"):
-                name = store.mlp_weight_name(layer, proj)
-            else:
-                name = store.attn_weight_name(layer, proj)
-            by_name[name] = by_site[site]
-        out[layer] = ActivationStats(
-            by_name=by_name, by_site=by_site, sample_count=len(calib), position_count=n_positions
-        )
-    return out
+        state = embed(model, stream)
+        for layer in range(n_layers):
+            sq_sums, state = _site_sq_sums(model, state, layer)
+            acc[layer] = _accumulate(acc[layer], sq_sums)
+    n_positions = sum(len(stream) for stream in calib)
+    return {layer: _stats(layer, acc[layer], len(calib), n_positions) for layer in range(n_layers)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -52,6 +53,40 @@ def test_compress_determinism_at_cli_level(fixture_dir, tmp_path):
     assert main(_compress_args(fixture_dir, out2)) == 0
     for name in ("model.safetensors", "manifest.json", "report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# sha256 of the outputs for the fixture above, pinned from the pipeline that
+# re-forwarded the compressed prefix for every layer: carrying hidden states
+# must reproduce its bytes exactly.  float64 results depend on the BLAS
+# build, so re-pin only with a recorded reason.
+GOLDEN_COMPRESS = {
+    "model.safetensors": "d1e6bb6b8148562604ff69e588f8d9f595dacf2b8909de38feda39008c6daf26",
+    "manifest.json": "562e9bf04a2baecb9b7dec6abc1450cfefbc74e471015fc229b834c4a4320ba0",
+    "report.json": "7b845c0bc0750e228c2daf5685872e747485d0a0eeffb074f9a520ddf998bbb1",
+}
+GOLDEN_CALIBRATE = "a661e18ef2ccd6669820206ae34ba001b4fc33676d6e95b8db32bcf5c5388dbf"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_compress_outputs_match_golden_hashes(fixture_dir, tmp_path):
+    out = tmp_path / "z"
+    assert main(_compress_args(fixture_dir, out)) == 0
+    assert {name: _sha256(out / name) for name in GOLDEN_COMPRESS} == GOLDEN_COMPRESS
+
+
+def test_calibrate_stats_match_golden_hash(fixture_dir, tmp_path):
+    stats = tmp_path / "stats.json"
+    code = main(
+        ["calibrate", "--model", str(fixture_dir / "model.safetensors"),
+         "--config", str(fixture_dir / "config.json"),
+         "--data", str(fixture_dir / "calib.bin"),
+         "--samples", "8", "--seqlen", "32", "--seed", "1", "--out", str(stats)]
+    )
+    assert code == 0
+    assert _sha256(stats) == GOLDEN_CALIBRATE
 
 
 def test_eval_prints_ppl_line(fixture_dir, tmp_path, capsys):
@@ -208,6 +243,32 @@ def test_data_errors_exit_2(fixture_dir, tmp_path, capsys):
     # as is a missing input file
     args[i + 1] = str(tmp_path / "missing.bin")
     assert main(args) == 2
+    # and a dense checkpoint holding a NaN weight, which would score ppl=nan
+    from rankprune.container import read_container, write_container
+
+    tensors, _ = read_container(fixture_dir / "model.safetensors")
+    tensors["model.layers.1.mlp.up_proj.weight"][0, 0] = np.nan
+    write_container(tmp_path / "nan.safetensors", tensors)
+    code = main(
+        ["eval", "--model", str(tmp_path / "nan.safetensors"), "--config", str(fixture_dir / "config.json"),
+         "--data", str(fixture_dir / "eval.bin"), "--seqlen", "64"]
+    )
+    assert code == 2
+
+
+@pytest.mark.parametrize("command", ["compress", "calibrate"])
+def test_calibration_token_outside_vocab_exits_2(fixture_dir, tmp_path, capsys, command):
+    data = tmp_path / "calib.u32"
+    data.write_bytes(np.full(4096, 256, dtype="<u4").tobytes())  # vocab is 256
+    if command == "compress":
+        args = _compress_args(fixture_dir, tmp_path / "never")
+        args[args.index("--data") + 1] = str(data)
+    else:
+        args = ["calibrate", "--model", str(fixture_dir / "model.safetensors"),
+                "--config", str(fixture_dir / "config.json"), "--data", str(data),
+                "--samples", "8", "--seqlen", "32", "--out", str(tmp_path / "stats.json")]
+    assert main([*args, "--data-format", "u32"]) == 2
+    assert "token id 256 outside vocabulary" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from rankprune import pipeline, store, synth
+from rankprune import pipeline, store, synth, transformer
 from rankprune.errors import CalibrationError, InfeasibleRatioError
 from rankprune.pipeline import CompressionPlan, compress_model, sample_calibration_windows
-from rankprune.transformer import count_params_macs, forward, model_from_tensors, perplexity
+from rankprune.transformer import ALL_SITES, count_params_macs, forward, model_from_tensors, perplexity
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +155,63 @@ def test_propagation_uses_compressed_prefix(setup):
     assert not np.allclose(
         dense_stats.by_site["attn_input"], hybrid_stats.by_site["attn_input"]
     )
+
+
+@pytest.fixture(scope="module")
+def deep_setup():
+    cfg = synth.toy_config(n_layers=4)
+    model = synth.make_random_model(cfg, seed=3)
+    return model, synth.random_token_stream(1024, seed=4), _plan(0.5, calib_samples=5, calib_tokens=24)
+
+
+def _reforward_x_din(model, windows, layer):
+    """Oracle: re-forward every window through layers 0..layer and sum the
+    squares of each site's capture in sample order."""
+    acc = None
+    for window in windows:
+        _, caps = forward(model, window, capture=set(ALL_SITES), capture_layers={layer}, stop_after_layer=layer)
+        sq = {site: np.einsum("lj,lj->j", caps[(layer, site)], caps[(layer, site)]) for site in ALL_SITES}
+        acc = sq if acc is None else {site: acc[site] + sq[site] for site in ALL_SITES}
+    return {site: np.sqrt(v) for site, v in acc.items()}
+
+
+def test_carried_state_stats_equal_reforward_oracle(deep_setup, monkeypatch):
+    model, stream, plan = deep_setup
+    seen = []
+
+    def spy(work, states, layer):
+        stats = transformer.layer_stats(work, states, layer)
+        seen.append(stats)
+        return stats
+
+    monkeypatch.setattr(pipeline, "layer_stats", spy)
+    compressed, _, _ = compress_model(model, plan, stream)
+    windows, _ = sample_calibration_windows(stream, plan.calib_samples, plan.calib_tokens, plan.seed)
+    assert len(seen) == model.config.n_layers
+    for k, stats in enumerate(seen):
+        hybrid = model  # first k layers compressed, the rest dense
+        for j in range(k):
+            hybrid = hybrid.replace_layer(j, compressed.layers[j])
+        oracle = _reforward_x_din(hybrid, windows, k)
+        for site in ALL_SITES:
+            assert np.array_equal(stats.by_site[site], oracle[site]), (k, site)
+
+
+def test_compress_runs_2l_minus_1_layer_passes_per_window(deep_setup, monkeypatch):
+    model, stream, plan = deep_setup
+    passes = []
+    layer_forward = transformer._layer_forward
+
+    def counting(cfg, layer, x, idx, grab):
+        passes.append(idx)
+        return layer_forward(cfg, layer, x, idx, grab)
+
+    monkeypatch.setattr(transformer, "_layer_forward", counting)
+    compress_model(model, plan, stream)
+    n_layers, samples = model.config.n_layers, plan.calib_samples
+    assert len(passes) == samples * (2 * n_layers - 1)
+    # a stats pass per layer, plus an advance through every layer but the last
+    assert [passes.count(i) for i in range(n_layers)] == [2 * samples] * (n_layers - 1) + [samples]
 
 
 def test_record_evaluation_updates_report(setup, tmp_path):

@@ -71,6 +71,15 @@ def test_load_model_empty_file(tmp_path, toy_cfg):
         store.load_model(path, toy_cfg)
 
 
+def test_load_model_rejects_non_finite_weight(tmp_path, toy_cfg, random_model):
+    tensors = model_to_tensors(random_model)
+    tensors[store.attn_weight_name(1, "v_proj")][3, 5] = np.nan
+    path = tmp_path / "model.safetensors"
+    write_container(path, tensors)
+    with pytest.raises(ContainerFormatError, match="v_proj"):
+        store.load_model(path, toy_cfg)
+
+
 # ---------------------------------------------------------------------------
 # Ratio arithmetic
 
@@ -184,6 +193,16 @@ def test_manifest_tamper_detected(tmp_path):
     tampered["layers"][0]["mha"]["schemes"]["q_proj"]["rank"] = 9
     (out / "manifest.json").write_text(json.dumps(tampered))
     with pytest.raises(ManifestError):
+        store.load_compressed(out)
+
+
+def test_load_compressed_rejects_non_finite_factor(tmp_path):
+    _, _, _, out = _compressed_toy(tmp_path)
+    tensors, meta = read_container(out / "model.safetensors")
+    name = "model.layers.0.self_attn.q_proj.L"
+    tensors[name][0, 0] = np.inf
+    write_container(out / "model.safetensors", tensors, metadata=meta)
+    with pytest.raises(ContainerFormatError, match="q_proj.L"):
         store.load_compressed(out)
 
 
