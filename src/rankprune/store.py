@@ -248,6 +248,9 @@ def validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: Mo
     Every transformer weight of the source model must be accounted for
     exactly once, and the parameter totals recorded in the manifest must
     be reproducible from the per-layer records and from the tensors.
+    Retained FFN channels and kept heads must be strictly ascending,
+    in range and equal to their index tensors; every retained channel's
+    provenance must be "top" or "bottom".
     """
     try:
         _validate_manifest(manifest, tensors, config)
@@ -268,6 +271,14 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
         if sorted(schemes) != sorted(ATTN_PROJS):
             raise ManifestError(f"layer {i}: MHA schemes must cover exactly {ATTN_PROJS}")
         kept_heads = rec["mha"].get("kept_heads")
+        hname = kept_heads_name(i)
+        if kept_heads is None:
+            _absent(tensors, hname)
+        else:
+            if not _ascending_within(kept_heads, config.n_heads):
+                raise ManifestError(f"layer {i}: kept_heads must be strictly ascending inside [0, {config.n_heads})")
+            if hname not in tensors or tensors[hname].tolist() != kept_heads:
+                raise ManifestError(f"layer {i}: kept-heads tensor disagrees with manifest list")
         attn_d_out = (len(kept_heads) * config.head_dim) if kept_heads is not None else d
         for proj, scheme in schemes.items():
             wname = attn_weight_name(i, proj)
@@ -290,6 +301,10 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
             idx = ffn["retained_channels"]
             if len(idx) != kept or len(ffn["provenance"]) != kept:
                 raise ManifestError(f"layer {i}: retained index/provenance lists disagree with count")
+            if not _ascending_within(idx, d_m):
+                raise ManifestError(f"layer {i}: retained channels must be strictly ascending inside [0, {d_m})")
+            if not set(ffn["provenance"]) <= {"top", "bottom"}:
+                raise ManifestError(f"layer {i}: provenance values must be 'top' or 'bottom'")
             _expect(tensors, mlp_weight_name(i, "gate_proj"), (kept, d))
             _expect(tensors, mlp_weight_name(i, "up_proj"), (kept, d))
             _expect(tensors, mlp_weight_name(i, "down_proj"), (d, kept))
@@ -317,6 +332,11 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
             f"layer parameter totals disagree: manifest={recorded}, "
             f"records={from_records}, tensors={from_tensors}"
         )
+
+
+def _ascending_within(values: list[int], upper: int) -> bool:
+    """True when values are strictly ascending (hence unique) inside [0, upper)."""
+    return all(a < b for a, b in zip(values, values[1:])) and all(0 <= v < upper for v in values)
 
 
 def _expect(tensors: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> None:

@@ -10,6 +10,11 @@ caller can interleave them with compressing that layer.  Factored
 matrices participate in the forward as two sequential products (R then
 L), pruned FFNs at their reduced width, head-pruned attention with its
 reduced head count.
+
+Causal attention is per-head BLAS matmul on (heads, tokens, head_dim)
+views: the scores get a cached read-only additive causal bias, the
+softmax exponentiates them in place, and the rows are normalised after
+the value product, on (tokens, head_dim) rather than (tokens, tokens).
 """
 
 from __future__ import annotations
@@ -194,10 +199,13 @@ def apply_rope(x: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-def _softmax_rows(x: np.ndarray) -> np.ndarray:
-    x = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(x)
-    return e / e.sum(axis=-1, keepdims=True)
+@lru_cache(maxsize=4)
+def _causal_bias(n_pos: int) -> np.ndarray:
+    """Read-only additive causal mask, (n_pos, n_pos): 0 on and below the
+    diagonal, -inf above.  A few lengths are cached; each costs n_pos^2 * 8 bytes."""
+    bias = np.triu(np.full((n_pos, n_pos), -np.inf), k=1)
+    bias.flags.writeable = False
+    return bias
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -268,11 +276,18 @@ def _layer_forward(cfg: ModelConfig, layer: TransformerLayer, x: np.ndarray, idx
     q = apply_rope(q, cfg.rope_theta)
     k = apply_rope(k, cfg.rope_theta)
 
-    scores = np.einsum("qhd,khd->hqk", q, k) / np.sqrt(d_h)
-    causal = np.tril(np.ones((n_pos, n_pos), dtype=bool))
-    scores = np.where(causal[None, :, :], scores, -np.inf)
-    probs = _softmax_rows(scores)
-    context = np.einsum("hqk,khd->qhd", probs, v).reshape(n_pos, n_heads * d_h)
+    # Per-head BLAS products on (heads, tokens, ...) views.  The softmax runs
+    # in place on the (heads, n, n) scores and divides by the row sums only
+    # after the value product, on (n, d_h) per head instead of (n, n).  Each
+    # row's maximum becomes exp(0) = 1, so every row sum is >= 1.
+    scores = q.transpose(1, 0, 2) @ k.transpose(1, 2, 0)
+    scores /= np.sqrt(d_h)
+    scores += _causal_bias(n_pos)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    denom = scores.sum(axis=-1, keepdims=True)
+    context = (scores @ v.transpose(1, 0, 2)) / denom
+    context = context.transpose(1, 0, 2).reshape(n_pos, n_heads * d_h)
     grab(idx, SITE_ATTN_O_INPUT, context)
     x = x + layer.o(context)
 

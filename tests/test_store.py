@@ -133,13 +133,15 @@ def test_plan_ratio_rejects_out_of_range():
 # Compressed output
 
 
-def _compressed_toy(tmp_path, keep=0.5, d_m=172):
+def _compressed_toy(tmp_path, keep=0.5, d_m=172, mha_method="awsvd"):
     from rankprune import pipeline
 
     config = ModelConfig(dim=64, n_heads=4, head_dim=16, n_layers=2, ffn_dim=d_m, vocab_size=256)
     model = synth.make_random_model(config, seed=1, scale=0.05)
     calib = synth.random_token_stream(4096, 3)
-    plan = pipeline.CompressionPlan(keep_ratio=keep, calib_samples=8, calib_tokens=32, seed=0)
+    plan = pipeline.CompressionPlan(
+        keep_ratio=keep, calib_samples=8, calib_tokens=32, seed=0, mha_method=mha_method
+    )
     compressed, manifest, report = pipeline.compress_model(model, plan, calib)
     out = tmp_path / "out"
     pipeline.write_outputs(out, compressed, manifest, report)
@@ -194,6 +196,69 @@ def test_manifest_tamper_detected(tmp_path):
     (out / "manifest.json").write_text(json.dumps(tampered))
     with pytest.raises(ManifestError):
         store.load_compressed(out)
+
+
+@pytest.fixture(scope="module")
+def head_pruned_out(tmp_path_factory):
+    # pruned FFN channels and pruned heads in every layer
+    return _compressed_toy(tmp_path_factory.mktemp("heads"), mha_method="head_prune")[3]
+
+
+def _duplicate_channel(rec, tensors):
+    idx = rec["ffn"]["retained_channels"]
+    idx[1] = idx[0]
+    tensors[store.retained_channels_name(0)][1] = idx[0]
+
+
+def _channel_out_of_range(rec, tensors):
+    idx = rec["ffn"]["retained_channels"]
+    idx[-1] = 172
+    tensors[store.retained_channels_name(0)][-1] = 172
+
+
+def _bogus_provenance(rec, tensors):
+    rec["ffn"]["provenance"][0] = "bogus"
+
+
+def _kept_heads_tensor_mismatch(rec, tensors):
+    name = store.kept_heads_name(0)
+    others = sorted(set(range(4)) - set(rec["mha"]["kept_heads"]))
+    tensors[name] = np.asarray(others[: len(tensors[name])], dtype=np.int32)
+
+
+def _kept_heads_descending(rec, tensors):
+    rec["mha"]["kept_heads"].reverse()
+    name = store.kept_heads_name(0)
+    tensors[name] = tensors[name][::-1].copy()
+
+
+# Each corruption keeps the index tensors in step with the manifest where
+# the rule allows it, so only the rule under test can catch it.
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_duplicate_channel, "retained channels must be strictly ascending"),
+        (_channel_out_of_range, "retained channels must be strictly ascending"),
+        (_bogus_provenance, "provenance"),
+        (_kept_heads_tensor_mismatch, "kept-heads tensor disagrees"),
+        (_kept_heads_descending, "kept_heads must be strictly ascending"),
+    ],
+)
+def test_corrupt_index_records_are_rejected(head_pruned_out, tmp_path, corrupt, message):
+    import shutil
+
+    from rankprune.cli import main
+
+    out = tmp_path / "corrupt"
+    shutil.copytree(head_pruned_out, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    tensors, meta = read_container(out / "model.safetensors")
+    corrupt(manifest["layers"][0], tensors)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    write_container(out / "model.safetensors", tensors, metadata=meta)
+    with pytest.raises(ManifestError, match=message):
+        store.load_compressed(out)
+    assert main(["stats", "--model", str(out)]) == 2
 
 
 def test_load_compressed_rejects_non_finite_factor(tmp_path):

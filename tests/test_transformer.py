@@ -5,9 +5,13 @@ from rankprune import store, synth
 from rankprune.config import ModelConfig
 from rankprune.errors import CalibrationError, DataError
 from rankprune.lowrank import awsvd_factor
+from rankprune.pruning import apply_head_pruning
 from rankprune.transformer import (
     ALL_SITES,
     SITE_ATTN_INPUT,
+    SITE_ATTN_O_INPUT,
+    SITE_FFN_DOWN_INPUT,
+    SITE_FFN_INPUT,
     Dense,
     Factored,
     TransformerLayer,
@@ -23,7 +27,10 @@ from rankprune.transformer import (
     model_to_tensors,
     perplexity,
     read_token_file,
+    _causal_bias,
+    _layer_forward,
     rms_norm,
+    silu,
     tokenize_bytes,
 )
 
@@ -90,6 +97,102 @@ def test_attention_rows_sum_to_one(random_model):
     v_row = random_model.layers[0].v(h[0:1])
     ctx = caps[(0, "attn_o_input")]
     assert np.allclose(ctx, np.tile(v_row, (9, 1)), atol=1e-6)
+
+
+def _einsum_layer_reference(cfg: ModelConfig, layer: TransformerLayer, x: np.ndarray):
+    """One layer step with attention as first written: einsum scores, a
+    np.tril + np.where mask, a row softmax and an einsum context."""
+    n_pos, d_h, n_heads = x.shape[0], cfg.head_dim, layer.n_heads(cfg)
+    sites = {}
+    h = rms_norm(x, layer.attn_norm, cfg.norm_eps)
+    sites[SITE_ATTN_INPUT] = h
+    q = apply_rope(layer.q(h).reshape(n_pos, n_heads, d_h), cfg.rope_theta)
+    k = apply_rope(layer.k(h).reshape(n_pos, n_heads, d_h), cfg.rope_theta)
+    v = layer.v(h).reshape(n_pos, n_heads, d_h)
+    scores = np.einsum("qhd,khd->hqk", q, k) / np.sqrt(d_h)
+    causal = np.tril(np.ones((n_pos, n_pos), dtype=bool))
+    scores = np.where(causal[None, :, :], scores, -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    context = np.einsum("hqk,khd->qhd", probs, v).reshape(n_pos, n_heads * d_h)
+    sites[SITE_ATTN_O_INPUT] = context
+    x = x + layer.o(context)
+    h2 = rms_norm(x, layer.ffn_norm, cfg.norm_eps)
+    sites[SITE_FFN_INPUT] = h2
+    inter = silu(layer.gate(h2)) * layer.up(h2)
+    sites[SITE_FFN_DOWN_INPUT] = inter
+    return x + layer.down(inter), sites
+
+
+def _grabbing_layer_forward(cfg, layer, x):
+    sites = {}
+    out = _layer_forward(cfg, layer, x, 0, lambda _i, site, values: sites.__setitem__(site, values.copy()))
+    return out, sites
+
+
+@pytest.fixture(scope="module")
+def oracle_layers(toy_cfg):
+    # a larger weight scale than random_model's, so the attention rows are
+    # far from uniform and the mask and max subtraction matter
+    dense = synth.make_random_model(toy_cfg, seed=4, scale=0.2).layers[0]
+
+    def truncated(proj, rank=8):
+        u, s, vt = np.linalg.svd(proj.w, full_matrices=False)
+        return Factored(u[:, :rank] * s[:rank], vt[:rank])
+
+    kept = (0, 2, 3)
+    q, k, v, o = apply_head_pruning(dense.q.w, dense.k.w, dense.v.w, dense.o.w, kept, toy_cfg.head_dim)
+    return {
+        "dense": dense,
+        "factored": TransformerLayer(
+            attn_norm=dense.attn_norm, q=truncated(dense.q), k=truncated(dense.k),
+            v=truncated(dense.v), o=truncated(dense.o), ffn_norm=dense.ffn_norm,
+            gate=dense.gate, up=dense.up, down=dense.down,
+        ),
+        "head_pruned": TransformerLayer(
+            attn_norm=dense.attn_norm, q=Dense(q), k=Dense(k), v=Dense(v), o=Dense(o),
+            ffn_norm=dense.ffn_norm, gate=dense.gate, up=dense.up, down=dense.down, kept_heads=kept,
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["dense", "factored", "head_pruned"])
+@pytest.mark.parametrize("n_pos", [1, 2, 33, 128])
+def test_layer_forward_matches_einsum_reference(toy_cfg, oracle_layers, kind, n_pos):
+    layer = oracle_layers[kind]
+    x = np.random.default_rng(n_pos).normal(size=(n_pos, toy_cfg.dim))
+    out, sites = _grabbing_layer_forward(toy_cfg, layer, x)
+    ref_out, ref_sites = _einsum_layer_reference(toy_cfg, layer, x)
+    assert np.allclose(out, ref_out, rtol=1e-12, atol=1e-12)
+    assert set(sites) == set(ALL_SITES)
+    for site in ALL_SITES:
+        assert sites[site].shape == ref_sites[site].shape
+        assert np.allclose(sites[site], ref_sites[site], rtol=1e-12, atol=1e-12), site
+
+
+def test_causal_bias_is_cached_read_only_and_small():
+    bias = _causal_bias(5)
+    assert bias.flags.writeable is False
+    assert np.array_equal(np.isneginf(bias), np.triu(np.ones((5, 5), dtype=bool), k=1))
+    assert np.all(bias[np.tril_indices(5)] == 0.0)
+    assert _causal_bias(5) is bias
+    with pytest.raises(ValueError):
+        bias[0, 1] = 0.0
+    assert _causal_bias.cache_info().maxsize <= 4
+
+
+def test_layer_forward_alternating_lengths_match_fresh_calls(toy_cfg, oracle_layers):
+    layer = oracle_layers["dense"]
+    xs = {n: np.random.default_rng(n).normal(size=(n, toy_cfg.dim)) for n in (33, 128)}
+    fresh = {}
+    for n, x in xs.items():
+        _causal_bias.cache_clear()
+        fresh[n] = _grabbing_layer_forward(toy_cfg, layer, x)
+    for n in (33, 128, 33):
+        out, sites = _grabbing_layer_forward(toy_cfg, layer, xs[n])
+        assert np.array_equal(out, fresh[n][0])
+        for site in ALL_SITES:
+            assert np.array_equal(sites[site], fresh[n][1][site])
 
 
 def test_rms_norm_unit_rms():
