@@ -33,9 +33,8 @@ from .pruning import (
     wanda_mask,
     weight_importance,
 )
-from .store import RatioPlan, WeightMatrix, load_compressed, load_model, plan_ratio, write_compressed
+from .store import RatioPlan, load_compressed, load_model, plan_ratio, write_compressed
 from .transformer import (
-    ActivationBatch,
     ActivationStats,
     TransformerModel,
     collect_stats,
@@ -48,7 +47,6 @@ from .transformer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationBatch",
     "ActivationStats",
     "AllocationError",
     "CalibrationError",
@@ -68,7 +66,6 @@ __all__ = [
     "ShapeMismatchError",
     "SvdResult",
     "TransformerModel",
-    "WeightMatrix",
     "allocate_mha",
     "apply_pruning",
     "awsvd_factor",

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import pipeline, pruning, store
 from .config import ModelConfig
-from .errors import CompressionError
+from .errors import CompressionError, DataError
 from .lowrank import parse_alloc_ratio
 from .transformer import count_params_macs, load_dense_model, read_token_file
 from .util import canonical_json, sha256_file
@@ -118,10 +118,12 @@ def _load_model(path: str, config_path: str | None):
 def _load_stats_file(path: str) -> dict[str, np.ndarray]:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    return {name: np.asarray(vec, dtype=np.float64) for name, vec in payload["x_din"].items()}
-
-
-_PROJ_ORDER = [f"self_attn.{p}" for p in store.ATTN_PROJS] + [f"mlp.{p}" for p in store.FFN_PROJS]
+    x_din = {}
+    for name, vec in payload["x_din"].items():
+        x_din[name] = np.asarray(vec, dtype=np.float64)
+        if not np.isfinite(x_din[name]).all():
+            raise DataError(f"{path}: x_din of {name!r} holds NaN or infinite values")
+    return x_din
 
 
 def _projection_matrices(model_path: str) -> list[tuple[str, np.ndarray]]:
@@ -130,25 +132,26 @@ def _projection_matrices(model_path: str) -> list[tuple[str, np.ndarray]]:
     from .container import read_container
 
     p = Path(model_path)
-    tensors, _ = read_container(p / "model.safetensors" if p.is_dir() else p)
+    path = p / "model.safetensors" if p.is_dir() else p
+    tensors, _ = read_container(path)
     out = []
     for name, arr in tensors.items():
-        base = None
-        if name.endswith(".weight"):
-            base = name.removesuffix(".weight")
-            w = arr.astype(np.float64)
-        elif name.endswith(".L"):
-            base = name.removesuffix(".L")
-            rname = base + ".R"
+        store.require_finite(path, name, arr)
+        parsed = store.split_projection_name(name)
+        if parsed is None:
+            continue
+        layer, proj, suffix = parsed
+        if suffix == "R":
+            continue
+        wname = store.weight_name(layer, proj.name)
+        w = arr.astype(np.float64)
+        if suffix == "L":
+            rname = store.factor_names(wname)[1]
             if rname not in tensors:
                 continue
-            w = arr.astype(np.float64) @ tensors[rname].astype(np.float64)
-        if base is None:
-            continue
-        parts = base.split(".")
-        if len(parts) == 5 and parts[:2] == ["model", "layers"] and ".".join(parts[3:]) in _PROJ_ORDER:
-            out.append((int(parts[2]), _PROJ_ORDER.index(".".join(parts[3:])), base + ".weight", w))
-    out.sort()
+            w = w @ tensors[rname].astype(np.float64)
+        out.append((layer, store.PROJECTIONS.index(proj), wname, w))
+    out.sort(key=lambda entry: entry[:2])
     return [(name, w) for _, _, name, w in out]
 
 
@@ -287,10 +290,6 @@ def cmd_stats(args) -> int:
             canonical_json({"params": params, "macs": macs, "seq_len": args.seqlen}), encoding="utf-8"
         )
     return 0
-
-
-def cli_dispatch(argv) -> int:
-    return main(argv)
 
 
 def main(argv=None) -> int:

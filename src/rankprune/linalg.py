@@ -98,7 +98,3 @@ def weighted_frobenius_error(w, l, r, d) -> float:
         raise ValueError("weight vector entries must be positive")
     return float(np.linalg.norm((w - l @ r) * d[None, :]))
 
-
-def frobenius_error(w, l, r) -> float:
-    """Plain || W - L @ R ||_F."""
-    return weighted_frobenius_error(w, l, r, np.ones(np.asarray(w).shape[1]))

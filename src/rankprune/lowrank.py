@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import AllocationError, CalibrationError, ShapeMismatchError
 from .linalg import as_matrix, svd, truncate, weighted_frobenius_error
+from .store import ATTN_PROJS
 from .util import round_half_up
 
 # Floor applied to x_din before forming D; dead input features would
@@ -149,8 +150,8 @@ def allocate_mha(
     """
     if not 0.0 < layer_ratio <= 1.0:
         raise ValueError(f"layer_ratio must lie in (0, 1], got {layer_ratio}")
-    if set(dims) != {"q_proj", "k_proj", "v_proj", "o_proj"}:
-        raise ValueError("dims must cover exactly q_proj, k_proj, v_proj, o_proj")
+    if set(dims) != set(ATTN_PROJS):
+        raise ValueError(f"dims must cover exactly {', '.join(ATTN_PROJS)}")
     size = {m: d_out * d_in for m, (d_out, d_in) in dims.items()}
     total = sum(size.values())
     budget = round_half_up(total * layer_ratio)

@@ -35,7 +35,6 @@ from .transformer import (
     layer_stats,
     model_from_tensors,
     model_to_tensors,
-    site_for_projection,
 )
 from .util import canonical_json, round_half_up
 
@@ -108,15 +107,7 @@ def sample_calibration_windows(
 
 
 def _dense_weights(layer: TransformerLayer) -> dict[str, np.ndarray]:
-    projs = {
-        "q_proj": layer.q,
-        "k_proj": layer.k,
-        "v_proj": layer.v,
-        "o_proj": layer.o,
-        "gate_proj": layer.gate,
-        "up_proj": layer.up,
-        "down_proj": layer.down,
-    }
+    projs = layer.projections()
     for name, proj in projs.items():
         if not isinstance(proj, Dense):
             raise ManifestError(f"layer to compress has non-dense {name}; layers are compressed once")
@@ -150,7 +141,7 @@ def compress_model(
     for i in range(cfg.n_layers):
         stats = layer_stats(work, states, i)
         weights = _dense_weights(work.layers[i])
-        x_by_proj = {p: stats.by_site[site_for_projection(p)] for p in weights}
+        x_by_proj = {p.name: stats.by_site[p.site] for p in store.PROJECTIONS}
 
         try:
             if plan.mha_method == "head_prune":
@@ -233,7 +224,7 @@ def compress_model(
 
 
 def _layer_param_count(layer: TransformerLayer) -> int:
-    return sum(p.n_params for p in (layer.q, layer.k, layer.v, layer.o, layer.gate, layer.up, layer.down))
+    return sum(p.n_params for p in layer.projections().values())
 
 
 def _cross_check(report: dict) -> None:
@@ -262,13 +253,7 @@ def _compress_mha_factored(cfg, layer, weights, x_by_proj, plan):
         alloc,
         use_activation_weights=plan.mha_method == "awsvd",
     )
-    new_layer = replace(
-        layer,
-        q=_as_linear(weights["q_proj"], pairs["q_proj"]),
-        k=_as_linear(weights["k_proj"], pairs["k_proj"]),
-        v=_as_linear(weights["v_proj"], pairs["v_proj"]),
-        o=_as_linear(weights["o_proj"], pairs["o_proj"]),
-    )
+    new_layer = layer.with_projections({p: _as_linear(weights[p], pairs[p]) for p in store.ATTN_PROJS})
     manifest = {
         "schemes": _scheme_dict(alloc),
         "kept_heads": None,
@@ -290,19 +275,14 @@ def _compress_mha_factored(cfg, layer, weights, x_by_proj, plan):
 
 def _compress_mha_heads(cfg, layer, weights, x_by_proj, plan):
     n_heads = layer.n_heads(cfg)
+    qkvo = [weights[p] for p in store.ATTN_PROJS]
     scores = pruning.head_scores(
-        weights["q_proj"], weights["k_proj"], weights["v_proj"], weights["o_proj"],
-        x_by_proj["q_proj"], x_by_proj["o_proj"], n_heads, cfg.head_dim, plan.aggregation,
+        *qkvo, x_by_proj["q_proj"], x_by_proj["o_proj"], n_heads, cfg.head_dim, plan.aggregation,
     )
     kept = pruning.decide_head_pruning(scores, plan.keep_ratio)
-    q, k, v, o = pruning.apply_head_pruning(
-        weights["q_proj"], weights["k_proj"], weights["v_proj"], weights["o_proj"], kept, cfg.head_dim
-    )
-    new_layer = replace(layer, q=Dense(q), k=Dense(k), v=Dense(v), o=Dense(o), kept_heads=kept)
-    schemes = {
-        p: {"kind": "dense", "rank": None, "params": int(arr.size)}
-        for p, arr in (("q_proj", q), ("k_proj", k), ("v_proj", v), ("o_proj", o))
-    }
+    pruned = dict(zip(store.ATTN_PROJS, pruning.apply_head_pruning(*qkvo, kept, cfg.head_dim)))
+    new_layer = layer.with_projections({p: Dense(w) for p, w in pruned.items()}, kept_heads=kept)
+    schemes = {p: {"kind": "dense", "rank": None, "params": int(w.size)} for p, w in pruned.items()}
     total = sum(s["params"] for s in schemes.values())
     manifest = {
         "schemes": schemes,
@@ -361,12 +341,7 @@ def _compress_ffn_svd(cfg, layer, weights, plan):
         rank = max(1, int(plan.keep_ratio * w.size / (d_out + d_in)))
         ranks[proj] = rank
         pairs[proj] = plain_factor(w, rank, name=proj)
-    new_layer = replace(
-        layer,
-        gate=Factored(pairs["gate_proj"].l, pairs["gate_proj"].r),
-        up=Factored(pairs["up_proj"].l, pairs["up_proj"].r),
-        down=Factored(pairs["down_proj"].l, pairs["down_proj"].r),
-    )
+    new_layer = layer.with_projections({p: Factored(pair.l, pair.r) for p, pair in pairs.items()})
     manifest = {"kind": "factored", "ranks": ranks}
     report = {
         "kind": "factored",

@@ -96,6 +96,14 @@ def _order(scores: np.ndarray, descending: bool) -> np.ndarray:
     return np.lexsort((idx, key))
 
 
+def bottom_quota(d_m: int, n_retained: int, retain_least: float) -> int:
+    """How many of n_retained kept channels come from the bottom of the
+    score order: max(1, floor(retain_least * d_m)) when retain_least > 0,
+    shrunk to fit inside the retained count."""
+    quota = max(1, floor(retain_least * d_m)) if retain_least > 0 else 0
+    return min(quota, n_retained)
+
+
 def decide_pruning(scores, keep_ratio: float, retain_least: float = 0.01, aggregation: str = "l2") -> PruneDecision:
     """Choose round(keep_ratio * d_m) channels to keep.
 
@@ -113,8 +121,7 @@ def decide_pruning(scores, keep_ratio: float, retain_least: float = 0.01, aggreg
     n_retained = round_half_up(keep_ratio * d_m)
     if n_retained < 1:
         raise AllocationError(f"keep_ratio {keep_ratio} retains no channel of {d_m}")
-    n_bottom = max(1, floor(retain_least * d_m)) if retain_least > 0 else 0
-    n_bottom = min(n_bottom, n_retained)
+    n_bottom = bottom_quota(d_m, n_retained, retain_least)
     n_top = n_retained - n_bottom
 
     top = _order(scores, descending=True)[:n_top]

@@ -1,6 +1,14 @@
-"""Model weight storage: qualified tensor names, checkpoint loading,
-compressed-output writing with a sidecar manifest, and the
-model-to-layer ratio arithmetic.
+"""Model weight storage: the projection table, qualified tensor names,
+checkpoint loading, compressed-output writing with a sidecar manifest,
+and the model-to-layer ratio arithmetic.
+
+`PROJECTIONS` is the one list of a layer's seven weight matrices.  Each
+row says which sub-layer a matrix belongs to (q/k/v/o are attention
+matrices, factored under the MHA budget; gate/up/down form the FFN
+channel group that is pruned as one), which activation site feeds it,
+and its shape in terms of the model width, the kept-head width and the
+retained-channel width.  Serialization, loading, validation, accounting
+and calibration naming all iterate over it.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .errors import (
     MissingTensorError,
     ShapeMismatchError,
 )
+from .pruning import bottom_quota
 from .util import canonical_json
 
 MANIFEST_VERSION = 1
@@ -28,16 +37,73 @@ EMBED_NAME = "model.embed_tokens.weight"
 HEAD_NAME = "lm_head.weight"
 FINAL_NORM_NAME = "model.norm.weight"
 
-ATTN_PROJS = ("q_proj", "k_proj", "v_proj", "o_proj")
-FFN_PROJS = ("gate_proj", "up_proj", "down_proj")
+# Activation sites, the inputs of the projections.
+SITE_ATTN_INPUT = "attn_input"          # input to q/k/v projections
+SITE_ATTN_O_INPUT = "attn_o_input"      # input to the o projection (head concat)
+SITE_FFN_INPUT = "ffn_input"            # input to gate/up projections
+SITE_FFN_DOWN_INPUT = "ffn_down_input"  # input to the down projection
+
+ATTN = "self_attn"
+MLP = "mlp"
+
+# Widths a projection axis can have: the model width, the concatenated
+# width of the kept heads, and the number of retained FFN channels.
+DIM, HEADS, CHANNELS = "dim", "heads", "channels"
 
 
-def attn_weight_name(layer: int, proj: str) -> str:
-    return f"model.layers.{layer}.self_attn.{proj}.weight"
+@dataclass(frozen=True)
+class Projection:
+    """One weight matrix of a transformer layer (y = Wx orientation)."""
+
+    name: str      # tensor name component, e.g. "q_proj"
+    attr: str      # TransformerLayer attribute
+    group: str     # ATTN or MLP
+    site: str      # activation site feeding its input features
+    out_axis: str  # DIM, HEADS or CHANNELS
+    in_axis: str
+
+    def shape(self, widths: dict[str, int]) -> tuple[int, int]:
+        return widths[self.out_axis], widths[self.in_axis]
 
 
-def mlp_weight_name(layer: int, proj: str) -> str:
-    return f"model.layers.{layer}.mlp.{proj}.weight"
+PROJECTIONS = (
+    Projection("q_proj", "q", ATTN, SITE_ATTN_INPUT, HEADS, DIM),
+    Projection("k_proj", "k", ATTN, SITE_ATTN_INPUT, HEADS, DIM),
+    Projection("v_proj", "v", ATTN, SITE_ATTN_INPUT, HEADS, DIM),
+    Projection("o_proj", "o", ATTN, SITE_ATTN_O_INPUT, DIM, HEADS),
+    Projection("gate_proj", "gate", MLP, SITE_FFN_INPUT, CHANNELS, DIM),
+    Projection("up_proj", "up", MLP, SITE_FFN_INPUT, CHANNELS, DIM),
+    Projection("down_proj", "down", MLP, SITE_FFN_DOWN_INPUT, DIM, CHANNELS),
+)
+PROJECTION = {p.name: p for p in PROJECTIONS}
+ATTN_PROJS = tuple(p.name for p in PROJECTIONS if p.group == ATTN)
+FFN_PROJS = tuple(p.name for p in PROJECTIONS if p.group == MLP)
+ALL_SITES = tuple(dict.fromkeys(p.site for p in PROJECTIONS))
+
+
+def widths(config: ModelConfig, n_kept_heads: int | None = None, n_channels: int | None = None) -> dict[str, int]:
+    """Axis widths of one layer; None means the head or channel set is whole."""
+    return {
+        DIM: config.dim,
+        HEADS: config.dim if n_kept_heads is None else n_kept_heads * config.head_dim,
+        CHANNELS: config.ffn_dim if n_channels is None else n_channels,
+    }
+
+
+def weight_name(layer: int, proj: str) -> str:
+    return f"model.layers.{layer}.{PROJECTION[proj].group}.{proj}.weight"
+
+
+def split_projection_name(name: str) -> tuple[int, Projection, str] | None:
+    """(layer, projection, suffix) of a projection tensor name, where the
+    suffix is "weight", "L" or "R"; None for any other name."""
+    parts = name.split(".")
+    if len(parts) != 6 or parts[:2] != ["model", "layers"] or parts[5] not in ("weight", "L", "R"):
+        return None
+    proj = PROJECTION.get(parts[4])
+    if proj is None or proj.group != parts[3] or not parts[2].isdecimal() or str(int(parts[2])) != parts[2]:
+        return None
+    return int(parts[2]), proj, parts[5]
 
 
 def attn_norm_name(layer: int) -> str:
@@ -49,16 +115,16 @@ def ffn_norm_name(layer: int) -> str:
 
 
 def retained_channels_name(layer: int) -> str:
-    return f"model.layers.{layer}.mlp.retained_channels"
+    return f"model.layers.{layer}.{MLP}.retained_channels"
 
 
 def kept_heads_name(layer: int) -> str:
-    return f"model.layers.{layer}.self_attn.kept_heads"
+    return f"model.layers.{layer}.{ATTN}.kept_heads"
 
 
-def factor_names(weight_name: str) -> tuple[str, str]:
+def factor_names(name: str) -> tuple[str, str]:
     """Names of the (L, R) pair replacing a factored weight."""
-    base = weight_name.removesuffix(".weight")
+    base = name.removesuffix(".weight")
     return base + ".L", base + ".R"
 
 
@@ -68,7 +134,8 @@ def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     Projections follow the y = Wx orientation: axis 0 is the output
     feature axis, axis 1 the input feature axis.
     """
-    d, d_m, v = config.dim, config.ffn_dim, config.vocab_size
+    d, v = config.dim, config.vocab_size
+    dense = widths(config)
     shapes: dict[str, tuple[int, ...]] = {
         EMBED_NAME: (v, d),
         HEAD_NAME: (v, d),
@@ -77,37 +144,12 @@ def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     for i in range(config.n_layers):
         shapes[attn_norm_name(i)] = (d,)
         shapes[ffn_norm_name(i)] = (d,)
-        for proj in ATTN_PROJS:
-            shapes[attn_weight_name(i, proj)] = (d, d)
-        shapes[mlp_weight_name(i, "gate_proj")] = (d_m, d)
-        shapes[mlp_weight_name(i, "up_proj")] = (d_m, d)
-        shapes[mlp_weight_name(i, "down_proj")] = (d, d_m)
+        for p in PROJECTIONS:
+            shapes[weight_name(i, p.name)] = p.shape(dense)
     return shapes
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """A dense weight with its input-feature axis made explicit.
-
-    din_axis is 1 for projections (y = Wx convention) and None for
-    tensors that are not matrix products over a feature vector
-    (embedding rows, norm scales).
-    """
-
-    name: str
-    data: np.ndarray
-    din_axis: int | None = 1
-
-    @property
-    def d_out(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def d_in(self) -> int:
-        return self.data.shape[1]
-
-
-def load_model(path: str | Path, config: ModelConfig) -> dict[str, WeightMatrix]:
+def load_model(path: str | Path, config: ModelConfig) -> dict[str, np.ndarray]:
     """Load a dense checkpoint, widening every tensor to float64.
 
     Every expected tensor must be present with the shape the config
@@ -119,20 +161,19 @@ def load_model(path: str | Path, config: ModelConfig) -> dict[str, WeightMatrix]
     missing = sorted(set(shapes) - set(tensors))
     if missing:
         raise MissingTensorError(f"{path}: missing tensors: {', '.join(missing)}")
-    out: dict[str, WeightMatrix] = {}
+    out: dict[str, np.ndarray] = {}
     for name, want in shapes.items():
         arr = tensors[name]
         if arr.shape != want:
             raise ShapeMismatchError(
                 f"{path}: tensor {name!r} has shape {arr.shape}, expected {want}"
             )
-        _require_finite(path, name, arr)
-        din_axis = 1 if arr.ndim == 2 and name != EMBED_NAME else None
-        out[name] = WeightMatrix(name=name, data=arr.astype(np.float64), din_axis=din_axis)
+        require_finite(path, name, arr)
+        out[name] = arr.astype(np.float64)
     return out
 
 
-def _require_finite(path: str | Path, name: str, arr: np.ndarray) -> None:
+def require_finite(path: str | Path, name: str, arr: np.ndarray) -> None:
     if arr.dtype.kind == "f" and not np.isfinite(arr).all():
         raise ContainerFormatError(f"{path}: tensor {name!r} holds NaN or infinite values")
 
@@ -201,44 +242,13 @@ LLAMA_SHAPES = {
 # Compressed output
 
 
-def count_weight_params(tensors: dict[str, np.ndarray]) -> int:
-    """Float weight elements in a tensor map; integer metadata is excluded."""
-    return sum(int(a.size) for a in tensors.values() if a.dtype.kind == "f")
-
-
 def layer_tensor_params(tensors: dict[str, np.ndarray], n_layers: int) -> int:
     """Float weight elements belonging to transformer projections only."""
     total = 0
-    for i in range(n_layers):
-        prefixes = [attn_weight_name(i, p).removesuffix(".weight") for p in ATTN_PROJS]
-        prefixes += [mlp_weight_name(i, p).removesuffix(".weight") for p in FFN_PROJS]
-        for name, arr in tensors.items():
-            if arr.dtype.kind != "f":
-                continue
-            if any(name == p + ".weight" or name in (p + ".L", p + ".R") for p in prefixes):
-                total += int(arr.size)
-    return total
-
-
-def _recompute_layer_params(manifest: dict, config: ModelConfig) -> int:
-    d, d_m = config.dim, config.ffn_dim
-    total = 0
-    for rec in manifest["layers"]:
-        kept_heads = rec["mha"].get("kept_heads")
-        attn_d_out = (len(kept_heads) * config.head_dim) if kept_heads is not None else d
-        for proj, scheme in rec["mha"]["schemes"].items():
-            d_out = attn_d_out if proj != "o_proj" else d
-            d_in = d if proj != "o_proj" else attn_d_out
-            if scheme["kind"] == "dense":
-                total += d_out * d_in
-            else:
-                total += scheme["rank"] * (d_out + d_in)
-        ffn = rec["ffn"]
-        if ffn["kind"] == "pruned":
-            total += ffn["retained_count"] * 3 * d
-        else:
-            for proj, rank in ffn["ranks"].items():
-                total += rank * (d_m + d)
+    for name, arr in tensors.items():
+        parsed = split_projection_name(name)
+        if parsed is not None and parsed[0] < n_layers and arr.dtype.kind == "f":
+            total += int(arr.size)
     return total
 
 
@@ -250,7 +260,8 @@ def validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: Mo
     be reproducible from the per-layer records and from the tensors.
     Retained FFN channels and kept heads must be strictly ascending,
     in range and equal to their index tensors; every retained channel's
-    provenance must be "top" or "bottom".
+    provenance must be "top" or "bottom", and the number marked "bottom"
+    must be the quota the plan's retain-least share gives.
     """
     try:
         _validate_manifest(manifest, tensors, config)
@@ -264,12 +275,10 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
     recs = manifest["layers"]
     if [r["layer"] for r in recs] != list(range(config.n_layers)):
         raise ManifestError("manifest layer records do not cover every layer exactly once")
-    d, d_m = config.dim, config.ffn_dim
+    retain_least = manifest["global"]["retain_least"]
+    from_records = 0
     for rec in recs:
         i = rec["layer"]
-        schemes = rec["mha"]["schemes"]
-        if sorted(schemes) != sorted(ATTN_PROJS):
-            raise ManifestError(f"layer {i}: MHA schemes must cover exactly {ATTN_PROJS}")
         kept_heads = rec["mha"].get("kept_heads")
         hname = kept_heads_name(i)
         if kept_heads is None:
@@ -279,59 +288,76 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
                 raise ManifestError(f"layer {i}: kept_heads must be strictly ascending inside [0, {config.n_heads})")
             if hname not in tensors or tensors[hname].tolist() != kept_heads:
                 raise ManifestError(f"layer {i}: kept-heads tensor disagrees with manifest list")
-        attn_d_out = (len(kept_heads) * config.head_dim) if kept_heads is not None else d
-        for proj, scheme in schemes.items():
-            wname = attn_weight_name(i, proj)
-            lname, rname = factor_names(wname)
-            d_out = attn_d_out if proj != "o_proj" else d
-            d_in = d if proj != "o_proj" else attn_d_out
-            if scheme["kind"] == "dense":
-                _expect(tensors, wname, (d_out, d_in))
-                _absent(tensors, lname, rname)
-            elif scheme["kind"] == "factored":
-                rank = scheme["rank"]
-                _expect(tensors, lname, (d_out, rank))
-                _expect(tensors, rname, (rank, d_in))
-                _absent(tensors, wname)
-            else:
-                raise ManifestError(f"layer {i}: unknown MHA scheme {scheme['kind']!r} for {proj}")
         ffn = rec["ffn"]
+        kept = None
         if ffn["kind"] == "pruned":
             kept = ffn["retained_count"]
-            idx = ffn["retained_channels"]
-            if len(idx) != kept or len(ffn["provenance"]) != kept:
-                raise ManifestError(f"layer {i}: retained index/provenance lists disagree with count")
-            if not _ascending_within(idx, d_m):
-                raise ManifestError(f"layer {i}: retained channels must be strictly ascending inside [0, {d_m})")
-            if not set(ffn["provenance"]) <= {"top", "bottom"}:
-                raise ManifestError(f"layer {i}: provenance values must be 'top' or 'bottom'")
-            _expect(tensors, mlp_weight_name(i, "gate_proj"), (kept, d))
-            _expect(tensors, mlp_weight_name(i, "up_proj"), (kept, d))
-            _expect(tensors, mlp_weight_name(i, "down_proj"), (d, kept))
-            iname = retained_channels_name(i)
-            if iname not in tensors:
-                raise ManifestError(f"layer {i}: retained-channel index tensor missing")
-            if tensors[iname].tolist() != idx:
-                raise ManifestError(f"layer {i}: index tensor disagrees with manifest list")
-        elif ffn["kind"] == "factored":
-            for proj in FFN_PROJS:
-                wname = mlp_weight_name(i, proj)
-                lname, rname = factor_names(wname)
-                rank = ffn["ranks"][proj]
-                d_out, d_in = (d, d_m) if proj == "down_proj" else (d_m, d)
-                _expect(tensors, lname, (d_out, rank))
-                _expect(tensors, rname, (rank, d_in))
-                _absent(tensors, wname)
-        else:
-            raise ManifestError(f"layer {i}: unknown FFN scheme {ffn['kind']!r}")
+            _check_retained(i, ffn, tensors, config.ffn_dim, retain_least)
+        layer_widths = widths(config, None if kept_heads is None else len(kept_heads), kept)
+        for proj, rank in _ranks(i, rec).items():
+            shape = PROJECTION[proj].shape(layer_widths)
+            from_records += _check_projection(tensors, weight_name(i, proj), shape, rank)
     recorded = manifest["global"]["params"]["layer_retained"]
-    from_records = _recompute_layer_params(manifest, config)
     from_tensors = layer_tensor_params(tensors, config.n_layers)
     if not recorded == from_records == from_tensors:
         raise ManifestError(
             f"layer parameter totals disagree: manifest={recorded}, "
             f"records={from_records}, tensors={from_tensors}"
         )
+
+
+def _ranks(i: int, rec: dict) -> dict[str, int | None]:
+    """The rank of every projection a layer record declares; None means dense."""
+    schemes = rec["mha"]["schemes"]
+    if sorted(schemes) != sorted(ATTN_PROJS):
+        raise ManifestError(f"layer {i}: MHA schemes must cover exactly {ATTN_PROJS}")
+    ranks: dict[str, int | None] = {}
+    for proj, scheme in schemes.items():
+        if scheme["kind"] not in ("dense", "factored"):
+            raise ManifestError(f"layer {i}: unknown MHA scheme {scheme['kind']!r} for {proj}")
+        ranks[proj] = scheme["rank"] if scheme["kind"] == "factored" else None
+    ffn = rec["ffn"]
+    if ffn["kind"] == "pruned":
+        ranks.update(dict.fromkeys(FFN_PROJS))
+    elif ffn["kind"] == "factored":
+        ranks.update({proj: ffn["ranks"][proj] for proj in FFN_PROJS})
+    else:
+        raise ManifestError(f"layer {i}: unknown FFN scheme {ffn['kind']!r}")
+    return ranks
+
+
+def _check_retained(i: int, ffn: dict, tensors: dict[str, np.ndarray], d_m: int, retain_least: float) -> None:
+    kept = ffn["retained_count"]
+    idx = ffn["retained_channels"]
+    provenance = ffn["provenance"]
+    if len(idx) != kept or len(provenance) != kept:
+        raise ManifestError(f"layer {i}: retained index/provenance lists disagree with count")
+    if not _ascending_within(idx, d_m):
+        raise ManifestError(f"layer {i}: retained channels must be strictly ascending inside [0, {d_m})")
+    if not set(provenance) <= {"top", "bottom"}:
+        raise ManifestError(f"layer {i}: provenance values must be 'top' or 'bottom'")
+    n_bottom = provenance.count("bottom")
+    quota = bottom_quota(d_m, kept, retain_least)
+    if n_bottom != quota:
+        raise ManifestError(f"layer {i}: {n_bottom} channels marked bottom, retain_least {retain_least} gives {quota}")
+    iname = retained_channels_name(i)
+    if iname not in tensors:
+        raise ManifestError(f"layer {i}: retained-channel index tensor missing")
+    if tensors[iname].tolist() != idx:
+        raise ManifestError(f"layer {i}: index tensor disagrees with manifest list")
+
+
+def _check_projection(tensors: dict[str, np.ndarray], name: str, shape: tuple[int, int], rank: int | None) -> int:
+    """Check one projection's tensors against its scheme; return its parameter count."""
+    lname, rname = factor_names(name)
+    if rank is None:
+        _expect(tensors, name, shape)
+        _absent(tensors, lname, rname)
+        return shape[0] * shape[1]
+    _expect(tensors, lname, (shape[0], rank))
+    _expect(tensors, rname, (rank, shape[1]))
+    _absent(tensors, name)
+    return rank * (shape[0] + shape[1])
 
 
 def _ascending_within(values: list[int], upper: int) -> bool:
@@ -387,7 +413,7 @@ def load_compressed(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     config = ModelConfig.from_dict(manifest["config"])
     tensors, _ = read_container(model_path)
     for name, arr in tensors.items():
-        _require_finite(model_path, name, arr)
+        require_finite(model_path, name, arr)
     validate_manifest(manifest, tensors, config)
     widened = {
         name: arr.astype(np.float64) if arr.dtype.kind == "f" else arr.astype(np.int64)

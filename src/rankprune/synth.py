@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import store
 from .config import ModelConfig
 from .container import write_container
 from .transformer import (
@@ -35,39 +36,24 @@ def toy_config(n_layers: int = 2) -> ModelConfig:
 
 
 def _layer_from_arrays(d: int, arrays: dict[str, np.ndarray]) -> TransformerLayer:
+    """A dense layer with unit norms from {TransformerLayer attribute: weight}."""
     return TransformerLayer(
         attn_norm=np.ones(d),
-        q=Dense(arrays["q"]),
-        k=Dense(arrays["k"]),
-        v=Dense(arrays["v"]),
-        o=Dense(arrays["o"]),
         ffn_norm=np.ones(d),
-        gate=Dense(arrays["gate"]),
-        up=Dense(arrays["up"]),
-        down=Dense(arrays["down"]),
+        **{p.attr: Dense(arrays[p.attr]) for p in store.PROJECTIONS},
     )
 
 
 def make_random_model(config: ModelConfig, seed: int, scale: float = 0.05) -> TransformerModel:
     """Plain random-init model; every weight is N(0, scale^2)."""
     rng = np.random.default_rng(seed)
-    d, d_m = config.dim, config.ffn_dim
+    d = config.dim
+    dense = store.widths(config)
     layers = []
     for _ in range(config.n_layers):
-        layers.append(
-            _layer_from_arrays(
-                d,
-                {
-                    "q": rng.normal(0.0, scale, (d, d)),
-                    "k": rng.normal(0.0, scale, (d, d)),
-                    "v": rng.normal(0.0, scale, (d, d)),
-                    "o": rng.normal(0.0, scale, (d, d)),
-                    "gate": rng.normal(0.0, scale, (d_m, d)),
-                    "up": rng.normal(0.0, scale, (d_m, d)),
-                    "down": rng.normal(0.0, scale, (d, d_m)),
-                },
-            )
-        )
+        # One draw per projection in table order; that order fixes the weights a seed gives.
+        arrays = {p.attr: rng.normal(0.0, scale, p.shape(dense)) for p in store.PROJECTIONS}
+        layers.append(_layer_from_arrays(d, arrays))
     return TransformerModel(
         config=config,
         embed=rng.normal(0.0, 1.0, (config.vocab_size, d)),

@@ -29,12 +29,7 @@ from scipy.special import expit
 from . import store
 from .config import ModelConfig
 from .errors import CalibrationError, DataError, ShapeMismatchError
-
-SITE_ATTN_INPUT = "attn_input"          # input to q/k/v projections
-SITE_ATTN_O_INPUT = "attn_o_input"      # input to the o projection (head concat)
-SITE_FFN_INPUT = "ffn_input"            # input to gate/up projections
-SITE_FFN_DOWN_INPUT = "ffn_down_input"  # input to the down projection
-ALL_SITES = (SITE_ATTN_INPUT, SITE_ATTN_O_INPUT, SITE_FFN_INPUT, SITE_FFN_DOWN_INPUT)
+from .store import ALL_SITES, SITE_ATTN_INPUT, SITE_ATTN_O_INPUT, SITE_FFN_DOWN_INPUT, SITE_FFN_INPUT
 
 BYTE_VOCAB = 256
 
@@ -118,9 +113,13 @@ class TransformerLayer:
             return len(self.kept_heads)
         return self.q.shape[0] // config.head_dim
 
-    @property
-    def ffn_width(self) -> int:
-        return self.gate.shape[0]
+    def projections(self) -> dict[str, LinearMap]:
+        """The seven projections by name, in table order."""
+        return {p.name: getattr(self, p.attr) for p in store.PROJECTIONS}
+
+    def with_projections(self, maps: dict[str, LinearMap], **fields) -> "TransformerLayer":
+        """A copy with the named projections (and any other fields) replaced."""
+        return replace(self, **{store.PROJECTION[name].attr: m for name, m in maps.items()}, **fields)
 
 
 @dataclass(frozen=True)
@@ -135,14 +134,6 @@ class TransformerModel:
         layers = list(self.layers)
         layers[index] = layer
         return replace(self, layers=tuple(layers))
-
-
-@dataclass(frozen=True)
-class ActivationBatch:
-    """Activations captured at one site: (n_samples, n_tokens, features)."""
-
-    site: str
-    values: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -298,35 +289,8 @@ def _layer_forward(cfg: ModelConfig, layer: TransformerLayer, x: np.ndarray, idx
     return x + layer.down(inter)
 
 
-def capture_batches(
-    model: TransformerModel, streams: list[np.ndarray], layer: int
-) -> dict[str, ActivationBatch]:
-    """Stack the four per-site captures of one layer across equal-length samples."""
-    per_site: dict[str, list[np.ndarray]] = {s: [] for s in ALL_SITES}
-    for stream in streams:
-        _, caps = forward(model, stream, capture=set(ALL_SITES), capture_layers={layer}, stop_after_layer=layer)
-        for site in ALL_SITES:
-            per_site[site].append(caps[(layer, site)])
-    return {site: ActivationBatch(site=site, values=np.stack(vals)) for site, vals in per_site.items()}
-
-
 # ---------------------------------------------------------------------------
 # Calibration statistics
-
-
-_SITE_FOR_PROJ = {
-    "q_proj": SITE_ATTN_INPUT,
-    "k_proj": SITE_ATTN_INPUT,
-    "v_proj": SITE_ATTN_INPUT,
-    "o_proj": SITE_ATTN_O_INPUT,
-    "gate_proj": SITE_FFN_INPUT,
-    "up_proj": SITE_FFN_INPUT,
-    "down_proj": SITE_FFN_DOWN_INPUT,
-}
-
-
-def site_for_projection(proj: str) -> str:
-    return _SITE_FOR_PROJ[proj]
 
 
 def _site_sq_sums(model: TransformerModel, state: np.ndarray, layer: int) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -354,13 +318,7 @@ def _accumulate(acc: dict[str, np.ndarray] | None, sq_sums: dict[str, np.ndarray
 
 def _stats(layer: int, sq_sums: dict[str, np.ndarray], sample_count: int, position_count: int) -> ActivationStats:
     by_site = {site: np.sqrt(sq_sums[site]) for site in ALL_SITES}
-    by_name = {}
-    for proj, site in _SITE_FOR_PROJ.items():
-        if proj in store.FFN_PROJS:
-            name = store.mlp_weight_name(layer, proj)
-        else:
-            name = store.attn_weight_name(layer, proj)
-        by_name[name] = by_site[site]
+    by_name = {store.weight_name(layer, p.name): by_site[p.site] for p in store.PROJECTIONS}
     return ActivationStats(
         by_name=by_name, by_site=by_site, sample_count=sample_count, position_count=position_count
     )
@@ -462,7 +420,7 @@ def count_params_macs(model: TransformerModel, seq_len: int) -> tuple[int, int]:
     macs = seq_len * int(model.lm_head.size)
     for layer in model.layers:
         params += int(layer.attn_norm.size + layer.ffn_norm.size)
-        for proj in (layer.q, layer.k, layer.v, layer.o, layer.gate, layer.up, layer.down):
+        for proj in layer.projections().values():
             params += proj.n_params
             macs += seq_len * proj.macs_per_position
         macs += 2 * seq_len * seq_len * cfg.head_dim * layer.n_heads(cfg)
@@ -501,34 +459,8 @@ def read_token_file(path: str | Path, fmt: str = "bytes") -> np.ndarray:
 # Materialization to/from tensor maps
 
 
-def model_from_weight_map(config: ModelConfig, weights: dict[str, store.WeightMatrix]) -> TransformerModel:
-    """Assemble a dense model from a loaded checkpoint."""
-    layers = []
-    for i in range(config.n_layers):
-        layers.append(
-            TransformerLayer(
-                attn_norm=weights[store.attn_norm_name(i)].data,
-                q=Dense(weights[store.attn_weight_name(i, "q_proj")].data),
-                k=Dense(weights[store.attn_weight_name(i, "k_proj")].data),
-                v=Dense(weights[store.attn_weight_name(i, "v_proj")].data),
-                o=Dense(weights[store.attn_weight_name(i, "o_proj")].data),
-                ffn_norm=weights[store.ffn_norm_name(i)].data,
-                gate=Dense(weights[store.mlp_weight_name(i, "gate_proj")].data),
-                up=Dense(weights[store.mlp_weight_name(i, "up_proj")].data),
-                down=Dense(weights[store.mlp_weight_name(i, "down_proj")].data),
-            )
-        )
-    return TransformerModel(
-        config=config,
-        embed=weights[store.EMBED_NAME].data,
-        layers=tuple(layers),
-        final_norm=weights[store.FINAL_NORM_NAME].data,
-        lm_head=weights[store.HEAD_NAME].data,
-    )
-
-
 def load_dense_model(path: str | Path, config: ModelConfig) -> TransformerModel:
-    return model_from_weight_map(config, store.load_model(path, config))
+    return model_from_tensors(config, store.load_model(path, config))
 
 
 def model_to_tensors(model: TransformerModel, dtype: str = "float32") -> dict[str, np.ndarray]:
@@ -556,10 +488,8 @@ def model_to_tensors(model: TransformerModel, dtype: str = "float32") -> dict[st
     for i, layer in enumerate(model.layers):
         out[store.attn_norm_name(i)] = layer.attn_norm.astype(f)
         out[store.ffn_norm_name(i)] = layer.ffn_norm.astype(f)
-        for proj_name, proj in zip(store.ATTN_PROJS, (layer.q, layer.k, layer.v, layer.o)):
-            put(store.attn_weight_name(i, proj_name), proj)
-        for proj_name, proj in zip(store.FFN_PROJS, (layer.gate, layer.up, layer.down)):
-            put(store.mlp_weight_name(i, proj_name), proj)
+        for proj_name, proj in layer.projections().items():
+            put(store.weight_name(i, proj_name), proj)
         if layer.retained_channels is not None:
             out[store.retained_channels_name(i)] = np.asarray(layer.retained_channels, dtype=np.int32)
         if layer.kept_heads is not None:
@@ -596,14 +526,8 @@ def model_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> T
         layers.append(
             TransformerLayer(
                 attn_norm=np.asarray(tensors[store.attn_norm_name(i)], dtype=np.float64),
-                q=pick(store.attn_weight_name(i, "q_proj")),
-                k=pick(store.attn_weight_name(i, "k_proj")),
-                v=pick(store.attn_weight_name(i, "v_proj")),
-                o=pick(store.attn_weight_name(i, "o_proj")),
                 ffn_norm=np.asarray(tensors[store.ffn_norm_name(i)], dtype=np.float64),
-                gate=pick(store.mlp_weight_name(i, "gate_proj")),
-                up=pick(store.mlp_weight_name(i, "up_proj")),
-                down=pick(store.mlp_weight_name(i, "down_proj")),
+                **{p.attr: pick(store.weight_name(i, p.name)) for p in store.PROJECTIONS},
                 kept_heads=kept_heads,
                 retained_channels=retained,
             )

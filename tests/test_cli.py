@@ -70,6 +70,21 @@ GOLDEN_COMPRESS = {
     "report.json": "4873f40722328b9323e21ae061b76306a8aa729703baddd3f983e459bcb1277f",
 }
 GOLDEN_CALIBRATE = "0299e8f18eec593b1497dae18b635a8a1e3a7627d2a2fd4f44ada861415860ef"
+# The baseline methods on the same fixture and flags, pinned from the code
+# before serialization, loading and validation moved onto the projection
+# table: head-pruned attention and a factored FFN must keep their bytes.
+GOLDEN_COMPRESS_BASELINES = {
+    ("head_prune", "prune"): {
+        "model.safetensors": "ce1b6051a43b1cd07f74c4744e5043b3f889ac42820bef1a077162e46c88fe87",
+        "manifest.json": "606be14024441ec050a10fc479137713524d56dcde09e7442107279ac18f3d20",
+        "report.json": "d0c52556fdaabc5213934ddba509295c5836b37d3081b541e43c34acf5e66b72",
+    },
+    ("svd", "svd"): {
+        "model.safetensors": "07bedc6850a3a96517479694b3fb15d63cc28e77d0b67e147b2add38fd6b3e72",
+        "manifest.json": "7a64ae71c05388b68937d257964e1bd664040be270f6d4d7f26dc5cd867023c6",
+        "report.json": "287375e97badbc0e688c3bd11610218d146b5335ff5b5deb613d660b21c78cb6",
+    },
+}
 
 
 def _sha256(path):
@@ -80,6 +95,14 @@ def test_compress_outputs_match_golden_hashes(fixture_dir, tmp_path):
     out = tmp_path / "z"
     assert main(_compress_args(fixture_dir, out)) == 0
     assert {name: _sha256(out / name) for name in GOLDEN_COMPRESS} == GOLDEN_COMPRESS
+
+
+@pytest.mark.parametrize("mha, ffn", sorted(GOLDEN_COMPRESS_BASELINES))
+def test_baseline_methods_match_golden_hashes(fixture_dir, tmp_path, mha, ffn):
+    out = tmp_path / "z"
+    assert main(_compress_args(fixture_dir, out, ("--mha-method", mha, "--ffn-method", ffn))) == 0
+    want = GOLDEN_COMPRESS_BASELINES[(mha, ffn)]
+    assert {name: _sha256(out / name) for name in want} == want
 
 
 def test_calibrate_stats_match_golden_hash(fixture_dir, tmp_path):
@@ -286,6 +309,41 @@ def test_data_errors_exit_2(fixture_dir, tmp_path, capsys):
          "--data", str(fixture_dir / "eval.bin"), "--seqlen", "64"]
     )
     assert code == 2
+
+
+@pytest.fixture(scope="module")
+def stats_file(fixture_dir, tmp_path_factory):
+    path = tmp_path_factory.mktemp("stats") / "stats.json"
+    assert main(
+        ["calibrate", "--model", str(fixture_dir / "model.safetensors"),
+         "--config", str(fixture_dir / "config.json"), "--data", str(fixture_dir / "calib.bin"),
+         "--samples", "8", "--seqlen", "32", "--seed", "1", "--out", str(path)]
+    ) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", ["analyze", "mask"])
+@pytest.mark.parametrize("bad_input", ["weight", "x_din"])
+def test_non_finite_analysis_inputs_exit_2(fixture_dir, stats_file, tmp_path, capsys, command, bad_input):
+    from rankprune.container import read_container, write_container
+
+    name = "model.layers.0.self_attn.q_proj.weight"
+    model, stats = fixture_dir / "model.safetensors", stats_file
+    if bad_input == "weight":
+        tensors, _ = read_container(model)
+        tensors[name][1, 2] = np.nan
+        model = tmp_path / "nan.safetensors"
+        write_container(model, tensors)
+    else:
+        payload = json.loads(stats.read_text())
+        payload["x_din"][name][3] = float("nan")
+        stats = tmp_path / "nan_stats.json"
+        stats.write_text(json.dumps(payload))
+    args = [command, "--model", str(model), "--stats", str(stats)]
+    if command == "mask":
+        args += ["--matrix", name, "--out", str(tmp_path / "mask.pgm")]
+    assert main(args) == 2
+    assert "NaN or infinite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["compress", "calibrate"])

@@ -4,7 +4,6 @@ import pytest
 from rankprune.errors import ShapeMismatchError
 from rankprune.linalg import (
     as_matrix,
-    frobenius_error,
     svd,
     truncate,
     weighted_frobenius_error,
@@ -148,7 +147,6 @@ def test_weighted_error_unit_weights_is_plain():
     l = rng.normal(size=(4, 2))
     r = rng.normal(size=(2, 4))
     assert weighted_frobenius_error(w, l, r, np.ones(4)) == pytest.approx(np.linalg.norm(w - l @ r))
-    assert frobenius_error(w, l, r) == pytest.approx(np.linalg.norm(w - l @ r))
 
 
 def test_weighted_error_matches_brute_force():

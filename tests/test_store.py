@@ -13,7 +13,7 @@ from rankprune.errors import (
     MissingTensorError,
     ShapeMismatchError,
 )
-from rankprune.transformer import model_to_tensors
+from rankprune.transformer import Dense, model_from_tensors, model_to_tensors
 
 
 @pytest.fixture()
@@ -27,13 +27,11 @@ def test_load_model_roundtrip(toy_checkpoint, toy_cfg):
     weights = store.load_model(toy_checkpoint, toy_cfg)
     # 2 layers x (7 projections + 2 norms) + embed + head + final norm
     assert len(weights) == 2 * 9 + 3
-    q = weights[store.attn_weight_name(0, "q_proj")]
-    assert q.data.shape == (64, 64)
-    assert q.data.dtype == np.float64
-    assert q.din_axis == 1
-    assert weights[store.EMBED_NAME].din_axis is None
-    gate = weights[store.mlp_weight_name(1, "gate_proj")]
-    assert gate.data.shape == (172, 64)
+    q = weights[store.weight_name(0, "q_proj")]
+    assert q.shape == (64, 64)
+    assert q.dtype == np.float64
+    gate = weights[store.weight_name(1, "gate_proj")]
+    assert gate.shape == (172, 64)
 
 
 def test_load_model_ignores_extra_tensors(tmp_path, toy_cfg, random_model):
@@ -47,7 +45,7 @@ def test_load_model_ignores_extra_tensors(tmp_path, toy_cfg, random_model):
 
 def test_load_model_missing_tensor(tmp_path, toy_cfg, random_model):
     tensors = model_to_tensors(random_model)
-    del tensors[store.mlp_weight_name(1, "down_proj")]
+    del tensors[store.weight_name(1, "down_proj")]
     path = tmp_path / "model.safetensors"
     write_container(path, tensors)
     with pytest.raises(MissingTensorError, match="down_proj"):
@@ -56,7 +54,7 @@ def test_load_model_missing_tensor(tmp_path, toy_cfg, random_model):
 
 def test_load_model_transposed_shape(tmp_path, toy_cfg, random_model):
     tensors = model_to_tensors(random_model)
-    name = store.mlp_weight_name(0, "up_proj")
+    name = store.weight_name(0, "up_proj")
     tensors[name] = tensors[name].T.copy()
     path = tmp_path / "model.safetensors"
     write_container(path, tensors)
@@ -73,7 +71,7 @@ def test_load_model_empty_file(tmp_path, toy_cfg):
 
 def test_load_model_rejects_non_finite_weight(tmp_path, toy_cfg, random_model):
     tensors = model_to_tensors(random_model)
-    tensors[store.attn_weight_name(1, "v_proj")][3, 5] = np.nan
+    tensors[store.weight_name(1, "v_proj")][3, 5] = np.nan
     path = tmp_path / "model.safetensors"
     write_container(path, tensors)
     with pytest.raises(ContainerFormatError, match="v_proj"):
@@ -133,14 +131,15 @@ def test_plan_ratio_rejects_out_of_range():
 # Compressed output
 
 
-def _compressed_toy(tmp_path, keep=0.5, d_m=172, mha_method="awsvd"):
+def _compressed_toy(tmp_path, keep=0.5, d_m=172, mha_method="awsvd", ffn_method="prune"):
     from rankprune import pipeline
 
     config = ModelConfig(dim=64, n_heads=4, head_dim=16, n_layers=2, ffn_dim=d_m, vocab_size=256)
     model = synth.make_random_model(config, seed=1, scale=0.05)
     calib = synth.random_token_stream(4096, 3)
     plan = pipeline.CompressionPlan(
-        keep_ratio=keep, calib_samples=8, calib_tokens=32, seed=0, mha_method=mha_method
+        keep_ratio=keep, calib_samples=8, calib_tokens=32, seed=0,
+        mha_method=mha_method, ffn_method=ffn_method,
     )
     compressed, manifest, report = pipeline.compress_model(model, plan, calib)
     out = tmp_path / "out"
@@ -220,6 +219,11 @@ def _bogus_provenance(rec, tensors):
     rec["ffn"]["provenance"][0] = "bogus"
 
 
+def _all_bottom(rec, tensors):
+    provenance = rec["ffn"]["provenance"]
+    provenance[:] = ["bottom"] * len(provenance)
+
+
 def _kept_heads_tensor_mismatch(rec, tensors):
     name = store.kept_heads_name(0)
     others = sorted(set(range(4)) - set(rec["mha"]["kept_heads"]))
@@ -240,6 +244,7 @@ def _kept_heads_descending(rec, tensors):
         (_duplicate_channel, "retained channels must be strictly ascending"),
         (_channel_out_of_range, "retained channels must be strictly ascending"),
         (_bogus_provenance, "provenance"),
+        (_all_bottom, "marked bottom"),
         (_kept_heads_tensor_mismatch, "kept-heads tensor disagrees"),
         (_kept_heads_descending, "kept_heads must be strictly ascending"),
     ],
@@ -259,6 +264,36 @@ def test_corrupt_index_records_are_rejected(head_pruned_out, tmp_path, corrupt, 
     with pytest.raises(ManifestError, match=message):
         store.load_compressed(out)
     assert main(["stats", "--model", str(out)]) == 2
+
+
+def _arrays(proj):
+    return (proj.w,) if isinstance(proj, Dense) else (proj.l, proj.r)
+
+
+def _f32(a):
+    return np.asarray(a, dtype=np.float32).astype(np.float64)
+
+
+@pytest.mark.parametrize("ffn_method", ["prune", "svd"])
+@pytest.mark.parametrize("mha_method", ["awsvd", "svd", "head_prune"])
+def test_load_compressed_rebuilds_the_written_model(tmp_path, mha_method, ffn_method):
+    _, want, _, out = _compressed_toy(tmp_path, mha_method=mha_method, ffn_method=ffn_method)
+    got = model_from_tensors(*store.load_compressed(out)[:2])
+    for name in ("embed", "final_norm", "lm_head"):
+        np.testing.assert_array_equal(getattr(got, name), _f32(getattr(want, name)))
+    for want_layer, got_layer in zip(want.layers, got.layers, strict=True):
+        assert got_layer.kept_heads == want_layer.kept_heads
+        if want_layer.retained_channels is None:
+            assert got_layer.retained_channels is None
+        else:
+            np.testing.assert_array_equal(got_layer.retained_channels, want_layer.retained_channels)
+        for name in ("attn_norm", "ffn_norm"):
+            np.testing.assert_array_equal(getattr(got_layer, name), _f32(getattr(want_layer, name)))
+        got_projs = got_layer.projections()
+        for name, proj in want_layer.projections().items():
+            assert type(got_projs[name]) is type(proj), name
+            for a, b in zip(_arrays(got_projs[name]), _arrays(proj), strict=True):
+                np.testing.assert_array_equal(a, _f32(b), err_msg=name)
 
 
 def test_load_compressed_rejects_non_finite_factor(tmp_path):

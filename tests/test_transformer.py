@@ -17,7 +17,6 @@ from rankprune.transformer import (
     TransformerLayer,
     TransformerModel,
     apply_rope,
-    capture_batches,
     collect_stats,
     collect_stats_all_layers,
     count_params_macs,
@@ -310,10 +309,10 @@ def test_collect_stats_duplicate_samples_sqrt2(random_model):
 
 def test_collect_stats_single_position_abs(random_model):
     stream = np.array([42])
-    batches = capture_batches(random_model, [stream], 0)
+    _, caps = forward(random_model, stream, capture=ALL_SITES, capture_layers={0}, stop_after_layer=0)
     stats = collect_stats(random_model, [stream], 0)
     for site in ALL_SITES:
-        vec = batches[site].values[0, 0]
+        vec = caps[(0, site)][0]
         assert np.allclose(stats.by_site[site], np.abs(vec), rtol=1e-12)
 
 
@@ -327,10 +326,10 @@ def test_collect_stats_order_invariance(random_model):
 
 def test_collect_stats_names_and_sites(random_model):
     stats = collect_stats(random_model, [synth.random_token_stream(8, 8)], 1)
-    q = stats.by_name[store.attn_weight_name(1, "q_proj")]
-    v = stats.by_name[store.attn_weight_name(1, "v_proj")]
+    q = stats.by_name[store.weight_name(1, "q_proj")]
+    v = stats.by_name[store.weight_name(1, "v_proj")]
     assert q is v  # same input site
-    down = stats.by_name[store.mlp_weight_name(1, "down_proj")]
+    down = stats.by_name[store.weight_name(1, "down_proj")]
     assert down.shape == (random_model.config.ffn_dim,)
     assert stats.sample_count == 1
     assert stats.position_count == 8
