@@ -133,7 +133,10 @@ def _projection_matrices(model_path: str) -> list[tuple[str, np.ndarray]]:
 
     p = Path(model_path)
     path = p / "model.safetensors" if p.is_dir() else p
-    tensors, _ = read_container(path)
+    if (path.parent / "manifest.json").exists():  # a compressed output, validated like `eval` loads it
+        tensors = store.load_compressed(path)[1]
+    else:
+        tensors, _ = read_container(path)
     out = []
     for name, arr in tensors.items():
         store.require_finite(path, name, arr)

@@ -15,6 +15,10 @@ import scipy.linalg
 
 from .errors import DecompositionError, ShapeMismatchError
 
+# Floor applied to x_din before it weights a matrix's columns; dead input
+# features would otherwise make D^{-1} undefined.
+XDIN_EPS = 1e-8
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and convert to a 2-D float64 array with finite entries."""

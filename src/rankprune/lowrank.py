@@ -17,13 +17,9 @@ from math import floor
 import numpy as np
 
 from .errors import AllocationError, CalibrationError, ShapeMismatchError
-from .linalg import as_matrix, svd, truncate, weighted_frobenius_error
+from .linalg import XDIN_EPS, as_matrix, svd, truncate, weighted_frobenius_error
 from .store import ATTN_PROJS
 from .util import round_half_up
-
-# Floor applied to x_din before forming D; dead input features would
-# otherwise make D^{-1} undefined.
-XDIN_EPS = 1e-8
 
 
 @dataclass(frozen=True)

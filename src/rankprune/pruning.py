@@ -17,11 +17,10 @@ from math import floor
 import numpy as np
 
 from .errors import AllocationError, ShapeMismatchError
-from .linalg import as_matrix, svd
+from .linalg import XDIN_EPS, as_matrix, svd
 from .util import round_half_up
 
 AGGREGATIONS = ("l1", "l2", "linf")
-XDIN_EPS = 1e-8
 
 
 def weight_importance(w, x_din) -> np.ndarray:

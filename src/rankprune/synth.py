@@ -20,10 +20,10 @@ from .transformer import (
     Dense,
     TransformerLayer,
     TransformerModel,
+    decode_step,
     detokenize_bytes,
+    kv_caches,
     model_to_tensors,
-    rms_norm,
-    silu,
 )
 from .util import canonical_json
 
@@ -135,80 +135,32 @@ def random_token_stream(n_tokens: int, seed: int, vocab_size: int = 256) -> np.n
     return rng.integers(0, vocab_size, size=n_tokens, dtype=np.int64)
 
 
-def sample_from_model(
-    model: TransformerModel,
-    n_tokens: int,
-    seed: int,
-    window: int = 64,
-    temperature: float = 1.0,
-) -> np.ndarray:
+def sample_from_model(model: TransformerModel, n_tokens: int, seed: int, window: int = 64) -> np.ndarray:
     """Ancestral samples from the model itself, in independent windows.
 
     Data drawn from the model's own distribution makes its perplexity
     meaningful without training: the dense model scores its predictive
     entropy, and any compression damage shows up as excess perplexity.
-    All windows are generated in one batched sweep with per-window k/v
-    state; the per-position conditionals match transformer.forward
-    exactly (asserted in the test suite).
+    All windows are decoded together, one position at a time, through
+    transformer.decode_step: the layer step transformer.forward runs, with
+    per-layer key/value caches.  Each later token inverts the cumulative
+    softmax at one uniform variate, exactly as per-step full forwards
+    would draw it (asserted in the test suite).
     """
     cfg = model.config
     rng = np.random.default_rng(seed)
     n_windows = -(-n_tokens // window)
     tokens = np.empty((n_windows, window), dtype=np.int64)
     tokens[:, 0] = rng.integers(0, cfg.vocab_size, size=n_windows)
-
-    d_h = cfg.head_dim
-    k_cache: list[list[np.ndarray]] = [[] for _ in model.layers]
-    v_cache: list[list[np.ndarray]] = [[] for _ in model.layers]
-
-    for t in range(window):
-        x = model.embed[tokens[:, t]]  # (B, d)
-        for li, layer in enumerate(model.layers):
-            n_heads = layer.n_heads(cfg)
-            h = rms_norm(x, layer.attn_norm, cfg.norm_eps)
-            q = layer.q(h).reshape(-1, n_heads, d_h)
-            k = layer.k(h).reshape(-1, n_heads, d_h)
-            v = layer.v(h).reshape(-1, n_heads, d_h)
-            q, k = _rope_single_position(q, k, t, cfg.rope_theta)
-            k_cache[li].append(k)
-            v_cache[li].append(v)
-            ks = np.stack(k_cache[li], axis=1)  # (B, t+1, nh, dh)
-            vs = np.stack(v_cache[li], axis=1)
-            scores = np.einsum("bhd,bthd->bht", q, ks) / np.sqrt(d_h)
-            scores -= scores.max(axis=-1, keepdims=True)
-            probs = np.exp(scores)
-            probs /= probs.sum(axis=-1, keepdims=True)
-            context = np.einsum("bht,bthd->bhd", probs, vs).reshape(-1, n_heads * d_h)
-            x = x + layer.o(context)
-            h2 = rms_norm(x, layer.ffn_norm, cfg.norm_eps)
-            x = x + layer.down(silu(layer.gate(h2)) * layer.up(h2))
-        if t + 1 < window:
-            logits = rms_norm(x, model.final_norm, cfg.norm_eps) @ model.lm_head.T
-            z = logits / temperature
-            z -= z.max(axis=-1, keepdims=True)
-            p = np.exp(z)
-            p /= p.sum(axis=-1, keepdims=True)
-            u = rng.random(n_windows)
-            tokens[:, t + 1] = (np.cumsum(p, axis=1) < u[:, None]).sum(axis=1)
+    caches = kv_caches(model, n_windows, window)
+    for t in range(window - 1):
+        z = decode_step(model, tokens[:, t], caches)
+        z -= z.max(axis=-1, keepdims=True)
+        p = np.exp(z)
+        p /= p.sum(axis=-1, keepdims=True)
+        u = rng.random(n_windows)
+        tokens[:, t + 1] = (np.cumsum(p, axis=1) < u[:, None]).sum(axis=1)
     return tokens.reshape(-1)[:n_tokens]
-
-
-def _rope_single_position(q: np.ndarray, k: np.ndarray, pos: int, theta: float):
-    """Rotate (B, nh, dh)-shaped q and k at a single stream position."""
-    d_h = k.shape[-1]
-    half = d_h // 2
-    inv_freq = theta ** (-2.0 * np.arange(half) / d_h)
-    ang = pos * inv_freq
-    cos, sin = np.cos(ang), np.sin(ang)
-
-    def rot(x):
-        even, odd = x[..., 0::2], x[..., 1::2]
-        out = np.empty_like(x)
-        out[..., 0::2] = even * cos - odd * sin
-        out[..., 1::2] = even * sin + odd * cos
-        return out
-
-    return rot(q), rot(k)
 
 
 def write_fixture(

@@ -1,15 +1,16 @@
 """Minimal LLaMA-style forward pass on numpy.
 
-Every layer pass runs on one window's hidden state, shape (tokens, dim),
-in float64 with no KV cache, no batching and no sampling: just enough
-machinery to capture calibration activations, score perplexity, and
-count parameters/MACs.  Calibration is built from three steps on such a
-state - embed a window (`embed`), reduce one layer's four input sites
-(`layer_stats`) and carry the state through one layer (`advance`) - so a
-caller can interleave them with compressing that layer.  Factored
-matrices participate in the forward as two sequential products (R then
-L), pruned FFNs at their reduced width, head-pruned attention with its
-reduced head count.
+Every layer pass runs in float64 through one step, `_layer_forward`, on
+hidden states of shape (..., tokens, dim): just enough machinery to
+capture calibration activations, score perplexity, decode fixture tokens
+a position at a time with a per-layer `KVCache` (`decode_step`), and
+count parameters/MACs.  Calibration is built from three steps on one
+window's (tokens, dim) state - embed a window (`embed`), reduce one
+layer's four input sites (`layer_stats`) and carry the state through one
+layer (`advance`) - so a caller can interleave them with compressing
+that layer.  Factored matrices participate in the forward as two
+sequential products (R then L), pruned FFNs at their reduced width,
+head-pruned attention with its reduced head count.
 
 Causal attention is per-head BLAS matmul on (heads, tokens, head_dim)
 views: the scores get a cached read-only additive causal bias, the
@@ -172,16 +173,19 @@ def _rope_tables(n_pos: int, head_dim: int, theta: float) -> tuple[np.ndarray, n
     return np.cos(angles), np.sin(angles)
 
 
-def apply_rope(x: np.ndarray, theta: float) -> np.ndarray:
+def apply_rope(x: np.ndarray, theta: float, start: int = 0, capacity: int | None = None) -> np.ndarray:
     """Rotate consecutive component pairs of each head by position-dependent angles.
 
-    x has shape (n_tokens, n_heads, head_dim); pair (2i, 2i+1) at
-    position m is rotated by m * theta^(-2i/head_dim).
+    x has shape (..., n_tokens, n_heads, head_dim) and holds positions
+    start, start + 1, ...; pair (2i, 2i+1) at position m is rotated by
+    m * theta^(-2i/head_dim).  The tables are built for `capacity`
+    positions (default: just enough) and sliced, so a caller stepping
+    through a window asks for one table, not one per step.
     """
-    n_pos, _, head_dim = x.shape
-    cos, sin = _rope_tables(n_pos, head_dim, theta)
-    cos = cos[:, None, :]
-    sin = sin[:, None, :]
+    n_pos, _, head_dim = x.shape[-3:]
+    cos, sin = _rope_tables(capacity or start + n_pos, head_dim, theta)
+    cos = cos[start : start + n_pos, None, :]
+    sin = sin[start : start + n_pos, None, :]
     even = x[..., 0::2]
     odd = x[..., 1::2]
     out = np.empty_like(x)
@@ -233,60 +237,105 @@ def forward(
     None).  When stop_after_layer is given the run ends after that layer
     and logits are None.  Causal masking is always enforced.
     """
-    cfg = model.config
     capture = frozenset(capture) if capture else frozenset()
     captured: dict[tuple[int, str], np.ndarray] = {}
-
-    def grab(layer_idx: int, site: str, values: np.ndarray) -> None:
-        if site in capture and (capture_layers is None or layer_idx in capture_layers):
-            captured[(layer_idx, site)] = values.copy()
-
     x = embed(model, tokens)
 
     for i, layer in enumerate(model.layers):
-        x = _layer_forward(cfg, layer, x, i, grab)
+        def grab(site: str, values: np.ndarray) -> None:
+            if site in capture and (capture_layers is None or i in capture_layers):
+                captured[(i, site)] = values.copy()
+
+        x = _layer_forward(model.config, layer, x, grab)
         if stop_after_layer is not None and i >= stop_after_layer:
             return None, captured
-
-    x = rms_norm(x, model.final_norm, cfg.norm_eps)
-    logits = x @ model.lm_head.T
-    return logits, captured
+    return _logits(model, x), captured
 
 
-def _layer_forward(cfg: ModelConfig, layer: TransformerLayer, x: np.ndarray, idx: int, grab) -> np.ndarray:
-    n_pos = x.shape[0]
+def _logits(model: TransformerModel, x: np.ndarray) -> np.ndarray:
+    return rms_norm(x, model.final_norm, model.config.norm_eps) @ model.lm_head.T
+
+
+@dataclass
+class KVCache:
+    """Rotated keys and values of one layer, (..., capacity, n_heads, head_dim)
+    each; `_layer_forward` appends after the first `length` positions."""
+
+    k: np.ndarray
+    v: np.ndarray
+    length: int = 0
+
+
+def kv_caches(model: TransformerModel, n_windows: int, capacity: int) -> list[KVCache]:
+    """One empty cache per layer for a batch of windows of up to `capacity` positions."""
+    cfg = model.config
+    shapes = [(n_windows, capacity, layer.n_heads(cfg), cfg.head_dim) for layer in model.layers]
+    return [KVCache(np.empty(shape), np.empty(shape)) for shape in shapes]
+
+
+def decode_step(model: TransformerModel, tokens: np.ndarray, caches: list[KVCache]) -> np.ndarray:
+    """Next-token logits, (windows, vocab), after feeding each window's token
+    at the caches' current length; every layer's cache grows by one position."""
+    x = model.embed[tokens[:, None]]
+    for layer, cache in zip(model.layers, caches):
+        x = _layer_forward(model.config, layer, x, cache=cache)
+    return _logits(model, x[:, 0])
+
+
+def _layer_forward(
+    cfg: ModelConfig, layer: TransformerLayer, x: np.ndarray, grab=lambda site, values: None, cache: KVCache | None = None
+) -> np.ndarray:
+    """One layer on x of shape (..., n_pos, dim); leading axes are independent windows.
+
+    The positions are 0..n_pos-1, or follow a cache's filled positions,
+    which the queries attend to as well.  grab(site, values) sees each
+    input site as (rows, features), all windows' positions stacked.
+    """
+    *lead, n_pos, dim = x.shape
     d_h = cfg.head_dim
     n_heads = layer.n_heads(cfg)
+    start, capacity = (0, n_pos) if cache is None else (cache.length, cache.k.shape[-3])
+    end = start + n_pos
 
+    # Projections run on the rows flattened to 2-D: a broadcast matmul of
+    # (B, n, d) against a 2-D weight would run B separate products.
+    x = x.reshape(-1, dim)
     h = rms_norm(x, layer.attn_norm, cfg.norm_eps)
-    grab(idx, SITE_ATTN_INPUT, h)
+    grab(SITE_ATTN_INPUT, h)
 
-    q = layer.q(h).reshape(n_pos, n_heads, d_h)
-    k = layer.k(h).reshape(n_pos, n_heads, d_h)
-    v = layer.v(h).reshape(n_pos, n_heads, d_h)
-    q = apply_rope(q, cfg.rope_theta)
-    k = apply_rope(k, cfg.rope_theta)
+    q = layer.q(h).reshape(*lead, n_pos, n_heads, d_h)
+    k = layer.k(h).reshape(*lead, n_pos, n_heads, d_h)
+    v = layer.v(h).reshape(*lead, n_pos, n_heads, d_h)
+    q = apply_rope(q, cfg.rope_theta, start, capacity)
+    k = apply_rope(k, cfg.rope_theta, start, capacity)
+    if cache is not None:
+        cache.k[..., start:end, :, :] = k
+        cache.v[..., start:end, :, :] = v
+        cache.length = end
+        k, v = cache.k[..., :end, :, :], cache.v[..., :end, :, :]
 
-    # Per-head BLAS products on (heads, tokens, ...) views.  The softmax runs
-    # in place on the (heads, n, n) scores and divides by the row sums only
-    # after the value product, on (n, d_h) per head instead of (n, n).  Each
-    # row's maximum becomes exp(0) = 1, so every row sum is >= 1.
-    scores = q.transpose(1, 0, 2) @ k.transpose(1, 2, 0)
+    # Per-head BLAS products on (..., heads, tokens, ...) views, taken with the
+    # ndarray method (np.swapaxes/np.moveaxis cost Python calls per layer).  The
+    # softmax runs in place on the (heads, n, end) scores and divides by the row
+    # sums only after the value product, on (n, d_h) per head, not (n, end).
+    # Each row's maximum becomes exp(0) = 1, so every row sum is >= 1.
+    q, k, v = q.swapaxes(-3, -2), k.swapaxes(-3, -2), v.swapaxes(-3, -2)
+    scores = q @ k.swapaxes(-1, -2)
     scores /= np.sqrt(d_h)
-    scores += _causal_bias(n_pos)
+    scores += _causal_bias(capacity)[start:end, :end]
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     denom = scores.sum(axis=-1, keepdims=True)
-    context = (scores @ v.transpose(1, 0, 2)) / denom
-    context = context.transpose(1, 0, 2).reshape(n_pos, n_heads * d_h)
-    grab(idx, SITE_ATTN_O_INPUT, context)
+    context = (scores @ v) / denom
+    context = context.swapaxes(-3, -2).reshape(-1, n_heads * d_h)
+    grab(SITE_ATTN_O_INPUT, context)
     x = x + layer.o(context)
 
     h2 = rms_norm(x, layer.ffn_norm, cfg.norm_eps)
-    grab(idx, SITE_FFN_INPUT, h2)
+    grab(SITE_FFN_INPUT, h2)
     inter = silu(layer.gate(h2)) * layer.up(h2)
-    grab(idx, SITE_FFN_DOWN_INPUT, inter)
-    return x + layer.down(inter)
+    grab(SITE_FFN_DOWN_INPUT, inter)
+    return (x + layer.down(inter)).reshape(*lead, n_pos, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +347,13 @@ def _site_sq_sums(model: TransformerModel, state: np.ndarray, layer: int) -> tup
     squares of its four input sites and the layer's output."""
     sq_sums: dict[str, np.ndarray] = {}
 
-    def grab(_idx: int, site: str, values: np.ndarray) -> None:
+    def grab(site: str, values: np.ndarray) -> None:
         # Reduce a C-ordered array, as a captured copy is, so the summation
         # order never depends on how the producing op laid out its result.
         vals = np.ascontiguousarray(values)
         sq_sums[site] = np.einsum("lj,lj->j", vals, vals)
 
-    out = _layer_forward(model.config, model.layers[layer], state, layer, grab)
+    out = _layer_forward(model.config, model.layers[layer], state, grab)
     return sq_sums, out
 
 
@@ -339,13 +388,9 @@ def layer_stats(model: TransformerModel, states: list[np.ndarray], layer: int) -
     return _stats(layer, acc, len(states), sum(len(state) for state in states))
 
 
-def _no_grab(_idx: int, _site: str, _values: np.ndarray) -> None:
-    pass
-
-
 def advance(model: TransformerModel, state: np.ndarray, layer: int) -> np.ndarray:
     """Carry one hidden state through `layer` as the model currently has it."""
-    return _layer_forward(model.config, model.layers[layer], state, layer, _no_grab)
+    return _layer_forward(model.config, model.layers[layer], state)
 
 
 def collect_stats(model: TransformerModel, calib: list[np.ndarray], layer: int) -> ActivationStats:

@@ -91,6 +91,20 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# sha256 of the fixture's sampled token files, pinned from the sampler
+# that kept its own copy of the layer math, before it decoded through
+# transformer._layer_forward.  Every golden hash above and every
+# benchmark ppl rests on these tokens.
+GOLDEN_FIXTURE_TOKENS = {
+    "calib.bin": "f21e1f4c89eba9ca4283c5e2480f8b40daf3733757be52821db77d0ac5c8475c",
+    "eval.bin": "b4319fface6b1407efe4d278e37bb8f74fef184d88fb57a5af86452f808ee060",
+}
+
+
+def test_fixture_tokens_match_golden_hashes(fixture_dir):
+    assert {name: _sha256(fixture_dir / name) for name in GOLDEN_FIXTURE_TOKENS} == GOLDEN_FIXTURE_TOKENS
+
+
 def test_compress_outputs_match_golden_hashes(fixture_dir, tmp_path):
     out = tmp_path / "z"
     assert main(_compress_args(fixture_dir, out)) == 0
@@ -344,6 +358,20 @@ def test_non_finite_analysis_inputs_exit_2(fixture_dir, stats_file, tmp_path, ca
         args += ["--matrix", name, "--out", str(tmp_path / "mask.pgm")]
     assert main(args) == 2
     assert "NaN or infinite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "mask"])
+def test_analysis_of_corrupt_manifest_exits_2(fixture_dir, tmp_path, capsys, command):
+    out = tmp_path / "z"
+    assert main(_compress_args(fixture_dir, out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["layers"][0]["ffn"]["provenance"][0] = "bogus"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    args = [command, "--model", str(out)]
+    if command == "mask":
+        args += ["--matrix", "model.layers.0.mlp.up_proj.weight", "--out", str(tmp_path / "mask.pgm")]
+    assert main(args) == 2
+    assert "provenance" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["compress", "calibrate"])

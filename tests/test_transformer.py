@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from rankprune.transformer import (
     SITE_FFN_INPUT,
     Dense,
     Factored,
+    KVCache,
     TransformerLayer,
     TransformerModel,
     apply_rope,
@@ -125,7 +128,7 @@ def _einsum_layer_reference(cfg: ModelConfig, layer: TransformerLayer, x: np.nda
 
 def _grabbing_layer_forward(cfg, layer, x):
     sites = {}
-    out = _layer_forward(cfg, layer, x, 0, lambda _i, site, values: sites.__setitem__(site, values.copy()))
+    out = _layer_forward(cfg, layer, x, lambda site, values: sites.__setitem__(site, values.copy()))
     return out, sites
 
 
@@ -167,6 +170,23 @@ def test_layer_forward_matches_einsum_reference(toy_cfg, oracle_layers, kind, n_
     for site in ALL_SITES:
         assert sites[site].shape == ref_sites[site].shape
         assert np.allclose(sites[site], ref_sites[site], rtol=1e-12, atol=1e-12), site
+
+
+@pytest.mark.parametrize("kind", ["dense", "factored", "head_pruned"])
+@pytest.mark.parametrize("chunk", [1, 5])
+def test_cached_steps_over_a_batch_match_full_windows(toy_cfg, oracle_layers, kind, chunk):
+    # three windows fed `chunk` positions at a time through one cache
+    layer = oracle_layers[kind]
+    n_windows, n_pos = 3, 17
+    x = np.random.default_rng(chunk).normal(size=(n_windows, n_pos, toy_cfg.dim))
+    full = np.stack([_layer_forward(toy_cfg, layer, window) for window in x])
+    shape = (n_windows, n_pos, layer.n_heads(toy_cfg), toy_cfg.head_dim)
+    cache = KVCache(np.empty(shape), np.empty(shape))
+    steps = [_layer_forward(toy_cfg, layer, x[:, t : t + chunk], cache=cache) for t in range(0, n_pos, chunk)]
+    assert cache.length == n_pos
+    assert np.allclose(np.concatenate(steps, axis=1), full, rtol=1e-12, atol=1e-12)
+    # the same batch in one uncached call
+    assert np.allclose(_layer_forward(toy_cfg, layer, x), full, rtol=1e-12, atol=1e-12)
 
 
 def test_causal_bias_is_cached_read_only_and_small():
@@ -495,3 +515,13 @@ def test_sampler_matches_forward_oracle(planted_model):
     fast = synth.sample_from_model(planted_model, 96, seed=17, window=16)
     slow = oracle(planted_model, 96, seed=17, window=16)
     assert np.array_equal(fast, slow)
+
+
+def test_sampled_stream_matches_golden_hash():
+    # the deep-calib benchmark workload's eval stream (8 layers, 128-token
+    # windows), pinned from the sampler that kept its own copy of the layer
+    # math; a forward rewrite that moves it moves every workload's ppl
+    model = synth.make_planted_model(synth.toy_config(n_layers=8), seed=0)
+    stream = synth.sample_from_model(model, 2049, seed=1, window=128)
+    digest = hashlib.sha256(detokenize_bytes(stream)).hexdigest()
+    assert digest == "f06442dea7de4518fc7fcb108468b69197a6dd7f49d908da7ab6b6c3718ef422"
