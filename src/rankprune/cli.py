@@ -28,7 +28,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common(p: _Parser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="RNG seed for anything sampled")
     p.add_argument("--out", default=None, help="output file or directory")
 
 
@@ -68,6 +67,7 @@ def build_parser() -> _Parser:
     _add_data_args(p)
     p.add_argument("--samples", type=int, default=128)
     p.add_argument("--seqlen", type=int, default=128)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed for drawing the calibration windows")
     _add_common(p)
     p.set_defaults(handler=cmd_calibrate)
 
@@ -88,6 +88,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seqlen", type=int, default=128, help="tokens per calibration sample")
     p.add_argument("--mha-method", choices=pipeline.MHA_METHODS, default="awsvd")
     p.add_argument("--ffn-method", choices=pipeline.FFN_METHODS, default="prune")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed for drawing the calibration windows")
     _add_common(p)
     p.set_defaults(handler=cmd_compress)
 
@@ -116,11 +117,20 @@ def _load_model(path: str, config_path: str | None):
 
 
 def _load_stats_file(path: str) -> dict[str, np.ndarray]:
+    """The x_din vectors of a `calibrate` stats file; anything else in it is a DataError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    vectors = payload.get("x_din") if isinstance(payload, dict) else None
+    if not isinstance(vectors, dict):
+        raise DataError(f"{path}: stats file has no x_din object mapping matrix names to vectors")
     x_din = {}
-    for name, vec in payload["x_din"].items():
-        x_din[name] = np.asarray(vec, dtype=np.float64)
+    for name, vec in vectors.items():
+        try:
+            x_din[name] = np.asarray(vec, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"{path}: x_din of {name!r} is not a vector of numbers") from exc
+        if x_din[name].ndim != 1:
+            raise DataError(f"{path}: x_din of {name!r} is not a vector of numbers")
         if not np.isfinite(x_din[name]).all():
             raise DataError(f"{path}: x_din of {name!r} holds NaN or infinite values")
     return x_din

@@ -8,13 +8,17 @@ advance every state through the compressed layer - so the statistics of
 layer i+1 always see the output of the compressed layer i.  That is
 2L-1 layer passes per window for L layers, and the carried states take
 samples x tokens x dim float64 values.  The run is bit-deterministic
-given (model bytes, calibration bytes, seed, plan).
+given (model bytes, calibration bytes, seed, plan).  The method functions
+return only what they decided; each layer's manifest and report entries
+are built in one place, `_layer_records`, from the source layer, the
+compressed layer and those decisions.
 """
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +26,7 @@ import numpy as np
 from . import pruning, store
 from .config import ModelConfig
 from .errors import CalibrationError, DecompositionError, ManifestError
-from .lowrank import MhaAllocation, allocate_mha, compress_mha, plain_factor
+from .lowrank import allocate_mha, compress_mha, plain_factor
 from .store import MANIFEST_VERSION, RatioPlan
 from .transformer import (
     Dense,
@@ -33,8 +37,10 @@ from .transformer import (
     count_params_macs,
     embed,
     layer_stats,
+    load_dense_model,
     model_from_tensors,
     model_to_tensors,
+    perplexity,
 )
 from .util import canonical_json, round_half_up
 
@@ -114,12 +120,6 @@ def _dense_weights(layer: TransformerLayer) -> dict[str, np.ndarray]:
     return {name: proj.w for name, proj in projs.items()}
 
 
-def _as_linear(weight: np.ndarray, pair) -> Dense | Factored:
-    if pair is None:
-        return Dense(weight)
-    return Factored(l=pair.l, r=pair.r)
-
-
 def compress_model(
     model: TransformerModel,
     plan: CompressionPlan,
@@ -140,38 +140,32 @@ def compress_model(
     layer_reports: list[dict] = []
     for i in range(cfg.n_layers):
         stats = layer_stats(work, states, i)
-        weights = _dense_weights(work.layers[i])
+        source = work.layers[i]
+        weights = _dense_weights(source)
         x_by_proj = {p.name: stats.by_site[p.site] for p in store.PROJECTIONS}
 
         try:
             if plan.mha_method == "head_prune":
-                new_layer, mha_manifest, mha_report = _compress_mha_heads(cfg, work.layers[i], weights, x_by_proj, plan)
+                mha_maps, kept_heads, budget, errors = _prune_heads(cfg, source, weights, x_by_proj, plan)
             else:
-                new_layer, mha_manifest, mha_report = _compress_mha_factored(cfg, work.layers[i], weights, x_by_proj, plan)
-
+                mha_maps, kept_heads, budget, errors = _factor_attention(weights, x_by_proj, plan)
             if plan.ffn_method == "prune":
-                new_layer, ffn_manifest, ffn_report = _compress_ffn_prune(new_layer, weights, x_by_proj, plan)
+                ffn_maps, decision = _prune_ffn(weights, x_by_proj, plan)
             else:
-                new_layer, ffn_manifest, ffn_report = _compress_ffn_svd(cfg, new_layer, weights, plan)
+                ffn_maps, decision = _factor_ffn(weights, plan), None
         except DecompositionError as exc:
             raise DecompositionError(f"layer {i}: {exc}") from exc
 
-        work = work.replace_layer(i, new_layer)
+        retained = None if decision is None else decision.retained
+        compressed = source.with_projections({**mha_maps, **ffn_maps}, kept_heads=kept_heads, retained_channels=retained)
+        work = work.replace_layer(i, compressed)
         if i + 1 < cfg.n_layers:
             # In place, so at most one window's state exists twice.
             for w, state in enumerate(states):
                 states[w] = advance(work, state, i)
-        layer_manifests.append({"layer": i, "keep_ratio": plan.keep_ratio, "mha": mha_manifest, "ffn": ffn_manifest})
-        layer_reports.append(
-            {
-                "layer": i,
-                "mha": mha_report,
-                "mha_slack": mha_manifest.get("slack", 0),
-                "ffn": ffn_report,
-                "layer_params_before": _layer_param_count(model.layers[i]),
-                "layer_params_after": _layer_param_count(work.layers[i]),
-            }
-        )
+        layer_manifest, layer_report = _layer_records(i, plan, source, compressed, budget, errors, decision)
+        layer_manifests.append(layer_manifest)
+        layer_reports.append(layer_report)
 
     params_after, macs_after = count_params_macs(work, plan.calib_tokens)
     layer_params_after = sum(_layer_param_count(layer) for layer in work.layers)
@@ -237,119 +231,101 @@ def _cross_check(report: dict) -> None:
         raise ManifestError("parameter savings outside the transformer layers detected")
 
 
-def _scheme_dict(alloc: MhaAllocation) -> dict[str, dict]:
-    return {
-        m: {"kind": s.kind, "rank": s.rank, "params": s.n_params}
-        for m, s in sorted(alloc.schemes.items())
+def _projection_record(proj: Dense | Factored) -> dict:
+    """The {kind, rank, params} record of one compressed projection; rank is None when dense."""
+    if isinstance(proj, Factored):
+        return {"kind": "factored", "rank": proj.rank, "params": proj.n_params}
+    return {"kind": "dense", "rank": None, "params": proj.n_params}
+
+
+def _layer_records(i, plan, source, compressed, budget, errors, decision):
+    """Layer i's manifest and report entries: the source and compressed layers
+    plus the MHA budget, attention weighted errors and FFN PruneDecision (None when factored)."""
+    before, after = source.projections(), compressed.projections()
+    records = {name: _projection_record(proj) for name, proj in after.items()}
+    kept_heads = None if compressed.kept_heads is None else list(compressed.kept_heads)
+    mha_manifest = {"schemes": {p: records[p] for p in store.ATTN_PROJS}, "kept_heads": kept_heads, **budget}
+    mha_report = {
+        p: {**records[p], "dense_params": before[p].n_params, "weighted_error": errors.get(p)}
+        for p in store.ATTN_PROJS
     }
+    if kept_heads is not None:
+        mha_report["kept_heads"] = list(kept_heads)
+        mha_report["head_params"] = sum(records[p]["params"] for p in store.ATTN_PROJS)
+
+    if decision is None:
+        ffn_manifest = {"kind": "factored", "ranks": {p: records[p]["rank"] for p in store.FFN_PROJS}}
+        ffn_report = {"kind": "factored", "ranks": dict(ffn_manifest["ranks"])}
+    else:
+        ffn_manifest = {
+            "kind": "pruned",
+            "retained_count": decision.n_retained,
+            "retained_channels": [int(c) for c in decision.retained],
+            "provenance": list(decision.provenance),
+        }
+        ffn_report = {"kind": "pruned", "retained_count": decision.n_retained, "bottom_count": decision.n_bottom}
+    ffn_report["params"] = sum(after[p].n_params for p in store.FFN_PROJS)
+    ffn_report["dense_params"] = sum(before[p].n_params for p in store.FFN_PROJS)
+
+    manifest = {"layer": i, "keep_ratio": plan.keep_ratio, "mha": mha_manifest, "ffn": ffn_manifest}
+    report = {
+        "layer": i,
+        "mha": mha_report,
+        "mha_slack": budget["slack"],
+        "ffn": ffn_report,
+        "layer_params_before": _layer_param_count(source),
+        "layer_params_after": _layer_param_count(compressed),
+    }
+    return manifest, report
 
 
-def _compress_mha_factored(cfg, layer, weights, x_by_proj, plan):
-    dims = {p: weights[p].shape for p in store.ATTN_PROJS}
-    alloc = allocate_mha(dims, plan.keep_ratio, plan.alloc_ratio)
-    pairs = compress_mha(
-        {p: weights[p] for p in store.ATTN_PROJS},
-        x_by_proj,
-        alloc,
-        use_activation_weights=plan.mha_method == "awsvd",
-    )
-    new_layer = layer.with_projections({p: _as_linear(weights[p], pairs[p]) for p in store.ATTN_PROJS})
-    manifest = {
-        "schemes": _scheme_dict(alloc),
-        "kept_heads": None,
+def _factor_attention(weights, x_by_proj, plan):
+    """awsvd/svd: factor q/k/v/o under the allocated budget; a matrix the
+    allocation keeps dense is left out of the returned maps."""
+    attn = {p: weights[p] for p in store.ATTN_PROJS}
+    alloc = allocate_mha({p: w.shape for p, w in attn.items()}, plan.keep_ratio, plan.alloc_ratio)
+    pairs = compress_mha(attn, x_by_proj, alloc, use_activation_weights=plan.mha_method == "awsvd")
+    factored = {p: pair for p, pair in pairs.items() if pair is not None}
+    budget = {
         "alloc_ratio": list(alloc.alloc_ratio),
         "budget": alloc.budget,
         "qk_budget": alloc.qk_budget,
         "vo_budget": alloc.vo_budget,
         "slack": alloc.slack,
     }
-    report = {}
-    for proj in store.ATTN_PROJS:
-        scheme = alloc.schemes[proj]
-        entry = {"kind": scheme.kind, "rank": scheme.rank, "params": scheme.n_params,
-                 "dense_params": int(weights[proj].size)}
-        entry["weighted_error"] = None if pairs[proj] is None else pairs[proj].weighted_error
-        report[proj] = entry
-    return new_layer, manifest, report
+    errors = {p: pair.weighted_error for p, pair in factored.items()}
+    return {p: Factored(pair.l, pair.r) for p, pair in factored.items()}, None, budget, errors
 
 
-def _compress_mha_heads(cfg, layer, weights, x_by_proj, plan):
-    n_heads = layer.n_heads(cfg)
+def _prune_heads(cfg, layer, weights, x_by_proj, plan):
     qkvo = [weights[p] for p in store.ATTN_PROJS]
     scores = pruning.head_scores(
-        *qkvo, x_by_proj["q_proj"], x_by_proj["o_proj"], n_heads, cfg.head_dim, plan.aggregation,
+        *qkvo, x_by_proj["q_proj"], x_by_proj["o_proj"], layer.n_heads(cfg), cfg.head_dim, plan.aggregation,
     )
     kept = pruning.decide_head_pruning(scores, plan.keep_ratio)
-    pruned = dict(zip(store.ATTN_PROJS, pruning.apply_head_pruning(*qkvo, kept, cfg.head_dim)))
-    new_layer = layer.with_projections({p: Dense(w) for p, w in pruned.items()}, kept_heads=kept)
-    schemes = {p: {"kind": "dense", "rank": None, "params": int(w.size)} for p, w in pruned.items()}
-    total = sum(s["params"] for s in schemes.values())
-    manifest = {
-        "schemes": schemes,
-        "kept_heads": [int(h) for h in kept],
-        "alloc_ratio": None,
-        "budget": round_half_up(plan.keep_ratio * sum(int(weights[p].size) for p in store.ATTN_PROJS)),
-        "qk_budget": None,
-        "vo_budget": None,
-        "slack": 0,
-    }
-    report = {
-        p: {"kind": "dense", "rank": None, "params": schemes[p]["params"],
-            "dense_params": int(weights[p].size), "weighted_error": None}
-        for p in store.ATTN_PROJS
-    }
-    report["kept_heads"] = list(manifest["kept_heads"])
-    report["head_params"] = total
-    return new_layer, manifest, report
+    pruned = pruning.apply_head_pruning(*qkvo, kept, cfg.head_dim)
+    # Heads are kept whole: no q/k vs v/o split and no rank-flooring slack.
+    budget = {"alloc_ratio": None, "qk_budget": None, "vo_budget": None, "slack": 0}
+    budget["budget"] = round_half_up(plan.keep_ratio * sum(w.size for w in qkvo))
+    return {p: Dense(w) for p, w in zip(store.ATTN_PROJS, pruned)}, kept, budget, {}
 
 
-def _compress_ffn_prune(layer, weights, x_by_proj, plan):
-    scores = pruning.group_scores(
-        weights["up_proj"], weights["gate_proj"], weights["down_proj"],
-        x_by_proj["up_proj"], x_by_proj["down_proj"], plan.aggregation,
-    )
+def _prune_ffn(weights, x_by_proj, plan):
+    up, gate, down = weights["up_proj"], weights["gate_proj"], weights["down_proj"]
+    scores = pruning.group_scores(up, gate, down, x_by_proj["up_proj"], x_by_proj["down_proj"], plan.aggregation)
     decision = pruning.decide_pruning(scores, plan.keep_ratio, plan.retain_least, plan.aggregation)
-    up, gate, down = pruning.apply_pruning(
-        weights["up_proj"], weights["gate_proj"], weights["down_proj"], decision
-    )
-    new_layer = replace(
-        layer, gate=Dense(gate), up=Dense(up), down=Dense(down),
-        retained_channels=decision.retained,
-    )
-    manifest = {
-        "kind": "pruned",
-        "retained_count": decision.n_retained,
-        "retained_channels": [int(i) for i in decision.retained],
-        "provenance": list(decision.provenance),
-    }
-    report = {
-        "kind": "pruned",
-        "retained_count": decision.n_retained,
-        "bottom_count": decision.n_bottom,
-        "params": int(up.size + gate.size + down.size),
-        "dense_params": int(sum(weights[p].size for p in store.FFN_PROJS)),
-    }
-    return new_layer, manifest, report
+    up, gate, down = pruning.apply_pruning(up, gate, down, decision)
+    return {"up_proj": Dense(up), "gate_proj": Dense(gate), "down_proj": Dense(down)}, decision
 
 
-def _compress_ffn_svd(cfg, layer, weights, plan):
-    ranks = {}
-    pairs = {}
+def _factor_ffn(weights, plan):
+    maps = {}
     for proj in store.FFN_PROJS:
         w = weights[proj]
-        d_out, d_in = w.shape
-        rank = max(1, int(plan.keep_ratio * w.size / (d_out + d_in)))
-        ranks[proj] = rank
-        pairs[proj] = plain_factor(w, rank, name=proj)
-    new_layer = layer.with_projections({p: Factored(pair.l, pair.r) for p, pair in pairs.items()})
-    manifest = {"kind": "factored", "ranks": ranks}
-    report = {
-        "kind": "factored",
-        "ranks": dict(ranks),
-        "params": sum(p.n_params for p in pairs.values()),
-        "dense_params": int(sum(weights[p].size for p in store.FFN_PROJS)),
-    }
-    return new_layer, manifest, report
+        rank = max(1, int(plan.keep_ratio * w.size / sum(w.shape)))
+        pair = plain_factor(w, rank, name=proj)
+        maps[proj] = Factored(pair.l, pair.r)
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +346,6 @@ def load_any_model(path: str | Path, config: ModelConfig | None = None) -> tuple
     Directories (or files with a manifest.json sibling) are self-described;
     a bare dense checkpoint needs an explicit config.
     """
-    from .transformer import load_dense_model
-
     p = Path(path)
     manifest_sibling = (p / "manifest.json") if p.is_dir() else p.parent / "manifest.json"
     if p.is_dir() or manifest_sibling.exists():
@@ -384,8 +358,6 @@ def load_any_model(path: str | Path, config: ModelConfig | None = None) -> tuple
 
 def record_evaluation(report_path: str | Path, data_key: str, ppl: float, wall_time_s: float) -> None:
     """Append an evaluation result to an existing run report."""
-    import json
-
     report_path = Path(report_path)
     report = json.loads(report_path.read_text(encoding="utf-8"))
     report.setdefault("evaluations", {})[data_key] = ppl
@@ -394,8 +366,6 @@ def record_evaluation(report_path: str | Path, data_key: str, ppl: float, wall_t
 
 
 def timed_perplexity(model: TransformerModel, stream: np.ndarray, seq_len: int) -> tuple[float, float]:
-    from .transformer import perplexity
-
     t0 = time.perf_counter()
     ppl = perplexity(model, stream, seq_len)
     return ppl, time.perf_counter() - t0

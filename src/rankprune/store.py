@@ -398,7 +398,8 @@ def load_compressed(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     """Load a compressed model directory (or its container file directly).
 
     Returns (config, tensor map in float64/int64, manifest).  Float
-    tensors must hold only finite values.
+    tensors must hold only finite values; a manifest without a valid
+    config object is a ManifestError like any other manifest fault.
     """
     path = Path(path)
     if path.is_dir():
@@ -410,7 +411,10 @@ def load_compressed(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     if not manifest_path.exists():
         raise ManifestError(f"no manifest.json found next to {model_path}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    config = ModelConfig.from_dict(manifest["config"])
+    try:
+        config = ModelConfig.from_dict(manifest["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(f"{manifest_path}: no usable model config: {exc}") from exc
     tensors, _ = read_container(model_path)
     for name, arr in tensors.items():
         require_finite(model_path, name, arr)

@@ -56,10 +56,6 @@ class Dense:
     def n_params(self) -> int:
         return int(self.w.size)
 
-    @property
-    def macs_per_position(self) -> int:
-        return int(self.w.size)
-
 
 @dataclass(frozen=True)
 class Factored:
@@ -81,10 +77,6 @@ class Factored:
 
     @property
     def n_params(self) -> int:
-        return int(self.l.size + self.r.size)
-
-    @property
-    def macs_per_position(self) -> int:
         return int(self.l.size + self.r.size)
 
 
@@ -458,7 +450,8 @@ def count_params_macs(model: TransformerModel, seq_len: int) -> tuple[int, int]:
     MACs cover all matrix products: the seven projections per layer, the
     attention score and value products, and the LM head.  Normalization,
     rotary rotation and the elementwise gate are not matrix products and
-    are excluded.
+    are excluded.  A projection costs one multiply-accumulate per stored
+    parameter at each position, so its MACs are seq_len * n_params.
     """
     cfg = model.config
     params = int(model.embed.size + model.lm_head.size + model.final_norm.size)
@@ -467,7 +460,7 @@ def count_params_macs(model: TransformerModel, seq_len: int) -> tuple[int, int]:
         params += int(layer.attn_norm.size + layer.ffn_norm.size)
         for proj in layer.projections().values():
             params += proj.n_params
-            macs += seq_len * proj.macs_per_position
+            macs += seq_len * proj.n_params
         macs += 2 * seq_len * seq_len * cfg.head_dim * layer.n_heads(cfg)
     return params, macs
 

@@ -84,6 +84,24 @@ GOLDEN_COMPRESS_BASELINES = {
         "manifest.json": "7a64ae71c05388b68937d257964e1bd664040be270f6d4d7f26dc5cd867023c6",
         "report.json": "287375e97badbc0e688c3bd11610218d146b5335ff5b5deb613d660b21c78cb6",
     },
+    # The remaining method pairs, pinned from the code that still wrote each
+    # layer's manifest and report entries by hand in every method function,
+    # before they were built once from the compressed layer.
+    ("awsvd", "svd"): {
+        "model.safetensors": "5c0715e711bfc10e38921eed1e581bcb9b54840d777d98c8a57d0d17cf80dc5c",
+        "manifest.json": "f0975a9473b309c241d96f4f09e8b4d67d09179f898ae2ff1e47b7a5e7581634",
+        "report.json": "9236a0d57477facdaafa74d13feb9c998775a572661bc6854f9dcd2af6f6706b",
+    },
+    ("svd", "prune"): {
+        "model.safetensors": "ae70e9d66336730a3bf33bdb6c3badcc099b68c0e30f92c59aeec8d5c0f8c46d",
+        "manifest.json": "47871b90ddc53c8f248f1d15a82d9e7c1d4498ce8bcaaaec1cad78828ff30515",
+        "report.json": "c6f2b3673bd27c4d8e6ceb493fd838527a2e66e0cbfafd58f4e2be6b4c2d2124",
+    },
+    ("head_prune", "svd"): {
+        "model.safetensors": "26ebc6e0c5fbe11dabc90133048a5c2554c1acf9ffb20125b671db8987e796f4",
+        "manifest.json": "f4af517d2981f9c12bacad49a929ea9a34c30f182abef49bb6298a58ef4f0d09",
+        "report.json": "4842b8f6c706a2626f355364a7798d2421b8493e0fdf617a7e634f775047bb65",
+    },
 }
 
 
@@ -294,6 +312,21 @@ def test_usage_errors_exit_1(fixture_dir, capsys):
     assert main(["compress", "--model", "m", "--config", "c", "--data", "d", "--out", "o"]) == 1  # no ratio
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["eval", "--model", "m", "--data", "d"],
+        ["stats", "--model", "m"],
+        ["analyze", "--model", "m"],
+        ["mask", "--model", "m", "--matrix", "w"],
+    ],
+)
+def test_seed_only_on_commands_that_sample(args, capsys):
+    # Only calibrate and compress draw calibration windows; the others have no --seed.
+    assert main([*args, "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+
 def test_data_errors_exit_2(fixture_dir, tmp_path, capsys):
     bad = tmp_path / "bad.safetensors"
     bad.write_bytes(b"junk")
@@ -372,6 +405,40 @@ def test_analysis_of_corrupt_manifest_exits_2(fixture_dir, tmp_path, capsys, com
         args += ["--matrix", "model.layers.0.mlp.up_proj.weight", "--out", str(tmp_path / "mask.pgm")]
     assert main(args) == 2
     assert "provenance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "mask"])
+@pytest.mark.parametrize("x_din", [None, ["not", "a", "map"], {"model.layers.0.self_attn.q_proj.weight": ["a", "b"]}])
+def test_malformed_stats_file_exits_2(fixture_dir, tmp_path, capsys, command, x_din):
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps({"format_version": 1} if x_din is None else {"x_din": x_din}))
+    args = [command, "--model", str(fixture_dir / "model.safetensors"), "--stats", str(stats)]
+    if command == "mask":
+        args += ["--matrix", "model.layers.0.self_attn.q_proj.weight", "--out", str(tmp_path / "mask.pgm")]
+    assert main(args) == 2
+    assert "x_din" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", ["absent", "no_dim", "not_an_object"])
+def test_manifest_without_usable_config_exits_2(fixture_dir, tmp_path, capsys, config):
+    from rankprune import store
+    from rankprune.errors import ManifestError
+
+    out = tmp_path / "z"
+    assert main(_compress_args(fixture_dir, out)) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    if config == "absent":
+        manifest = {}
+    elif config == "no_dim":
+        del manifest["config"]["dim"]
+    else:
+        manifest["config"] = [4, 2]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError):
+        store.load_compressed(out)
+    capsys.readouterr()
+    assert main(["stats", "--model", str(out)]) == 2
+    assert "config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["compress", "calibrate"])

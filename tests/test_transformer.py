@@ -428,9 +428,9 @@ def test_perplexity_stream_too_short(random_model):
 
 def test_linear_macs_examples():
     dense = Dense(np.zeros((64, 64)))
-    assert 16 * dense.macs_per_position == 65_536
+    assert 16 * dense.n_params == 65_536
     fact = Factored(np.zeros((64, 8)), np.zeros((8, 64)))
-    assert 16 * fact.macs_per_position == 16_384
+    assert 16 * fact.n_params == 16_384
 
 
 def test_count_params_macs_hand_count():
