@@ -179,7 +179,12 @@ def cmd_analyze(args) -> int:
             "matrix": name,
             "rank_pct": pruning.energy_rank_ratio(w, args.energy, use_singular_values=args.sigma),
         }
-        if x_din is not None and name in x_din and len(x_din[name]) == w.shape[1]:
+        if x_din is not None and name in x_din:
+            if len(x_din[name]) != w.shape[1]:
+                raise DataError(
+                    f"x_din of {name!r} has {len(x_din[name])} entries, the matrix has {w.shape[1]} inputs; "
+                    "stats must come from a model with the same shapes"
+                )
             row["rank_pct_weighted"] = pruning.energy_rank_ratio(
                 w, args.energy, x_din=x_din[name], use_singular_values=args.sigma
             )

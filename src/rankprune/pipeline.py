@@ -113,6 +113,8 @@ def sample_calibration_windows(
 
 
 def _dense_weights(layer: TransformerLayer) -> dict[str, np.ndarray]:
+    if layer.kept_heads is not None or layer.retained_channels is not None:
+        raise ManifestError("layer to compress is already head- or channel-pruned; layers are compressed once")
     projs = layer.projections()
     for name, proj in projs.items():
         if not isinstance(proj, Dense):

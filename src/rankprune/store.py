@@ -1,6 +1,6 @@
 """Model weight storage: the projection table, qualified tensor names,
-checkpoint loading, compressed-output writing with a sidecar manifest,
-and the model-to-layer ratio arithmetic.
+the container layout, checkpoint loading, compressed-output writing with
+a sidecar manifest, and the model-to-layer ratio arithmetic.
 
 `PROJECTIONS` is the one list of a layer's seven weight matrices.  Each
 row says which sub-layer a matrix belongs to (q/k/v/o are attention
@@ -9,6 +9,11 @@ channel group that is pruned as one), which activation site feeds it,
 and its shape in terms of the model width, the kept-head width and the
 retained-channel width.  Serialization, loading, validation, accounting
 and calibration naming all iterate over it.
+
+`expected_shapes(config, manifest=None)` is the one {name: shape} layout
+of both container kinds.  Compression touches only the layer projections,
+so a compressed output's layout follows from the config and its manifest's
+layer records; it must hold exactly those tensors at exactly those shapes.
 """
 
 from __future__ import annotations
@@ -128,14 +133,21 @@ def factor_names(name: str) -> tuple[str, str]:
     return base + ".L", base + ".R"
 
 
-def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """All tensors a dense checkpoint must contain, with their shapes.
+def expected_shapes(config: ModelConfig, manifest: dict | None = None) -> dict[str, tuple[int, ...]]:
+    """The {name: shape} layout of a container.
+
+    Without a manifest this is a dense checkpoint: embedding, LM head,
+    final norm, and per layer two norms and the seven projections at
+    dense width.  With a compressed output's manifest (whose layer
+    records must cover every layer in order), each layer's projections
+    are sized by its kept heads and retained channels, a projection
+    with a rank becomes name.L (out, r) and name.R (r, in), and the
+    kept-head and retained-channel index tensors are added.
 
     Projections follow the y = Wx orientation: axis 0 is the output
     feature axis, axis 1 the input feature axis.
     """
     d, v = config.dim, config.vocab_size
-    dense = widths(config)
     shapes: dict[str, tuple[int, ...]] = {
         EMBED_NAME: (v, d),
         HEAD_NAME: (v, d),
@@ -144,8 +156,26 @@ def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     for i in range(config.n_layers):
         shapes[attn_norm_name(i)] = (d,)
         shapes[ffn_norm_name(i)] = (d,)
+        ranks, n_heads, n_channels = dict.fromkeys(PROJECTION), None, None
+        if manifest is not None:
+            rec = manifest["layers"][i]
+            ranks = _ranks(i, rec)
+            kept_heads = rec["mha"].get("kept_heads")
+            if kept_heads is not None:
+                n_heads = len(kept_heads)
+                shapes[kept_heads_name(i)] = (n_heads,)
+            if rec["ffn"]["kind"] == "pruned":
+                n_channels = rec["ffn"]["retained_count"]
+                shapes[retained_channels_name(i)] = (n_channels,)
+        layer_widths = widths(config, n_heads, n_channels)
         for p in PROJECTIONS:
-            shapes[weight_name(i, p.name)] = p.shape(dense)
+            name, rank = weight_name(i, p.name), ranks[p.name]
+            out, inp = p.shape(layer_widths)
+            if rank is None:
+                shapes[name] = (out, inp)
+            else:
+                lname, rname = factor_names(name)
+                shapes[lname], shapes[rname] = (out, rank), (rank, inp)
     return shapes
 
 
@@ -242,26 +272,19 @@ LLAMA_SHAPES = {
 # Compressed output
 
 
-def layer_tensor_params(tensors: dict[str, np.ndarray], n_layers: int) -> int:
-    """Float weight elements belonging to transformer projections only."""
-    total = 0
-    for name, arr in tensors.items():
-        parsed = split_projection_name(name)
-        if parsed is not None and parsed[0] < n_layers and arr.dtype.kind == "f":
-            total += int(arr.size)
-    return total
-
-
 def validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: ModelConfig) -> None:
     """Cross-check a manifest against the tensors it describes.
 
-    Every transformer weight of the source model must be accounted for
-    exactly once, and the parameter totals recorded in the manifest must
-    be reproducible from the per-layer records and from the tensors.
-    Retained FFN channels and kept heads must be strictly ascending,
-    in range and equal to their index tensors; every retained channel's
-    provenance must be "top" or "bottom", and the number marked "bottom"
-    must be the quota the plan's retain-least share gives.
+    Both container kinds share one layout map: a compressed output must
+    hold exactly the tensors of `expected_shapes(config, manifest)` -
+    none missing, none extra, every shape equal, weights float and index
+    tensors integer - so the embedding, LM head and norms are checked
+    like the projections.  The layer parameter total recorded in the
+    manifest must be the projection sizes of that layout.  Retained FFN
+    channels and kept heads must be strictly ascending, in range and
+    equal to their index tensors; every retained channel's provenance
+    must be "top" or "bottom", and the number marked "bottom" must be
+    the quota the plan's retain-least share gives.
     """
     try:
         _validate_manifest(manifest, tensors, config)
@@ -275,35 +298,35 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
     recs = manifest["layers"]
     if [r["layer"] for r in recs] != list(range(config.n_layers)):
         raise ManifestError("manifest layer records do not cover every layer exactly once")
+    layout = expected_shapes(config, manifest)
+    missing, unexpected = sorted(set(layout) - set(tensors)), sorted(set(tensors) - set(layout))
+    if missing or unexpected:
+        raise ManifestError(
+            f"tensors disagree with the manifest: missing {', '.join(missing) or 'none'}; "
+            f"unexpected {', '.join(unexpected) or 'none'}"
+        )
+    index_names = {f(i) for i in range(config.n_layers) for f in (kept_heads_name, retained_channels_name)}
+    for name, shape in layout.items():
+        arr = tensors[name]
+        if arr.shape != shape:
+            raise ManifestError(f"tensor {name!r} has shape {arr.shape}, manifest implies {shape}")
+        if arr.dtype.kind != ("i" if name in index_names else "f"):
+            raise ManifestError(f"tensor {name!r} has dtype {arr.dtype}; weights are float, index tensors integer")
     retain_least = manifest["global"]["retain_least"]
-    from_records = 0
-    for rec in recs:
-        i = rec["layer"]
+    for i, rec in enumerate(recs):
         kept_heads = rec["mha"].get("kept_heads")
-        hname = kept_heads_name(i)
-        if kept_heads is None:
-            _absent(tensors, hname)
-        else:
+        if kept_heads is not None:
             if not _ascending_within(kept_heads, config.n_heads):
                 raise ManifestError(f"layer {i}: kept_heads must be strictly ascending inside [0, {config.n_heads})")
-            if hname not in tensors or tensors[hname].tolist() != kept_heads:
+            if tensors[kept_heads_name(i)].tolist() != kept_heads:
                 raise ManifestError(f"layer {i}: kept-heads tensor disagrees with manifest list")
-        ffn = rec["ffn"]
-        kept = None
-        if ffn["kind"] == "pruned":
-            kept = ffn["retained_count"]
-            _check_retained(i, ffn, tensors, config.ffn_dim, retain_least)
-        layer_widths = widths(config, None if kept_heads is None else len(kept_heads), kept)
-        for proj, rank in _ranks(i, rec).items():
-            shape = PROJECTION[proj].shape(layer_widths)
-            from_records += _check_projection(tensors, weight_name(i, proj), shape, rank)
+        if rec["ffn"]["kind"] == "pruned":
+            _check_retained(i, rec["ffn"], tensors[retained_channels_name(i)], config.ffn_dim, retain_least)
     recorded = manifest["global"]["params"]["layer_retained"]
-    from_tensors = layer_tensor_params(tensors, config.n_layers)
-    if not recorded == from_records == from_tensors:
-        raise ManifestError(
-            f"layer parameter totals disagree: manifest={recorded}, "
-            f"records={from_records}, tensors={from_tensors}"
-        )
+    projections = [shape for name, shape in layout.items() if split_projection_name(name) is not None]
+    from_layout = sum(int(np.prod(shape)) for shape in projections)
+    if recorded != from_layout:
+        raise ManifestError(f"layer parameter totals disagree: manifest={recorded}, tensors={from_layout}")
 
 
 def _ranks(i: int, rec: dict) -> dict[str, int | None]:
@@ -326,7 +349,7 @@ def _ranks(i: int, rec: dict) -> dict[str, int | None]:
     return ranks
 
 
-def _check_retained(i: int, ffn: dict, tensors: dict[str, np.ndarray], d_m: int, retain_least: float) -> None:
+def _check_retained(i: int, ffn: dict, index: np.ndarray, d_m: int, retain_least: float) -> None:
     kept = ffn["retained_count"]
     idx = ffn["retained_channels"]
     provenance = ffn["provenance"]
@@ -340,42 +363,13 @@ def _check_retained(i: int, ffn: dict, tensors: dict[str, np.ndarray], d_m: int,
     quota = bottom_quota(d_m, kept, retain_least)
     if n_bottom != quota:
         raise ManifestError(f"layer {i}: {n_bottom} channels marked bottom, retain_least {retain_least} gives {quota}")
-    iname = retained_channels_name(i)
-    if iname not in tensors:
-        raise ManifestError(f"layer {i}: retained-channel index tensor missing")
-    if tensors[iname].tolist() != idx:
+    if index.tolist() != idx:
         raise ManifestError(f"layer {i}: index tensor disagrees with manifest list")
-
-
-def _check_projection(tensors: dict[str, np.ndarray], name: str, shape: tuple[int, int], rank: int | None) -> int:
-    """Check one projection's tensors against its scheme; return its parameter count."""
-    lname, rname = factor_names(name)
-    if rank is None:
-        _expect(tensors, name, shape)
-        _absent(tensors, lname, rname)
-        return shape[0] * shape[1]
-    _expect(tensors, lname, (shape[0], rank))
-    _expect(tensors, rname, (rank, shape[1]))
-    _absent(tensors, name)
-    return rank * (shape[0] + shape[1])
 
 
 def _ascending_within(values: list[int], upper: int) -> bool:
     """True when values are strictly ascending (hence unique) inside [0, upper)."""
     return all(a < b for a, b in zip(values, values[1:])) and all(0 <= v < upper for v in values)
-
-
-def _expect(tensors: dict[str, np.ndarray], name: str, shape: tuple[int, ...]) -> None:
-    if name not in tensors:
-        raise ManifestError(f"tensor {name!r} required by the manifest is missing")
-    if tensors[name].shape != shape:
-        raise ManifestError(f"tensor {name!r} has shape {tensors[name].shape}, manifest implies {shape}")
-
-
-def _absent(tensors: dict[str, np.ndarray], *names: str) -> None:
-    for name in names:
-        if name in tensors:
-            raise ManifestError(f"tensor {name!r} conflicts with the manifest scheme")
 
 
 def write_compressed(out_dir: str | Path, tensors: dict[str, np.ndarray], manifest: dict) -> Path:
@@ -402,12 +396,8 @@ def load_compressed(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     config object is a ManifestError like any other manifest fault.
     """
     path = Path(path)
-    if path.is_dir():
-        model_path = path / "model.safetensors"
-        manifest_path = path / "manifest.json"
-    else:
-        model_path = path
-        manifest_path = path.parent / "manifest.json"
+    model_path = path / "model.safetensors" if path.is_dir() else path
+    manifest_path = model_path.parent / "manifest.json"
     if not manifest_path.exists():
         raise ManifestError(f"no manifest.json found next to {model_path}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))

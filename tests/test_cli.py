@@ -419,6 +419,68 @@ def test_malformed_stats_file_exits_2(fixture_dir, tmp_path, capsys, command, x_
     assert "x_din" in capsys.readouterr().err
 
 
+def test_analyze_rejects_stats_of_another_shape(fixture_dir, stats_file, tmp_path, capsys):
+    name = "model.layers.0.self_attn.q_proj.weight"
+    payload = json.loads(stats_file.read_text())
+    payload["x_din"][name] = [1.0, 2.0, 3.0]
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps(payload))
+    assert main(["analyze", "--model", str(fixture_dir / "model.safetensors"), "--stats", str(stats)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "3 entries" in err and "64 inputs" in err
+
+
+@pytest.fixture(scope="module")
+def compressed_out(fixture_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("compressed") / "z"
+    assert main(_compress_args(fixture_dir, out)) == 0
+    return out
+
+
+def _drop(tensors, name):
+    del tensors[name]
+
+
+def _narrow_columns(tensors, name):
+    tensors[name] = np.ascontiguousarray(tensors[name][:, :32])
+
+
+def _cut_rows(tensors, name):
+    tensors[name] = tensors[name][:200].copy()
+
+
+def _add(tensors, name):
+    tensors[name] = np.zeros(3, dtype=np.float32)
+
+
+# The tensors outside the compressed projections: a compressed output must
+# hold them at the shapes its config implies, and nothing else.
+@pytest.mark.parametrize(
+    "corrupt, name",
+    [
+        (_drop, "model.norm.weight"),
+        (_drop, "model.layers.1.post_attention_layernorm.weight"),
+        (_drop, "model.layers.0.input_layernorm.weight"),
+        (_narrow_columns, "model.embed_tokens.weight"),
+        (_cut_rows, "lm_head.weight"),
+        (_add, "foo"),
+    ],
+)
+def test_corrupt_non_layer_tensors_exit_2(fixture_dir, compressed_out, tmp_path, capsys, corrupt, name):
+    import shutil
+
+    from rankprune.container import read_container, write_container
+
+    out = tmp_path / "corrupt"
+    shutil.copytree(compressed_out, out)
+    tensors, meta = read_container(out / "model.safetensors")
+    corrupt(tensors, name)
+    write_container(out / "model.safetensors", tensors, metadata=meta)
+    for args in (["stats"], ["eval", "--data", str(fixture_dir / "eval.bin"), "--seqlen", "64"]):
+        assert main([*args, "--model", str(out)]) == 2
+        assert name in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("config", ["absent", "no_dim", "not_an_object"])
 def test_manifest_without_usable_config_exits_2(fixture_dir, tmp_path, capsys, config):
     from rankprune import store

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rankprune import pipeline, store, synth, transformer
-from rankprune.errors import CalibrationError, InfeasibleRatioError
+from rankprune.errors import CalibrationError, InfeasibleRatioError, ManifestError
 from rankprune.pipeline import CompressionPlan, compress_model, sample_calibration_windows
 from rankprune.transformer import ALL_SITES, count_params_macs, forward, model_from_tensors, perplexity
 
@@ -114,6 +114,21 @@ def test_roundtrip_through_container(setup, tmp_path):
         b, _ = forward(rebuilt, toks)
         # container stores f32, so round-trip agrees to f32 resolution
         assert np.max(np.abs(a - b)) < 1e-4
+
+
+@pytest.mark.parametrize("pruned", ["heads and channels", "channels"])
+def test_compress_rejects_an_already_pruned_model(setup, tmp_path, pruned):
+    cfg, model, calib, _ = setup
+    plan = _plan(0.5, mha_method="head_prune")
+    out = tmp_path / "once"
+    pipeline.write_outputs(out, *compress_model(model, plan, calib))
+    again, _ = pipeline.load_any_model(out)
+    if pruned == "channels":  # dense attention, pruned FFN in layer 0
+        layer = again.layers[0]
+        ffn = {p: layer.projections()[p] for p in store.FFN_PROJS}
+        again = model.replace_layer(0, model.layers[0].with_projections(ffn, retained_channels=layer.retained_channels))
+    with pytest.raises(ManifestError, match="compressed once"):
+        compress_model(again, plan, calib)
 
 
 def test_manifest_global_fields(setup):

@@ -183,9 +183,10 @@ def test_pruned_ffn_shapes(tmp_path):
 def test_manifest_param_accounting(tmp_path, toy_cfg):
     _, _, manifest, out = _compressed_toy(tmp_path)
     tensors, _ = read_container(out / "model.safetensors")
-    config = ModelConfig.from_dict(manifest["config"])
     recorded = manifest["global"]["params"]["layer_retained"]
-    assert recorded == store.layer_tensor_params(tensors, config.n_layers)
+    projections = [a for name, a in tensors.items() if store.split_projection_name(name) is not None]
+    assert all(a.dtype.kind == "f" for a in projections)
+    assert recorded == sum(a.size for a in projections)
 
 
 def test_manifest_tamper_detected(tmp_path):
@@ -314,3 +315,69 @@ def test_write_compressed_rejects_inconsistent_pair(tmp_path):
     bad["layers"][1]["ffn"]["retained_count"] += 1
     with pytest.raises(ManifestError):
         store.write_compressed(tmp_path / "bad", tensors, bad)
+
+
+# ---------------------------------------------------------------------------
+# Container layout
+
+METHOD_PAIRS = [(mha, ffn) for mha in ("awsvd", "svd", "head_prune") for ffn in ("prune", "svd")]
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """(config, compressed model, manifest, written tensors) per method pair."""
+    out = {}
+    for mha, ffn in METHOD_PAIRS:
+        config, compressed, manifest, path = _compressed_toy(
+            tmp_path_factory.mktemp(f"{mha}-{ffn}"), mha_method=mha, ffn_method=ffn
+        )
+        out[mha, ffn] = config, compressed, manifest, read_container(path / "model.safetensors")[0]
+    return out
+
+
+def test_dense_layout_is_the_serialized_model(toy_cfg, random_model):
+    assert store.expected_shapes(toy_cfg) == {name: a.shape for name, a in model_to_tensors(random_model).items()}
+
+
+@pytest.mark.parametrize("mha, ffn", METHOD_PAIRS)
+def test_compressed_layout_is_the_serialized_model(outputs, mha, ffn):
+    config, compressed, manifest, _ = outputs[mha, ffn]
+    shapes = {name: a.shape for name, a in model_to_tensors(compressed).items()}
+    assert store.expected_shapes(config, manifest) == shapes
+
+
+def _other_scheme(name):
+    """A projection tensor of the scheme the manifest does not declare."""
+    layer, proj, suffix = store.split_projection_name(name)
+    weight = store.weight_name(layer, proj.name)
+    return store.factor_names(weight)[0] if suffix == "weight" else weight
+
+
+@pytest.mark.parametrize("mha, ffn", METHOD_PAIRS)
+def test_every_tensor_mutation_is_rejected(outputs, mha, ffn):
+    config, _, manifest, tensors = outputs[mha, ffn]
+    store.validate_manifest(manifest, tensors, config)
+    accepted = []
+    for name, arr in tensors.items():
+        mutations = {
+            "dropped": {k: v for k, v in tensors.items() if k != name},
+            "shrunk": {**tensors, name: arr[:-1]},
+            "stray": {**tensors, name + ".stray": arr},
+        }
+        if store.split_projection_name(name) is not None:
+            mutations["other scheme"] = {**tensors, _other_scheme(name): arr}
+        for kind, mutated in mutations.items():
+            try:
+                store.validate_manifest(manifest, mutated, config)
+            except ManifestError:
+                continue
+            accepted.append(f"{kind} {name}")
+    assert accepted == []
+
+
+@pytest.mark.parametrize("name, dtype", [(store.weight_name(0, "up_proj"), np.int32),
+                                         (store.retained_channels_name(0), np.float32)])
+def test_tensor_of_the_wrong_kind_is_rejected(outputs, name, dtype):
+    config, _, manifest, tensors = outputs["awsvd", "prune"]
+    with pytest.raises(ManifestError, match="dtype"):
+        store.validate_manifest(manifest, {**tensors, name: tensors[name].astype(dtype)}, config)
