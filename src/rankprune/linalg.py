@@ -1,5 +1,11 @@
 """Dense matrix primitives: SVD with a fixed sign convention, truncation,
-and diagonally weighted Frobenius errors.
+top-r factor pairs, and diagonally weighted Frobenius errors.
+
+`top_factors` gives the best rank-r pair of a matrix A from the
+eigendecomposition of its smaller Gram matrix (A Aᵀ or Aᵀ A), which costs
+well under a full SVD of the same matrix.  It falls back to truncating the
+full SVD when the eigendecomposition fails or when σ_r/σ_1 drops below
+GRAM_MIN_SIGMA_RATIO.
 
 All arithmetic is done in float64 regardless of the dtype weights were
 stored in, so the tolerances used by the factorizers and their test
@@ -18,6 +24,12 @@ from .errors import DecompositionError, ShapeMismatchError
 # Floor applied to x_din before it weights a matrix's columns; dead input
 # features would otherwise make D^{-1} undefined.
 XDIN_EPS = 1e-8
+
+# The Gram product squares the condition number: a singular value taken as
+# sqrt(eigenvalue) carries a relative error of about eps * (σ_1/σ_i)^2.  At
+# this ratio that is ~2e-8, still below float32 resolution (~6e-8), the
+# precision factors are stored in; below it top_factors uses the full SVD.
+GRAM_MIN_SIGMA_RATIO = 1e-4
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -65,12 +77,16 @@ def svd(m, name: str = "matrix") -> SvdResult:
             u, s, vt = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
         except Exception as exc:
             raise DecompositionError(f"SVD failed to converge for {name}") from exc
-    # Canonical signs: largest-|.| entry of each u column made positive.
+    u, vt = _canonical_signs(u, vt)
+    return SvdResult(u=np.ascontiguousarray(u), singular_values=s, vt=np.ascontiguousarray(vt))
+
+
+def _canonical_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flip paired columns of u and rows of vt so that the largest-|.|
+    entry of each u column is positive (first such entry on ties)."""
     pivot = np.argmax(np.abs(u), axis=0)
     flip = u[pivot, np.arange(u.shape[1])] < 0.0
-    u = np.where(flip[None, :], -u, u)
-    vt = np.where(flip[:, None], -vt, vt)
-    return SvdResult(u=np.ascontiguousarray(u), singular_values=s, vt=np.ascontiguousarray(vt))
+    return np.where(flip[None, :], -u, u), np.where(flip[:, None], -vt, vt)
 
 
 def truncate(s: SvdResult, rank: int) -> tuple[np.ndarray, np.ndarray]:
@@ -83,6 +99,37 @@ def truncate(s: SvdResult, rank: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"rank {rank} out of range [1, {s.max_rank}]")
     left = s.u[:, :rank] * s.singular_values[None, :rank]
     right = s.vt[:rank, :]
+    return np.ascontiguousarray(left), np.ascontiguousarray(right)
+
+
+def top_factors(m, rank: int, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """The pair truncate(svd(m), rank) returns, from the smaller Gram matrix.
+
+    For a d_out x d_in matrix A with d_out <= d_in, the top `rank`
+    eigenpairs of A Aᵀ give U_r and σ = sqrt(λ), and V_rᵀ = Σ_r⁻¹ U_rᵀ A;
+    otherwise Aᵀ A gives V_r and U_r Σ_r = A V_r.  Signs follow svd().
+    Falls back to truncating the full SVD when eigh fails, when λ_r <= 0,
+    or when σ_r/σ_1 < GRAM_MIN_SIGMA_RATIO.
+    """
+    a = as_matrix(m, name)
+    rows, cols = a.shape
+    if not 1 <= rank <= min(rows, cols):
+        raise ValueError(f"rank {rank} out of range [1, {min(rows, cols)}]")
+    wide = rows <= cols
+    try:
+        lam, vec = np.linalg.eigh(a @ a.T if wide else a.T @ a)
+    except np.linalg.LinAlgError:
+        return truncate(svd(a, name=name), rank)
+    # eigh sorts ascending; take the top `rank` in descending order.
+    lam, vec = lam[::-1][:rank], vec[:, ::-1][:, :rank]
+    if not lam[-1] > 0.0 or lam[-1] < GRAM_MIN_SIGMA_RATIO**2 * lam[0]:
+        return truncate(svd(a, name=name), rank)
+    sigma = np.sqrt(lam)
+    if wide:
+        u, right = _canonical_signs(vec, (vec.T @ a) / sigma[:, None])
+        left = u * sigma[None, :]
+    else:
+        left, right = _canonical_signs(a @ vec, vec.T)
     return np.ascontiguousarray(left), np.ascontiguousarray(right)
 
 

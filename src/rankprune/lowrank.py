@@ -2,11 +2,13 @@
 the budget allocation that decides each matrix's rank.
 
 A matrix W is replaced by L @ R where L = U_r Sigma_r and
-R = V_r^T D^{-1}, obtained from the SVD of W D with D = diag(x_din);
-this pair minimizes ||(W - LR) D||_F over all rank-r pairs.  The MHA
-budget is split between the (q, k) and (v, o) groups (default 1:3, v/o
-getting more because they are less low-rank), with a dense passthrough
-whenever a group's share would exceed its dense size.
+R = V_r^T D^{-1}, the top r singular triplets of W D with D = diag(x_din);
+this pair minimizes ||(W - LR) D||_F over all rank-r pairs.  The triplets
+come from the eigendecomposition of the smaller Gram matrix of W D, or
+from its full SVD when that is ill-conditioned (linalg.top_factors).
+The MHA budget is split between the (q, k) and (v, o) groups (default
+1:3, v/o getting more because they are less low-rank), with a dense
+passthrough whenever a group's share would exceed its dense size.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import floor
 import numpy as np
 
 from .errors import AllocationError, CalibrationError, ShapeMismatchError
-from .linalg import XDIN_EPS, as_matrix, svd, truncate, weighted_frobenius_error
+from .linalg import XDIN_EPS, as_matrix, top_factors, weighted_frobenius_error
 from .store import ATTN_PROJS
 from .util import round_half_up
 
@@ -72,8 +74,7 @@ def awsvd_factor(w, x_din, rank: int, name: str = "matrix", eps: float = XDIN_EP
     """
     w = as_matrix(w, name)
     d = floored_weights(x_din, w.shape[1], eps)
-    decomp = svd(w * d[None, :], name=name)
-    left, right = truncate(decomp, rank)
+    left, right = top_factors(w * d[None, :], rank, name=name)
     r_mat = right / d[None, :]
     err = weighted_frobenius_error(w, left, r_mat, d)
     return FactorPair(l=left, r=r_mat, rank=rank, source=name, weighted_error=err)
@@ -82,7 +83,7 @@ def awsvd_factor(w, x_din, rank: int, name: str = "matrix", eps: float = XDIN_EP
 def plain_factor(w, rank: int, name: str = "matrix") -> FactorPair:
     """Unweighted truncated SVD, kept around as the baseline factorizer."""
     w = as_matrix(w, name)
-    left, right = truncate(svd(w, name=name), rank)
+    left, right = top_factors(w, rank, name=name)
     err = weighted_frobenius_error(w, left, right, np.ones(w.shape[1]))
     return FactorPair(l=left, r=right, rank=rank, source=name, weighted_error=err)
 

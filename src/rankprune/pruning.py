@@ -203,7 +203,10 @@ def energy_rank_ratio(w, energy: float, x_din=None, use_singular_values: bool = 
         a = a * np.maximum(x, XDIN_EPS)[None, :]
     if not np.any(a):
         return 0.0
-    s = svd(a).singular_values
+    try:
+        s = np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError:  # the gesvd fallback, or a DecompositionError
+        s = svd(a).singular_values
     mass = s if use_singular_values else s * s
     cum = np.cumsum(mass)
     k = int(np.searchsorted(cum, energy * cum[-1], side="left")) + 1

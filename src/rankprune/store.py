@@ -279,12 +279,14 @@ def validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: Mo
     hold exactly the tensors of `expected_shapes(config, manifest)` -
     none missing, none extra, every shape equal, weights float and index
     tensors integer - so the embedding, LM head and norms are checked
-    like the projections.  The layer parameter total recorded in the
-    manifest must be the projection sizes of that layout.  Retained FFN
-    channels and kept heads must be strictly ascending, in range and
-    equal to their index tensors; every retained channel's provenance
-    must be "top" or "bottom", and the number marked "bottom" must be
-    the quota the plan's retain-least share gives.
+    like the projections.  Every rank and retained count must be a
+    positive int (8.0 or True would compare equal to a tensor axis).
+    The layer parameter total recorded in the manifest must be the
+    projection sizes of that layout.  Retained FFN channels and kept
+    heads must be strictly ascending, in range and equal to their index
+    tensors; every retained channel's provenance must be "top" or
+    "bottom", and the number marked "bottom" must be the quota the
+    plan's retain-least share gives.
     """
     try:
         _validate_manifest(manifest, tensors, config)
@@ -346,11 +348,22 @@ def _ranks(i: int, rec: dict) -> dict[str, int | None]:
         ranks.update({proj: ffn["ranks"][proj] for proj in FFN_PROJS})
     else:
         raise ManifestError(f"layer {i}: unknown FFN scheme {ffn['kind']!r}")
+    for proj, rank in ranks.items():
+        if rank is not None and not _is_count(rank):
+            raise ManifestError(f"layer {i}: {proj} rank must be a positive integer, got {rank!r}")
     return ranks
+
+
+def _is_count(value) -> bool:
+    """True for a positive int; bool and integral floats (8.0, which
+    compares equal to 8) are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _check_retained(i: int, ffn: dict, index: np.ndarray, d_m: int, retain_least: float) -> None:
     kept = ffn["retained_count"]
+    if not _is_count(kept):
+        raise ManifestError(f"layer {i}: retained_count must be a positive integer, got {kept!r}")
     idx = ffn["retained_channels"]
     provenance = ffn["provenance"]
     if len(idx) != kept or len(provenance) != kept:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from rankprune.errors import ShapeMismatchError
+from rankprune.errors import DecompositionError, ShapeMismatchError
 from rankprune.linalg import (
+    GRAM_MIN_SIGMA_RATIO,
     as_matrix,
     svd,
+    top_factors,
     truncate,
     weighted_frobenius_error,
 )
@@ -168,3 +170,84 @@ def test_weighted_error_shape_checks():
         weighted_frobenius_error(w, np.ones((3, 2)), np.ones((2, 3)), np.ones(4))
     with pytest.raises(ValueError):
         weighted_frobenius_error(w, np.ones((3, 2)), np.ones((2, 3)), np.array([1.0, 0.0, 1.0]))
+
+
+# ---------------------------------------------------------------------------
+# top_factors: the truncated SVD pair from the smaller Gram matrix
+
+
+@pytest.mark.parametrize("shape", [(12, 30), (30, 12), (20, 20)])
+def test_top_factors_match_truncated_svd_at_every_rank(shape):
+    rng = np.random.default_rng(sum(shape) + 11)
+    a = rng.normal(size=shape)
+    res = svd(a)
+    for r in range(1, min(shape) + 1):
+        l, rt = top_factors(a, r)
+        l_svd, rt_svd = truncate(res, r)
+        assert l.shape == l_svd.shape and rt.shape == rt_svd.shape
+        want = l_svd @ rt_svd
+        assert np.linalg.norm(l @ rt - want) <= 1e-10 * np.linalg.norm(want)
+        # the full-rank residual is rounding noise, so it is judged against |A|
+        got_err, want_err = np.linalg.norm(a - l @ rt), np.linalg.norm(a - want)
+        assert got_err == pytest.approx(want_err, rel=1e-12, abs=1e-12 * np.linalg.norm(a))
+
+
+@pytest.mark.parametrize("shape", [(12, 30), (30, 12), (20, 20)])
+def test_top_factors_sign_convention_and_determinism(shape):
+    rng = np.random.default_rng(sum(shape) + 12)
+    a = rng.normal(size=shape)
+    r = min(shape) // 2
+    l, rt = top_factors(a.copy(), r)
+    for j in range(r):
+        col = l[:, j]
+        assert col[np.argmax(np.abs(col))] > 0.0
+    l2, rt2 = top_factors(a.copy(), r)
+    assert np.array_equal(l, l2) and np.array_equal(rt, rt2)
+
+
+def test_top_factors_rank_out_of_range():
+    with pytest.raises(ValueError):
+        top_factors(np.eye(3), 0)
+    with pytest.raises(ValueError):
+        top_factors(np.ones((3, 5)), 4)
+
+
+def _exactly_truncated_svd(got, a, r):
+    want = truncate(svd(a), r)
+    return all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def test_top_factors_ill_conditioned_falls_back_to_svd():
+    rng = np.random.default_rng(13)
+    q1, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    q2, _ = np.linalg.qr(rng.normal(size=(8, 8)))
+    sigma = np.array([1.0, 0.5, 0.2, 0.1, GRAM_MIN_SIGMA_RATIO / 10, 1e-6, 1e-7, 1e-8])
+    a = (q1 * sigma) @ q2.T
+    assert _exactly_truncated_svd(top_factors(a, 5), a, 5)
+
+
+def test_top_factors_zero_matrix_falls_back_to_svd():
+    a = np.zeros((4, 6))
+    assert _exactly_truncated_svd(top_factors(a, 2), a, 2)
+
+
+def test_top_factors_eigh_failure_falls_back_to_svd(monkeypatch):
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    a = np.random.default_rng(14).normal(size=(9, 7))
+    monkeypatch.setattr(np.linalg, "eigh", boom)
+    assert _exactly_truncated_svd(top_factors(a, 3), a, 3)
+
+
+def test_top_factors_total_failure_names_the_matrix(monkeypatch):
+    import scipy.linalg
+
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", boom)
+    monkeypatch.setattr(np.linalg, "svd", boom)
+    monkeypatch.setattr(scipy.linalg, "svd", boom)
+    with pytest.raises(DecompositionError, match="v_proj"):
+        top_factors(np.eye(3), 2, name="v_proj")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rankprune import pipeline, store, synth, transformer
+from rankprune.config import ModelConfig
 from rankprune.errors import CalibrationError, InfeasibleRatioError, ManifestError
 from rankprune.pipeline import CompressionPlan, compress_model, sample_calibration_windows
 from rankprune.transformer import ALL_SITES, count_params_macs, forward, model_from_tensors, perplexity
@@ -263,3 +264,23 @@ def test_plan_validation():
         CompressionPlan(keep_ratio=0.5, aggregation="l7")
     with pytest.raises(ValueError):
         CompressionPlan(keep_ratio=0.5, mha_method="magic")
+
+
+def test_awsvd_at_width_512_makes_no_full_svd(monkeypatch):
+    # q/k get rank 64 and v/o rank 192 of 512 here; every factor pair must
+    # come from the Gram eigendecomposition, not the full-SVD fallback.
+    cfg = ModelConfig(dim=512, n_heads=8, head_dim=64, n_layers=1, ffn_dim=1376, vocab_size=256)
+    model = synth.make_planted_model(cfg, seed=0)
+    calib = synth.random_token_stream(512, seed=3)
+    calls = []
+    full_svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return full_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    _, manifest, _ = compress_model(model, _plan(0.5, calib_samples=4, calib_tokens=64), calib)
+    ranks = {p: s["rank"] for p, s in manifest["layers"][0]["mha"]["schemes"].items()}
+    assert ranks == {"q_proj": 64, "k_proj": 64, "v_proj": 192, "o_proj": 192}
+    assert calls == []

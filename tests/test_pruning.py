@@ -334,6 +334,22 @@ def test_energy_rank_ratio_sigma_flag():
     assert energy_rank_ratio(w, 0.9, use_singular_values=True) >= energy_rank_ratio(w, 0.9)
 
 
+def test_energy_rank_ratio_keeps_the_svd_fallbacks(monkeypatch):
+    import scipy.linalg
+
+    from rankprune.errors import DecompositionError
+
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    w = np.diag([3.0, 2.0, 1.0])
+    monkeypatch.setattr(np.linalg, "svd", boom)
+    assert energy_rank_ratio(w, 0.5) == pytest.approx(100.0 / 3.0, abs=1e-9)
+    monkeypatch.setattr(scipy.linalg, "svd", boom)
+    with pytest.raises(DecompositionError):
+        energy_rank_ratio(w, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # Head pruning diagnostic
 

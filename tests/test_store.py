@@ -237,6 +237,54 @@ def _kept_heads_descending(rec, tensors):
     tensors[name] = tensors[name][::-1].copy()
 
 
+def _float_rank(manifest, tensors):
+    manifest["layers"][0]["mha"]["schemes"]["q_proj"]["rank"] = 8.0
+
+
+def _bool_rank(manifest, tensors):
+    # True == 1, so the factor tensors and the parameter total are cut to
+    # rank 1 to leave the type as the only fault.
+    manifest["layers"][0]["mha"]["schemes"]["q_proj"]["rank"] = True
+    for side, cut in (("L", np.s_[:, :1]), ("R", np.s_[:1, :])):
+        name = f"model.layers.0.self_attn.q_proj.{side}"
+        tensors[name] = np.ascontiguousarray(tensors[name][cut])
+    manifest["global"]["params"]["layer_retained"] -= 7 * (64 + 64)
+
+
+def _float_count(manifest, tensors):
+    manifest["layers"][0]["ffn"]["retained_count"] = 102.0
+
+
+# A rank or count that is a float or bool compares equal to the int it
+# stands for, so only a type check catches it.
+@pytest.mark.parametrize(
+    "corrupt, keep, d_m, message",
+    [
+        (_float_rank, 0.5, 172, "q_proj rank must be a positive integer"),
+        (_bool_rank, 0.5, 172, "q_proj rank must be a positive integer"),
+        (_float_count, 0.8, 128, "retained_count must be a positive integer"),
+    ],
+)
+def test_non_integer_rank_or_count_is_rejected(tmp_path, corrupt, keep, d_m, message):
+    config, _, _, out = _compressed_toy(tmp_path, keep=keep, d_m=d_m)
+    manifest = json.loads((out / "manifest.json").read_text())
+    tensors, _ = read_container(out / "model.safetensors")
+    store.validate_manifest(manifest, tensors, config)
+    corrupt(manifest, tensors)
+    with pytest.raises(ManifestError, match=message):
+        store.validate_manifest(manifest, tensors, config)
+
+
+def test_float_rank_exits_2_under_stats(tmp_path):
+    from rankprune.cli import main
+
+    _, _, _, out = _compressed_toy(tmp_path)
+    manifest = json.loads((out / "manifest.json").read_text())
+    _float_rank(manifest, None)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["stats", "--model", str(out)]) == 2
+
+
 # Each corruption keeps the index tensors in step with the manifest where
 # the rule allows it, so only the rule under test can catch it.
 @pytest.mark.parametrize(
