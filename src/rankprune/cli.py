@@ -265,8 +265,7 @@ def cmd_compress(args) -> int:
     if args.ratio is not None:
         plan = pipeline.CompressionPlan(keep_ratio=args.ratio, **knobs)
     else:
-        params_total, _ = count_params_macs(model, 1)
-        plan = pipeline.plan_from_ratio_s(config, params_total, args.target_ratio, **knobs)
+        plan = pipeline.plan_from_ratio_s(config, args.target_ratio, **knobs)
     compressed, manifest, report = pipeline.compress_model(
         model, plan, stream, calib_sha256=sha256_file(args.data)
     )

@@ -36,48 +36,31 @@ class FactorPair:
     l: np.ndarray       # (d_out, r)
     r: np.ndarray       # (r, d_in)
     rank: int
-    source: str
     weighted_error: float
 
-    @property
-    def d_out(self) -> int:
-        return self.l.shape[0]
 
-    @property
-    def d_in(self) -> int:
-        return self.r.shape[1]
-
-    @property
-    def n_params(self) -> int:
-        return self.rank * (self.d_out + self.d_in)
-
-    @property
-    def saves_params(self) -> bool:
-        return self.n_params < self.d_out * self.d_in
-
-
-def floored_weights(x_din, d_in: int, eps: float = XDIN_EPS) -> np.ndarray:
+def floored_weights(x_din, d_in: int) -> np.ndarray:
     x = np.asarray(x_din, dtype=np.float64)
     if x.shape != (d_in,):
         raise ShapeMismatchError(f"x_din has shape {x.shape}, expected ({d_in},)")
     if np.any(x < 0.0) or not np.all(np.isfinite(x)):
         raise ValueError("x_din entries must be finite and non-negative")
-    return np.maximum(x, eps)
+    return np.maximum(x, XDIN_EPS)
 
 
-def awsvd_factor(w, x_din, rank: int, name: str = "matrix", eps: float = XDIN_EPS) -> FactorPair:
+def awsvd_factor(w, x_din, rank: int, name: str = "matrix") -> FactorPair:
     """Best rank-r pair under the diagonal activation weighting.
 
-    All-zero x_din entries are floored to eps, never an error: the
+    All-zero x_din entries are floored to XDIN_EPS, never an error: the
     weighting then degenerates toward plain truncated SVD for those
     columns.
     """
     w = as_matrix(w, name)
-    d = floored_weights(x_din, w.shape[1], eps)
+    d = floored_weights(x_din, w.shape[1])
     left, right = top_factors(w * d[None, :], rank, name=name)
     r_mat = right / d[None, :]
     err = weighted_frobenius_error(w, left, r_mat, d)
-    return FactorPair(l=left, r=r_mat, rank=rank, source=name, weighted_error=err)
+    return FactorPair(l=left, r=r_mat, rank=rank, weighted_error=err)
 
 
 def plain_factor(w, rank: int, name: str = "matrix") -> FactorPair:
@@ -85,7 +68,7 @@ def plain_factor(w, rank: int, name: str = "matrix") -> FactorPair:
     w = as_matrix(w, name)
     left, right = top_factors(w, rank, name=name)
     err = weighted_frobenius_error(w, left, right, np.ones(w.shape[1]))
-    return FactorPair(l=left, r=right, rank=rank, source=name, weighted_error=err)
+    return FactorPair(l=left, r=right, rank=rank, weighted_error=err)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +96,6 @@ class MhaAllocation:
     budget: int
     qk_budget: int
     vo_budget: int
-    alloc_ratio: tuple[float, float]
     schemes: dict[str, MatrixScheme]
     slack: int
 
@@ -196,7 +178,6 @@ def allocate_mha(
         budget=budget,
         qk_budget=qk_budget,
         vo_budget=vo_budget,
-        alloc_ratio=tuple(alloc_ratio),
         schemes=schemes,
         slack=budget - realized,
     )

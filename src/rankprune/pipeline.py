@@ -85,9 +85,13 @@ class CompressionPlan:
             raise ValueError("calibration sample and token counts must be >= 1")
 
 
-def plan_from_ratio_s(config: ModelConfig, param_total: int, ratio_s: float, **knobs) -> CompressionPlan:
-    """Derive the per-layer keep fraction from a whole-model removal target."""
-    ratio_plan: RatioPlan = store.plan_ratio(config, param_total, ratio_s)
+def plan_from_ratio_s(config: ModelConfig, ratio_s: float, **knobs) -> CompressionPlan:
+    """Derive the per-layer keep fraction from a whole-model removal target.
+
+    The parameter total is that of a dense checkpoint with config's shapes
+    (store.dense_param_total), the only kind `compress` reads.
+    """
+    ratio_plan: RatioPlan = store.plan_ratio(config, store.dense_param_total(config), ratio_s)
     return CompressionPlan(keep_ratio=ratio_plan.layer_keep, target_ratio_s=ratio_s, **knobs)
 
 
@@ -98,8 +102,11 @@ def sample_calibration_windows(
 
     The stream is partitioned into aligned, disjoint blocks of `window`
     tokens and n of them are drawn without replacement, which guarantees
-    non-overlap and reproducibility.
+    non-overlap and reproducibility.  n_samples or window below 1 is a
+    ValueError.
     """
+    if n_samples < 1 or window < 1:
+        raise ValueError(f"calibration needs >= 1 sample of >= 1 token, got {n_samples} x {window}")
     stream = np.asarray(stream)
     n_blocks = stream.size // window
     if n_blocks < n_samples:
@@ -289,7 +296,7 @@ def _factor_attention(weights, x_by_proj, plan):
     pairs = compress_mha(attn, x_by_proj, alloc, use_activation_weights=plan.mha_method == "awsvd")
     factored = {p: pair for p, pair in pairs.items() if pair is not None}
     budget = {
-        "alloc_ratio": list(alloc.alloc_ratio),
+        "alloc_ratio": list(plan.alloc_ratio),
         "budget": alloc.budget,
         "qk_budget": alloc.qk_budget,
         "vo_budget": alloc.vo_budget,
@@ -315,7 +322,7 @@ def _prune_heads(cfg, layer, weights, x_by_proj, plan):
 def _prune_ffn(weights, x_by_proj, plan):
     up, gate, down = weights["up_proj"], weights["gate_proj"], weights["down_proj"]
     scores = pruning.group_scores(up, gate, down, x_by_proj["up_proj"], x_by_proj["down_proj"], plan.aggregation)
-    decision = pruning.decide_pruning(scores, plan.keep_ratio, plan.retain_least, plan.aggregation)
+    decision = pruning.decide_pruning(scores, plan.keep_ratio, plan.retain_least)
     up, gate, down = pruning.apply_pruning(up, gate, down, decision)
     return {"up_proj": Dense(up), "gate_proj": Dense(gate), "down_proj": Dense(down)}, decision
 

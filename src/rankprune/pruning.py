@@ -75,9 +75,6 @@ class PruneDecision:
 
     retained: np.ndarray
     provenance: tuple[str, ...]
-    keep_ratio: float
-    retain_least: float
-    aggregation: str = "l2"
 
     @property
     def n_retained(self) -> int:
@@ -103,7 +100,7 @@ def bottom_quota(d_m: int, n_retained: int, retain_least: float) -> int:
     return min(quota, n_retained)
 
 
-def decide_pruning(scores, keep_ratio: float, retain_least: float = 0.01, aggregation: str = "l2") -> PruneDecision:
+def decide_pruning(scores, keep_ratio: float, retain_least: float = 0.01) -> PruneDecision:
     """Choose round(keep_ratio * d_m) channels to keep.
 
     max(1, floor(retain_least * d_m)) of them come from the bottom of the
@@ -133,13 +130,7 @@ def decide_pruning(scores, keep_ratio: float, retain_least: float = 0.01, aggreg
     flags.update({int(i): "bottom" for i in bottom})
     retained = np.sort(np.concatenate([top, bottom])).astype(np.int64)
     provenance = tuple(flags[int(i)] for i in retained)
-    return PruneDecision(
-        retained=retained,
-        provenance=provenance,
-        keep_ratio=keep_ratio,
-        retain_least=retain_least,
-        aggregation=aggregation,
-    )
+    return PruneDecision(retained=retained, provenance=provenance)
 
 
 def apply_pruning(up, gate, down, decision: PruneDecision) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -63,58 +63,60 @@ def make_random_model(config: ModelConfig, seed: int, scale: float = 0.05) -> Tr
     )
 
 
-def _planted_low_rank(rng: np.random.Generator, d_out: int, d_in: int, rank: int, scale: float, noise: float) -> np.ndarray:
-    a = rng.normal(0.0, 1.0, (d_out, rank))
-    b = rng.normal(0.0, 1.0, (rank, d_in))
-    w = (a @ b) * (scale / np.sqrt(rank))
-    return w + rng.normal(0.0, noise * scale, (d_out, d_in))
+PLANTED_QK_RANK = 6
+PLANTED_VO_RANK = 20
+PLANTED_NOISE = 0.03
+PLANTED_ATTN_SCALE = 0.25
+PLANTED_FFN_SCALE = 0.20
+PLANTED_HEAD_SCALE = 0.30
+PLANTED_OUTLIER_FEATURES = 8
+PLANTED_OUTLIER_SCALE = 6.0
+PLANTED_STRONG_CHANNEL_FRAC = 0.25
+PLANTED_STRONG_CHANNEL_SCALE = 4.0
 
 
-def make_planted_model(
-    config: ModelConfig,
-    seed: int,
-    qk_rank: int = 6,
-    vo_rank: int = 20,
-    noise: float = 0.03,
-    attn_scale: float = 0.25,
-    ffn_scale: float = 0.20,
-    head_scale: float = 0.30,
-    n_outlier_features: int = 8,
-    outlier_scale: float = 6.0,
-    strong_channel_frac: float = 0.25,
-    strong_channel_scale: float = 4.0,
-) -> TransformerModel:
+def _planted_low_rank(rng: np.random.Generator, d: int, rank: int) -> np.ndarray:
+    a = rng.normal(0.0, 1.0, (d, rank))
+    b = rng.normal(0.0, 1.0, (rank, d))
+    w = (a @ b) * (PLANTED_ATTN_SCALE / np.sqrt(rank))
+    return w + rng.normal(0.0, PLANTED_NOISE * PLANTED_ATTN_SCALE, (d, d))
+
+
+def make_planted_model(config: ModelConfig, seed: int) -> TransformerModel:
     """Fixture with planted structure matching the method's assumptions.
 
-    Attention weights are low-rank plus noise (q/k lower-rank than v/o),
-    FFN weights have a flat spectrum but concentrate their output energy
-    in a strong minority of intermediate channels, and the embedding
-    carries a few outlier features so input-norm weighting has signal.
+    Attention weights are low-rank plus noise (q/k rank PLANTED_QK_RANK,
+    lower than v/o's PLANTED_VO_RANK), FFN weights have a flat spectrum
+    but concentrate their output energy in a strong minority of
+    intermediate channels, and the embedding carries a few outlier
+    features so input-norm weighting has signal.  The PLANTED_* constants
+    and the draw order fix the weights a (config, seed) gives, which the
+    fixture hashes pin.
     """
     rng = np.random.default_rng(seed)
     d, d_m = config.dim, config.ffn_dim
 
     embed = rng.normal(0.0, 1.0, (config.vocab_size, d))
-    outlier = rng.choice(d, size=n_outlier_features, replace=False)
-    embed[:, outlier] *= outlier_scale
+    outlier = rng.choice(d, size=PLANTED_OUTLIER_FEATURES, replace=False)
+    embed[:, outlier] *= PLANTED_OUTLIER_SCALE
 
     layers = []
     for _ in range(config.n_layers):
-        gate = rng.normal(0.0, ffn_scale, (d_m, d))
-        up = rng.normal(0.0, ffn_scale, (d_m, d))
-        down = rng.normal(0.0, ffn_scale, (d, d_m))
-        n_strong = max(1, int(round(strong_channel_frac * d_m)))
+        gate = rng.normal(0.0, PLANTED_FFN_SCALE, (d_m, d))
+        up = rng.normal(0.0, PLANTED_FFN_SCALE, (d_m, d))
+        down = rng.normal(0.0, PLANTED_FFN_SCALE, (d, d_m))
+        n_strong = max(1, int(round(PLANTED_STRONG_CHANNEL_FRAC * d_m)))
         strong = rng.choice(d_m, size=n_strong, replace=False)
-        gate[strong, :] *= strong_channel_scale
-        up[strong, :] *= strong_channel_scale
+        gate[strong, :] *= PLANTED_STRONG_CHANNEL_SCALE
+        up[strong, :] *= PLANTED_STRONG_CHANNEL_SCALE
         layers.append(
             _layer_from_arrays(
                 d,
                 {
-                    "q": _planted_low_rank(rng, d, d, qk_rank, attn_scale, noise),
-                    "k": _planted_low_rank(rng, d, d, qk_rank, attn_scale, noise),
-                    "v": _planted_low_rank(rng, d, d, vo_rank, attn_scale, noise),
-                    "o": _planted_low_rank(rng, d, d, vo_rank, attn_scale, noise),
+                    "q": _planted_low_rank(rng, d, PLANTED_QK_RANK),
+                    "k": _planted_low_rank(rng, d, PLANTED_QK_RANK),
+                    "v": _planted_low_rank(rng, d, PLANTED_VO_RANK),
+                    "o": _planted_low_rank(rng, d, PLANTED_VO_RANK),
                     "gate": gate,
                     "up": up,
                     "down": down,
@@ -126,7 +128,7 @@ def make_planted_model(
         embed=embed,
         layers=tuple(layers),
         final_norm=np.ones(d),
-        lm_head=rng.normal(0.0, head_scale, (config.vocab_size, d)),
+        lm_head=rng.normal(0.0, PLANTED_HEAD_SCALE, (config.vocab_size, d)),
     )
 
 
@@ -169,24 +171,17 @@ def write_fixture(
     n_layers: int = 2,
     calib_tokens: int = 8192,
     eval_tokens: int = 4096,
-    planted: bool = True,
 ) -> Path:
-    """Write a self-contained fixture: model, config, calib and eval tokens.
-
-    The planted fixture ships data sampled from the model itself, so its
-    perplexity reflects compression damage rather than noise.
+    """Write a self-contained fixture: a planted model, its config, and
+    calib and eval tokens sampled from the model itself, so perplexity
+    reflects compression damage rather than noise.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     config = toy_config(n_layers)
-    if planted:
-        model = make_planted_model(config, seed)
-        calib = sample_from_model(model, calib_tokens, seed + 1, window=64)
-        evalset = sample_from_model(model, eval_tokens, seed + 2, window=64)
-    else:
-        model = make_random_model(config, seed)
-        calib = random_token_stream(calib_tokens, seed + 1)
-        evalset = random_token_stream(eval_tokens, seed + 2)
+    model = make_planted_model(config, seed)
+    calib = sample_from_model(model, calib_tokens, seed + 1, window=64)
+    evalset = sample_from_model(model, eval_tokens, seed + 2, window=64)
     write_container(out_dir / "model.safetensors", model_to_tensors(model))
     (out_dir / "config.json").write_text(canonical_json(config.to_dict()), encoding="utf-8")
     (out_dir / "calib.bin").write_bytes(detokenize_bytes(calib))
@@ -201,9 +196,8 @@ def _main(argv=None) -> int:
     parser.add_argument("out_dir")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--layers", type=int, default=2)
-    parser.add_argument("--random", action="store_true", help="plain random init instead of planted structure")
     args = parser.parse_args(argv)
-    path = write_fixture(args.out_dir, seed=args.seed, n_layers=args.layers, planted=not args.random)
+    path = write_fixture(args.out_dir, seed=args.seed, n_layers=args.layers)
     print(f"fixture written to {path}")
     return 0
 

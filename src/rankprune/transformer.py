@@ -452,7 +452,10 @@ def count_params_macs(model: TransformerModel, seq_len: int) -> tuple[int, int]:
     rotary rotation and the elementwise gate are not matrix products and
     are excluded.  A projection costs one multiply-accumulate per stored
     parameter at each position, so its MACs are seq_len * n_params.
+    seq_len below 1 is a ValueError.
     """
+    if seq_len < 1:
+        raise ValueError("seq_len must be >= 1")
     cfg = model.config
     params = int(model.embed.size + model.lm_head.size + model.final_norm.size)
     macs = seq_len * int(model.lm_head.size)

@@ -117,18 +117,21 @@ def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# sha256 of the fixture's sampled token files, pinned from the sampler
-# that kept its own copy of the layer math, before it decoded through
-# transformer._layer_forward.  Every golden hash above and every
-# benchmark ppl rests on these tokens.
-GOLDEN_FIXTURE_TOKENS = {
+# sha256 of every fixture file.  The token files were pinned from the
+# sampler that kept its own copy of the layer math, before it decoded
+# through transformer._layer_forward; the model and config were pinned
+# while make_planted_model still took its structure as keyword arguments.
+# Every golden hash above and every benchmark ppl rests on these bytes.
+GOLDEN_FIXTURE = {
+    "model.safetensors": "7767338b1d543a515d4d612b21289d5a2afd8323959ef52545457687dc79323d",
+    "config.json": "5d27606ab047083dc9885d5af94972dd37dbce7966d31a0bd7d37ff2f7148f20",
     "calib.bin": "f21e1f4c89eba9ca4283c5e2480f8b40daf3733757be52821db77d0ac5c8475c",
     "eval.bin": "b4319fface6b1407efe4d278e37bb8f74fef184d88fb57a5af86452f808ee060",
 }
 
 
-def test_fixture_tokens_match_golden_hashes(fixture_dir):
-    assert {name: _sha256(fixture_dir / name) for name in GOLDEN_FIXTURE_TOKENS} == GOLDEN_FIXTURE_TOKENS
+def test_fixture_matches_golden_hashes(fixture_dir):
+    assert {name: _sha256(fixture_dir / name) for name in GOLDEN_FIXTURE} == GOLDEN_FIXTURE
 
 
 def test_compress_outputs_match_golden_hashes(fixture_dir, tmp_path):
@@ -313,11 +316,24 @@ def test_target_ratio_flag(fixture_dir, tmp_path):
     assert manifest["global"]["layer_keep_ratio"] < 0.8  # layers absorb more than 20%
 
 
-def test_usage_errors_exit_1(fixture_dir, capsys):
+def test_usage_errors_exit_1(fixture_dir, tmp_path, capsys):
     assert main(["frobnicate"]) == 1  # unknown subcommand
     assert main(["compress", "--nonsense"]) == 1  # unknown flag
     assert main(["eval", "--model", "x"]) == 1  # missing required --data
     assert main(["compress", "--model", "m", "--config", "c", "--data", "d", "--out", "o"]) == 1  # no ratio
+    model = ["--model", str(fixture_dir / "model.safetensors"), "--config", str(fixture_dir / "config.json")]
+    calibrate = ["calibrate", *model, "--data", str(fixture_dir / "calib.bin"), "--out", str(tmp_path / "s.json")]
+    compress = _compress_args(fixture_dir, tmp_path / "z")
+    for command in (calibrate, compress):
+        for flag in ("--samples", "--seqlen"):
+            for value in ("0", "-1"):
+                capsys.readouterr()
+                assert main([*command, flag, value]) == 1, (command[0], flag, value)
+                assert "usage error" in capsys.readouterr().err
+    for value in ("0", "-5"):  # a window without positions has no MACs to count
+        assert main(["stats", *model, "--seqlen", value]) == 1
+        assert "seq_len must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists() and not (tmp_path / "z").exists()
 
 
 @pytest.mark.parametrize(

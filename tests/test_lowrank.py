@@ -87,15 +87,6 @@ def test_zero_xdin_floored_not_error():
     assert np.all(np.isfinite(pair.r))
 
 
-def test_factor_pair_accounting():
-    rng = np.random.default_rng(6)
-    pair = awsvd_factor(rng.normal(size=(16, 8)), np.ones(8), 3)
-    assert pair.n_params == 3 * (16 + 8)
-    assert pair.saves_params
-    full = awsvd_factor(rng.normal(size=(16, 8)), np.ones(8), 8)
-    assert not full.saves_params
-
-
 def test_energy_concentration_on_planted_instance():
     # W = planted low-rank + noise, with x_din large exactly on the input
     # features the planted part reads: weighting concentrates the spectrum

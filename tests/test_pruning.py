@@ -259,7 +259,7 @@ def test_apply_pruning_single_channel_shapes():
 def test_apply_pruning_index_out_of_range():
     from rankprune.pruning import PruneDecision
 
-    bad = PruneDecision(retained=np.array([5]), provenance=("top",), keep_ratio=0.5, retain_least=0.0)
+    bad = PruneDecision(retained=np.array([5]), provenance=("top",))
     with pytest.raises(IndexError):
         apply_pruning(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((2, 3)), bad)
 

@@ -443,6 +443,12 @@ def test_count_params_macs_hand_count():
     assert macs == 1024 + 256 + 1152 + 512
 
 
+@pytest.mark.parametrize("seq_len", [0, -5])
+def test_count_params_macs_rejects_empty_window(random_model, seq_len):
+    with pytest.raises(ValueError, match="seq_len must be >= 1"):
+        count_params_macs(random_model, seq_len)
+
+
 def test_count_params_matches_tensor_walk(random_model):
     params, _ = count_params_macs(random_model, 1)
     tensors = model_to_tensors(random_model)
