@@ -17,6 +17,7 @@ from . import store
 from .config import ModelConfig
 from .container import write_container
 from .transformer import (
+    BYTE_VOCAB,
     Dense,
     TransformerLayer,
     TransformerModel,
@@ -132,9 +133,9 @@ def make_planted_model(config: ModelConfig, seed: int) -> TransformerModel:
     )
 
 
-def random_token_stream(n_tokens: int, seed: int, vocab_size: int = 256) -> np.ndarray:
+def random_token_stream(n_tokens: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return rng.integers(0, vocab_size, size=n_tokens, dtype=np.int64)
+    return rng.integers(0, BYTE_VOCAB, size=n_tokens, dtype=np.int64)
 
 
 def sample_from_model(model: TransformerModel, n_tokens: int, seed: int, window: int = 64) -> np.ndarray:

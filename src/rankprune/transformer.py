@@ -13,9 +13,10 @@ sequential products (R then L), pruned FFNs at their reduced width,
 head-pruned attention with its reduced head count.
 
 Causal attention is per-head BLAS matmul on (heads, tokens, head_dim)
-views: the scores get a cached read-only additive causal bias, the
-softmax exponentiates them in place, and the rows are normalised after
-the value product, on (tokens, head_dim) rather than (tokens, tokens).
+views under a cached read-only causal mask (bool and 0/1 float64, 9 bytes
+per entry).  Its softmax never passes -inf to `exp`, which numpy sends
+down a slow path: masked scores are clamped, then zeroed by the 0/1 mask.
+Rotary embedding rotates each component pair as one complex number.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from . import store
 from .config import ModelConfig
@@ -154,45 +154,56 @@ def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float) -> np.ndarray:
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    return x * expit(x)
+    with np.errstate(over="ignore"):  # below x = -709, x / inf is the signed zero
+        return x / (1.0 + np.exp(-x))
 
 
 @lru_cache(maxsize=16)
-def _rope_tables(n_pos: int, head_dim: int, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    half = head_dim // 2
-    inv_freq = theta ** (-2.0 * np.arange(half) / head_dim)
-    angles = np.outer(np.arange(n_pos, dtype=np.float64), inv_freq)
-    return np.cos(angles), np.sin(angles)
+def _rope_tables(n_pos: int, head_dim: int, theta: float) -> np.ndarray:
+    angles = np.outer(np.arange(n_pos, dtype=np.float64), theta ** (-2.0 * np.arange(head_dim // 2) / head_dim))
+    rot = np.cos(angles) + 1j * np.sin(angles)
+    rot.flags.writeable = False  # cached: every caller shares it
+    return rot
 
 
 def apply_rope(x: np.ndarray, theta: float, start: int = 0, capacity: int | None = None) -> np.ndarray:
     """Rotate consecutive component pairs of each head by position-dependent angles.
 
-    x has shape (..., n_tokens, n_heads, head_dim) and holds positions
-    start, start + 1, ...; pair (2i, 2i+1) at position m is rotated by
-    m * theta^(-2i/head_dim).  The tables are built for `capacity`
-    positions (default: just enough) and sliced, so a caller stepping
-    through a window asks for one table, not one per step.
+    x is (..., n_tokens, n_heads, head_dim) at positions start, start + 1, ...; pair (2i, 2i+1) at
+    position m, as the complex number x[2i] + i x[2i+1], is multiplied by exp(i m theta^(-2i/head_dim)).
+    Tables cover `capacity` positions (default: just enough) and are sliced: one table per window.
     """
     n_pos, _, head_dim = x.shape[-3:]
-    cos, sin = _rope_tables(capacity or start + n_pos, head_dim, theta)
-    cos = cos[start : start + n_pos, None, :]
-    sin = sin[start : start + n_pos, None, :]
-    even = x[..., 0::2]
-    odd = x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
+    rot = _rope_tables(capacity or start + n_pos, head_dim, theta)[start : start + n_pos, None, :]
+    return (np.ascontiguousarray(x).view(np.complex128) * rot).view(np.float64)
 
 
 @lru_cache(maxsize=4)
-def _causal_bias(n_pos: int) -> np.ndarray:
-    """Read-only additive causal mask, (n_pos, n_pos): 0 on and below the
-    diagonal, -inf above.  A few lengths are cached; each costs n_pos^2 * 8 bytes."""
-    bias = np.triu(np.full((n_pos, n_pos), -np.inf), k=1)
-    bias.flags.writeable = False
-    return bias
+def _causal_mask(n_pos: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only causal masks, (n_pos, n_pos): True and 1.0 on and below the diagonal,
+    False and 0.0 above.  A few lengths are cached; each costs n_pos^2 * 9 bytes."""
+    keep = np.tri(n_pos, dtype=bool)
+    keep_f = keep.astype(np.float64)
+    keep.flags.writeable = keep_f.flags.writeable = False
+    return keep, keep_f
+
+
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int, capacity: int) -> np.ndarray:
+    """Causal softmax(q kᵀ / √d_h) v on (..., heads, tokens, head_dim) arrays, for
+    queries at positions start.. of a window of up to `capacity` positions.
+
+    Once each row's maximum over kept scores is subtracted, the clamp at 0 changes no
+    kept score and keeps masked ones finite, so exp never sees -inf or overflows; the 0/1
+    mask then zeroes them exactly.  Rows are divided by their sums (>= 1) after the value product.
+    """
+    end = start + q.shape[-2]
+    keep, keep_f = (mask[start:end, :end] for mask in _causal_mask(capacity))
+    scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ k.swapaxes(-1, -2)
+    scores -= scores.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    np.minimum(scores, 0.0, out=scores)
+    np.exp(scores, out=scores)
+    scores *= keep_f
+    return (scores @ v) / scores.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -298,27 +309,15 @@ def _layer_forward(
     q = layer.q(h).reshape(*lead, n_pos, n_heads, d_h)
     k = layer.k(h).reshape(*lead, n_pos, n_heads, d_h)
     v = layer.v(h).reshape(*lead, n_pos, n_heads, d_h)
-    q = apply_rope(q, cfg.rope_theta, start, capacity)
-    k = apply_rope(k, cfg.rope_theta, start, capacity)
+    q, k = (apply_rope(a, cfg.rope_theta, start, capacity) for a in (q, k))
     if cache is not None:
         cache.k[..., start:end, :, :] = k
         cache.v[..., start:end, :, :] = v
         cache.length = end
         k, v = cache.k[..., :end, :, :], cache.v[..., :end, :, :]
 
-    # Per-head BLAS products on (..., heads, tokens, ...) views, taken with the
-    # ndarray method (np.swapaxes/np.moveaxis cost Python calls per layer).  The
-    # softmax runs in place on the (heads, n, end) scores and divides by the row
-    # sums only after the value product, on (n, d_h) per head, not (n, end).
-    # Each row's maximum becomes exp(0) = 1, so every row sum is >= 1.
-    q, k, v = q.swapaxes(-3, -2), k.swapaxes(-3, -2), v.swapaxes(-3, -2)
-    scores = q @ k.swapaxes(-1, -2)
-    scores /= np.sqrt(d_h)
-    scores += _causal_bias(capacity)[start:end, :end]
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    denom = scores.sum(axis=-1, keepdims=True)
-    context = (scores @ v) / denom
+    # Per-head products on (..., heads, tokens, ...) views; the ndarray method, as np.swapaxes costs a call.
+    context = _attention(q.swapaxes(-3, -2), k.swapaxes(-3, -2), v.swapaxes(-3, -2), start, capacity)
     context = context.swapaxes(-3, -2).reshape(-1, n_heads * d_h)
     grab(SITE_ATTN_O_INPUT, context)
     x = x + layer.o(context)

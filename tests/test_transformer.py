@@ -1,7 +1,9 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from rankprune import store, synth
 from rankprune.config import ModelConfig
@@ -29,8 +31,10 @@ from rankprune.transformer import (
     model_to_tensors,
     perplexity,
     read_token_file,
-    _causal_bias,
+    _attention,
+    _causal_mask,
     _layer_forward,
+    _rope_tables,
     rms_norm,
     silu,
     tokenize_bytes,
@@ -189,15 +193,46 @@ def test_cached_steps_over_a_batch_match_full_windows(toy_cfg, oracle_layers, ki
     assert np.allclose(_layer_forward(toy_cfg, layer, x), full, rtol=1e-12, atol=1e-12)
 
 
-def test_causal_bias_is_cached_read_only_and_small():
-    bias = _causal_bias(5)
-    assert bias.flags.writeable is False
-    assert np.array_equal(np.isneginf(bias), np.triu(np.ones((5, 5), dtype=bool), k=1))
-    assert np.all(bias[np.tril_indices(5)] == 0.0)
-    assert _causal_bias(5) is bias
+def test_causal_mask_is_cached_read_only_and_small():
+    keep, keep_f = _causal_mask(5)
+    lower = np.tril(np.ones((5, 5), dtype=bool))
+    assert keep.dtype == bool and np.array_equal(keep, lower)
+    assert keep_f.dtype == np.float64 and np.array_equal(keep_f, lower.astype(np.float64))
+    assert keep.flags.writeable is False and keep_f.flags.writeable is False
+    assert _causal_mask(5)[0] is keep and _causal_mask(5)[1] is keep_f
     with pytest.raises(ValueError):
-        bias[0, 1] = 0.0
-    assert _causal_bias.cache_info().maxsize <= 4
+        keep[0, 1] = True
+    with pytest.raises(ValueError):
+        keep_f[0, 1] = 1.0
+    assert _causal_mask.cache_info().maxsize <= 4
+
+
+@pytest.mark.parametrize("start, capacity", [(0, 6), (5, 16)])
+def test_masked_scores_never_leak(start, capacity):
+    # Query i is 4 e_i, so after the 1/sqrt(16) scale its score against key j
+    # is exactly k[j, i]: every future key scores +1e300, and key 0 scores
+    # -1000, more than 745 below the row maximum wherever another key is kept,
+    # so its exp underflows.  start > 0 is a cached decode step whose mask is
+    # sliced from the one built for `capacity` positions.
+    n, d_h, end = 6, 16, start + 6
+    rng = np.random.default_rng(start)
+    causal = np.arange(end) <= np.arange(start, end)[:, None]  # (n, end)
+    q = np.tile(4.0 * np.eye(n, d_h), (2, 1, 1))
+    k = rng.normal(size=(2, end, d_h))
+    k[:, :, :n] = np.where(causal.T, k[:, :, :n], 1e300)
+    k[:, 0, :n] = -1000.0
+    v = rng.normal(size=(2, end, d_h))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = _attention(q, k, v, start, capacity)
+
+    scores = np.where(causal, q @ k.swapaxes(-1, -2) / np.sqrt(d_h), -np.inf)
+    assert np.max(scores[np.broadcast_to(causal, scores.shape)]) < 10.0
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    ref = (e / e.sum(axis=-1, keepdims=True)) @ v
+    assert np.all(np.isfinite(out))
+    assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
 
 
 def test_layer_forward_alternating_lengths_match_fresh_calls(toy_cfg, oracle_layers):
@@ -205,7 +240,7 @@ def test_layer_forward_alternating_lengths_match_fresh_calls(toy_cfg, oracle_lay
     xs = {n: np.random.default_rng(n).normal(size=(n, toy_cfg.dim)) for n in (33, 128)}
     fresh = {}
     for n, x in xs.items():
-        _causal_bias.cache_clear()
+        _causal_mask.cache_clear()
         fresh[n] = _grabbing_layer_forward(toy_cfg, layer, x)
     for n in (33, 128, 33):
         out, sites = _grabbing_layer_forward(toy_cfg, layer, xs[n])
@@ -233,6 +268,41 @@ def test_rope_preserves_pair_norms():
     )
     # position 0 is the identity rotation
     assert np.allclose(x[0], y[0], atol=1e-12)
+
+
+def test_silu_extremes_raise_no_warning():
+    x = np.array([1e3, 745.0, 40.0, 0.0, -40.0, -745.0, -1e3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = silu(x)
+    assert np.array_equal(y[:4], x[:4])
+    assert np.all(y[-2:] == 0.0) and np.all(np.signbit(y[-2:]))
+    assert y[4] < 0.0 and np.isclose(y[4], -40.0 * expit(-40.0), rtol=1e-15, atol=0.0)
+
+
+def test_silu_within_4_ulp_of_expit_form():
+    x = np.linspace(-700.0, 700.0, 10_000)
+    ref = x * expit(x)
+    assert np.all(np.abs(silu(x) - ref) <= 4 * np.spacing(np.abs(ref)))
+
+
+@pytest.mark.parametrize("start, capacity", [(0, None), (3, 20)])
+def test_apply_rope_matches_pairwise_formula(start, capacity):
+    n_pos, n_heads, d_h, theta = 9, 4, 16, 10000.0
+    x = np.random.default_rng(2).normal(size=(2, n_heads, n_pos, d_h)).swapaxes(1, 2)
+    assert not x.flags.c_contiguous
+    before = x.copy()
+    y = apply_rope(x, theta, start, capacity)
+    inv_freq = theta ** (-2.0 * np.arange(d_h // 2) / d_h)
+    angles = np.outer(np.arange(start, start + n_pos, dtype=np.float64), inv_freq)[:, None, :]
+    cos, sin = np.cos(angles), np.sin(angles)
+    even, odd = x[..., 0::2], x[..., 1::2]
+    assert y.shape == x.shape and y.dtype == np.float64
+    assert np.max(np.abs(y[..., 0::2] - (even * cos - odd * sin))) <= 1e-15
+    assert np.max(np.abs(y[..., 1::2] - (even * sin + odd * cos))) <= 1e-15
+    assert np.array_equal(x, before)
+    with pytest.raises(ValueError):
+        _rope_tables(n_pos, d_h, theta)[0, 0] = 0.0
 
 
 def test_full_rank_factored_matches_dense(random_model):
