@@ -250,7 +250,6 @@ def cmd_compress(args) -> int:
     config = ModelConfig.from_json(args.config) if args.config else None
     if config is None:
         raise ValueError("compress requires --config for the source checkpoint")
-    model = load_dense_model(args.model, config)
     stream = read_token_file(args.data, args.data_format)
     knobs = dict(
         alloc_ratio=parse_alloc_ratio(args.alloc),
@@ -266,8 +265,9 @@ def cmd_compress(args) -> int:
         plan = pipeline.CompressionPlan(keep_ratio=args.ratio, **knobs)
     else:
         plan = pipeline.plan_from_ratio_s(config, args.target_ratio, **knobs)
+    # Unbound here, so compress_model holds the only reference and frees each dense layer.
     compressed, manifest, report = pipeline.compress_model(
-        model, plan, stream, calib_sha256=sha256_file(args.data)
+        load_dense_model(args.model, config), plan, stream, calib_sha256=sha256_file(args.data)
     )
     model_path = pipeline.write_outputs(args.out, compressed, manifest, report)
     print(

@@ -5,11 +5,19 @@ load unmodified): an 8-byte little-endian unsigned header length, a JSON
 header mapping tensor name -> {dtype, shape, data_offsets}, then the raw
 payload.  Offsets are relative to the start of the payload, must ascend
 in header order, and must tile the payload exactly.
+
+Both directions stream tensor by tensor: the reader checks the whole
+header against the file size, then reads each tensor straight into its
+own array; the writer builds the header from shapes and byte counts,
+then writes each array's buffer in turn.  Neither holds a second copy of
+the payload, so reading or writing costs the tensors' own bytes plus at
+most one tensor.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -42,23 +50,42 @@ def read_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
     Arrays come back in their on-disk dtype; callers widen as needed.
     """
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise ContainerFormatError(f"{path}: file too short to hold a header length")
-    (header_len,) = struct.unpack("<Q", raw[:8])
-    if header_len > _MAX_HEADER or 8 + header_len > len(raw):
-        raise ContainerFormatError(f"{path}: header length {header_len} exceeds file size")
-    try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ContainerFormatError(f"{path}: header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ContainerFormatError(f"{path}: header must be a JSON object")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < 8:
+            raise ContainerFormatError(f"{path}: file too short to hold a header length")
+        (header_len,) = struct.unpack("<Q", _read_exact(fh, 8, path, "the header length"))
+        if header_len > _MAX_HEADER or 8 + header_len > size:
+            raise ContainerFormatError(f"{path}: header length {header_len} exceeds file size")
+        try:
+            header = json.loads(_read_exact(fh, header_len, path, "the header").decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ContainerFormatError(f"{path}: header is not valid JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ContainerFormatError(f"{path}: header must be a JSON object")
+        metadata = header.pop("__metadata__", {})
+        layout = _payload_layout(path, header, size - 8 - header_len)
+        tensors: dict[str, np.ndarray] = {}
+        for name, dt, shape in layout:
+            arr = np.empty(shape, dtype=dt)
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise ContainerFormatError(f"{path}: payload truncated at tensor {name!r}")
+            tensors[name] = arr
+    return tensors, metadata
 
-    payload = raw[8 + header_len :]
-    metadata = header.pop("__metadata__", {})
 
-    tensors: dict[str, np.ndarray] = {}
+def _read_exact(fh, n: int, path: str | Path, what: str) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ContainerFormatError(f"{path}: file truncated inside {what}")
+    return data
+
+
+def _payload_layout(path: str | Path, header: dict, payload_len: int) -> list[tuple[str, np.dtype, tuple[int, ...]]]:
+    """(name, dtype, shape) of every tensor in payload order, after checking
+    that the byte ranges ascend, tile a payload of payload_len bytes exactly
+    and match their shapes."""
+    layout = []
     cursor = 0
     for name, entry in header.items():
         try:
@@ -85,44 +112,41 @@ def read_container(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
                 f"{path}: tensor {name!r} byte range length {end - start} does not match "
                 f"shape {shape} x {dt.itemsize} bytes"
             )
-        if end > len(payload):
+        if end > payload_len:
             raise ContainerFormatError(f"{path}: payload truncated at tensor {name!r}")
-        tensors[name] = np.frombuffer(payload[start:end], dtype=dt).reshape(shape).copy()
+        layout.append((name, dt, shape))
         cursor = end
-    if cursor != len(payload):
+    if cursor != payload_len:
         raise ContainerFormatError(
-            f"{path}: payload has {len(payload) - cursor} trailing bytes not covered by any tensor"
+            f"{path}: payload has {payload_len - cursor} trailing bytes not covered by any tensor"
         )
-    return tensors, metadata
+    return layout
 
 
 def write_container(path: str | Path, tensors: dict[str, np.ndarray], metadata: dict | None = None) -> None:
     """Write tensors in sorted-name order with a canonical header.
 
     Identical inputs produce identical bytes, so compression runs can be
-    checked for reproducibility by comparing files.
+    checked for reproducibility by comparing files.  Only a tensor that is
+    not already C-contiguous little-endian is copied, while it is written.
     """
     header: dict[str, object] = {}
     if metadata:
         header["__metadata__"] = {str(k): str(v) for k, v in sorted(metadata.items())}
-    chunks: list[bytes] = []
+    arrays = {name: np.atleast_1d(np.asarray(tensors[name])) for name in sorted(tensors)}
     cursor = 0
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name])
-        arr = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        data = arr.tobytes()
+    for name, arr in arrays.items():
         header[name] = {
             "dtype": dtype_name(arr),
             "shape": list(arr.shape),
-            "data_offsets": [cursor, cursor + len(data)],
+            "data_offsets": [cursor, cursor + arr.nbytes],
         }
-        chunks.append(data)
-        cursor += len(data)
+        cursor += arr.nbytes
     body = json.dumps(header, separators=(",", ":"), sort_keys=False, ensure_ascii=False).encode("utf-8")
     if len(body) % 8:  # pad so the payload starts 8-aligned
         body += b" " * (8 - len(body) % 8)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(body)))
         fh.write(body)
-        for chunk in chunks:
-            fh.write(chunk)
+        for arr in arrays.values():
+            fh.write(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))

@@ -12,6 +12,13 @@ given (model bytes, calibration bytes, seed, plan).  The method functions
 return only what they decided; each layer's manifest and report entries
 are built in one place, `_layer_records`, from the source layer, the
 compressed layer and those decisions.
+
+`compress_model` never changes the model it is given.  Once the windows
+are embedded it refers to the model only through the one it is building,
+so a caller that hands over its only reference (as `cli compress` does)
+gets each dense layer freed as soon as its compressed layer replaces it,
+and the dense and compressed models are never both whole in memory.  A
+caller that keeps its model keeps all of it.
 """
 
 from __future__ import annotations
@@ -135,7 +142,11 @@ def compress_model(
     calib_stream: np.ndarray,
     calib_sha256: str = "",
 ) -> tuple[TransformerModel, dict, dict]:
-    """Run the full pipeline; returns (compressed model, manifest, report)."""
+    """Run the full pipeline; returns (compressed model, manifest, report).
+
+    `model` is left unchanged; pass its only reference to let each dense
+    layer go once it is compressed (see the module docstring).
+    """
     cfg = model.config
     calib, starts = sample_calibration_windows(
         calib_stream, plan.calib_samples, plan.calib_tokens, plan.seed
@@ -143,36 +154,21 @@ def compress_model(
     params_before, macs_before = count_params_macs(model, plan.calib_tokens)
     layer_params_before = sum(_layer_param_count(layer) for layer in model.layers)
 
-    work = model
     states = [embed(model, window) for window in calib]
+    # Only `work` refers to the model from here on (see the module docstring).
+    work = model
+    del model
     layer_manifests: list[dict] = []
     layer_reports: list[dict] = []
     for i in range(cfg.n_layers):
-        stats = layer_stats(work, states, i)
-        source = work.layers[i]
-        weights = _dense_weights(source)
-        x_by_proj = {p.name: stats.by_site[p.site] for p in store.PROJECTIONS}
-
-        try:
-            if plan.mha_method == "head_prune":
-                mha_maps, kept_heads, budget, errors = _prune_heads(cfg, source, weights, x_by_proj, plan)
-            else:
-                mha_maps, kept_heads, budget, errors = _factor_attention(weights, x_by_proj, plan)
-            if plan.ffn_method == "prune":
-                ffn_maps, decision = _prune_ffn(weights, x_by_proj, plan)
-            else:
-                ffn_maps, decision = _factor_ffn(weights, plan), None
-        except DecompositionError as exc:
-            raise DecompositionError(f"layer {i}: {exc}") from exc
-
-        retained = None if decision is None else decision.retained
-        compressed = source.with_projections({**mha_maps, **ffn_maps}, kept_heads=kept_heads, retained_channels=retained)
+        compressed, layer_manifest, layer_report = _compress_layer(
+            cfg, i, work.layers[i], layer_stats(work, states, i), plan
+        )
         work = work.replace_layer(i, compressed)
         if i + 1 < cfg.n_layers:
             # In place, so at most one window's state exists twice.
             for w, state in enumerate(states):
                 states[w] = advance(work, state, i)
-        layer_manifest, layer_report = _layer_records(i, plan, source, compressed, budget, errors, decision)
         layer_manifests.append(layer_manifest)
         layer_reports.append(layer_report)
 
@@ -224,6 +220,29 @@ def compress_model(
     }
     _cross_check(report)
     return work, manifest, report
+
+
+def _compress_layer(cfg, i, source, stats, plan):
+    """Compress dense layer i from its activation statistics; returns
+    (compressed layer, manifest entry, report entry).  Nothing here
+    outlives the call, so the source layer is held only by the model."""
+    weights = _dense_weights(source)
+    x_by_proj = {p.name: stats.by_site[p.site] for p in store.PROJECTIONS}
+    try:
+        if plan.mha_method == "head_prune":
+            mha_maps, kept_heads, budget, errors = _prune_heads(cfg, source, weights, x_by_proj, plan)
+        else:
+            mha_maps, kept_heads, budget, errors = _factor_attention(weights, x_by_proj, plan)
+        if plan.ffn_method == "prune":
+            ffn_maps, decision = _prune_ffn(weights, x_by_proj, plan)
+        else:
+            ffn_maps, decision = _factor_ffn(weights, plan), None
+    except DecompositionError as exc:
+        raise DecompositionError(f"layer {i}: {exc}") from exc
+
+    retained = None if decision is None else decision.retained
+    compressed = source.with_projections({**mha_maps, **ffn_maps}, kept_heads=kept_heads, retained_channels=retained)
+    return (compressed, *_layer_records(i, plan, source, compressed, budget, errors, decision))
 
 
 def _layer_param_count(layer: TransformerLayer) -> int:

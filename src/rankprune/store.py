@@ -184,7 +184,9 @@ def load_model(path: str | Path, config: ModelConfig) -> dict[str, np.ndarray]:
 
     Every expected tensor must be present with the shape the config
     implies and hold only finite values; unexpected extras (e.g. rotary
-    frequency buffers some exporters include) are ignored.
+    frequency buffers some exporters include) are ignored.  Tensors are
+    widened one at a time and each float32 array is dropped once widened,
+    so the peak is the float64 model plus one float32 tensor.
     """
     tensors, _ = read_container(path)
     shapes = expected_shapes(config)
@@ -193,7 +195,7 @@ def load_model(path: str | Path, config: ModelConfig) -> dict[str, np.ndarray]:
         raise MissingTensorError(f"{path}: missing tensors: {', '.join(missing)}")
     out: dict[str, np.ndarray] = {}
     for name, want in shapes.items():
-        arr = tensors[name]
+        arr = tensors.pop(name)
         if arr.shape != want:
             raise ShapeMismatchError(
                 f"{path}: tensor {name!r} has shape {arr.shape}, expected {want}"
@@ -407,6 +409,7 @@ def load_compressed(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     Returns (config, tensor map in float64/int64, manifest).  Float
     tensors must hold only finite values; a manifest without a valid
     config object is a ManifestError like any other manifest fault.
+    Tensors are widened one at a time, like `load_model`'s.
     """
     path = Path(path)
     model_path = path / "model.safetensors" if path.is_dir() else path
@@ -422,8 +425,8 @@ def load_compressed(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     for name, arr in tensors.items():
         require_finite(model_path, name, arr)
     validate_manifest(manifest, tensors, config)
-    widened = {
-        name: arr.astype(np.float64) if arr.dtype.kind == "f" else arr.astype(np.int64)
-        for name, arr in tensors.items()
-    }
+    widened: dict[str, np.ndarray] = {}
+    for name in list(tensors):
+        arr = tensors.pop(name)
+        widened[name] = arr.astype(np.float64 if arr.dtype.kind == "f" else np.int64)
     return config, widened, manifest

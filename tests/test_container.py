@@ -1,9 +1,12 @@
+import io
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from rankprune import container
 from rankprune.container import read_container, write_container
 from rankprune.errors import ContainerFormatError
 
@@ -162,3 +165,99 @@ def test_header_padding_keeps_payload_aligned(tmp_path):
     (header_len,) = struct.unpack("<Q", raw[:8])
     assert (8 + header_len) % 8 == 0
     read_container(path)  # padded header still parses
+
+
+# ---------------------------------------------------------------------------
+# Streaming writer and reader
+
+
+@pytest.mark.parametrize(
+    "arr",
+    [
+        np.zeros((3, 0), dtype=np.float32),
+        np.arange(6, dtype=">f4").reshape(2, 3),
+        np.arange(24, dtype=np.int64).reshape(4, 6)[:, ::2],
+        np.arange(12, dtype=np.float16).reshape(3, 4).T,
+        np.float32(2.5),
+    ],
+    ids=["zero-element", "big-endian", "strided", "transposed", "scalar"],
+)
+def test_streaming_writer_writes_what_tobytes_gave(tmp_path, arr):
+    # The payload is the little-endian C-order bytes a tobytes() copy held,
+    # and the header records the shape of that copy (a scalar as [1]).
+    path = tmp_path / "t.st"
+    write_container(path, {"a": arr, "b": np.ones(2, dtype=np.float32)})
+    want = np.ascontiguousarray(arr)
+    want = want.astype(want.dtype.newbyteorder("<"))
+    raw = path.read_bytes()
+    (header_len,) = struct.unpack("<Q", raw[:8])
+    header = json.loads(raw[8 : 8 + header_len])
+    assert header["a"]["shape"] == list(want.shape)
+    assert raw[8 + header_len :] == want.tobytes() + np.ones(2, dtype="<f4").tobytes()
+    loaded, _ = read_container(path)
+    assert loaded["a"].shape == want.shape
+    assert np.array_equal(loaded["a"], want)
+
+
+def test_write_container_holds_at_most_one_tensor_copy(tmp_path, heap_peak):
+    # 16 tensors of 64 KB: building every tensor's bytes before writing
+    # would hold all 1 MB at once; streaming holds at most one tensor,
+    # and only when that tensor needs a byte-order or layout copy.
+    rng = np.random.default_rng(3)
+    tensors = {f"t{i:02d}": rng.normal(size=(128, 128)).astype(np.float32) for i in range(15)}
+    tensors["t15"] = tensors["t00"].astype(">f4")
+    largest = max(arr.nbytes for arr in tensors.values())
+    _, peak = heap_peak(write_container, tmp_path / "t.st", tensors)
+    assert peak <= largest + 32 * 1024
+
+
+class _ShortReader(io.BufferedReader):
+    """A file whose readinto fills 4 bytes fewer than it is asked for."""
+
+    def readinto(self, buf):
+        view = memoryview(buf).cast("B")
+        return super().readinto(view[: max(0, len(view) - 4)])
+
+
+def test_short_readinto_is_truncation(tmp_path, monkeypatch):
+    path = tmp_path / "t.st"
+    write_container(path, {"a": np.arange(8, dtype=np.float32)})
+    monkeypatch.setattr(container, "open", lambda p, mode: _ShortReader(io.FileIO(p, mode)), raising=False)
+    with pytest.raises(ContainerFormatError, match="truncated at tensor 'a'"):
+        read_container(path)
+
+
+@pytest.mark.parametrize(
+    "raw, lost, message",
+    [
+        # the header checks pass against the stated size; the tensor read comes up short
+        (_raw_container({"a": {"dtype": "F32", "shape": [4], "data_offsets": [0, 16]}}, b"\x00" * 8),
+         8, "truncated at tensor 'a'"),
+        (struct.pack("<Q", 64) + b"{}", 62, "truncated inside the header"),
+    ],
+    ids=["in-tensor", "in-header"],
+)
+def test_file_shorter_than_fstat_said_is_truncation(tmp_path, monkeypatch, raw, lost, message):
+    # The file loses `lost` bytes between fstat and the read.
+    path = tmp_path / "t.st"
+    path.write_bytes(raw)
+    real_fstat = os.fstat
+
+    def fstat_before_shrink(fd):
+        st = real_fstat(fd)
+        return os.stat_result((*st[:6], st.st_size + lost, *st[7:]))
+
+    monkeypatch.setattr(container.os, "fstat", fstat_before_shrink)
+    with pytest.raises(ContainerFormatError, match=message):
+        read_container(path)
+
+
+def test_read_container_holds_one_copy_of_the_payload(tmp_path, heap_peak):
+    rng = np.random.default_rng(4)
+    tensors = {f"t{i:02d}": rng.normal(size=(128, 128)).astype(np.float32) for i in range(16)}
+    path = tmp_path / "t.st"
+    write_container(path, tensors)
+    payload = sum(arr.nbytes for arr in tensors.values())
+    loaded, peak = heap_peak(read_container, path)
+    assert peak <= payload + 32 * 1024
+    assert all(np.array_equal(loaded[0][name], arr) for name, arr in tensors.items())

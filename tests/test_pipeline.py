@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from rankprune import pipeline, store, synth, transformer
 from rankprune.config import ModelConfig
 from rankprune.errors import CalibrationError, InfeasibleRatioError, ManifestError
 from rankprune.pipeline import CompressionPlan, compress_model, sample_calibration_windows
-from rankprune.transformer import ALL_SITES, count_params_macs, forward, model_from_tensors, perplexity
+from rankprune.transformer import ALL_SITES, count_params_macs, forward, model_from_tensors, model_to_tensors, perplexity
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +231,41 @@ def test_compress_runs_2l_minus_1_layer_passes_per_window(deep_setup, monkeypatc
     assert len(passes) == samples * (2 * n_layers - 1)
     # a stats pass per layer, plus an advance through every layer but the last
     assert [passes.count(i) for i in range(n_layers)] == [2 * samples] * (n_layers - 1) + [samples]
+
+
+def test_compress_model_frees_a_dense_layer_it_holds_alone(setup, monkeypatch):
+    # The caller hands over its only reference: layer 0's dense weights,
+    # all replaced at keep 0.5, must be gone before layer 1's statistics.
+    cfg, _, calib, _ = setup
+    dense_refs = []
+
+    def handed_over_model():
+        model = synth.make_planted_model(cfg, seed=0)
+        dense_refs.extend(weakref.ref(proj.w) for proj in model.layers[0].projections().values())
+        return model
+
+    alive_at = {}
+    real_layer_stats = pipeline.layer_stats
+
+    def checking_layer_stats(model, states, layer):
+        alive_at[layer] = [ref() is not None for ref in dense_refs]
+        return real_layer_stats(model, states, layer)
+
+    monkeypatch.setattr(pipeline, "layer_stats", checking_layer_stats)
+    _, manifest, _ = compress_model(handed_over_model(), _plan(0.5), calib)
+    layer0 = manifest["layers"][0]
+    assert {s["kind"] for s in layer0["mha"]["schemes"].values()} == {"factored"}
+    assert layer0["ffn"]["kind"] == "pruned"
+    assert alive_at == {0: [True] * 7, 1: [False] * 7}
+
+
+def test_compress_model_leaves_a_kept_model_unchanged(setup):
+    cfg, model, calib, _ = setup
+    before = model_to_tensors(model, dtype="float64")
+    compress_model(model, _plan(0.5), calib)
+    after = model_to_tensors(model, dtype="float64")
+    assert before.keys() == after.keys()
+    assert all(np.array_equal(before[name], after[name]) for name in before)
 
 
 def test_record_evaluation_updates_report(setup, tmp_path):

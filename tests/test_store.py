@@ -78,6 +78,22 @@ def test_load_model_rejects_non_finite_weight(tmp_path, toy_cfg, random_model):
         store.load_model(path, toy_cfg)
 
 
+def test_load_model_peak_is_float64_model_plus_one_float32_tensor(tmp_path, heap_peak):
+    # Reading F float32 bytes and widening them to 2F float64 bytes needs
+    # 3F if every float32 array stays alive until the end; widening one
+    # tensor at a time and dropping it bounds the peak at 2F plus the
+    # largest float32 tensor (the last one widened).
+    cfg = synth.toy_config(n_layers=4)
+    tensors = model_to_tensors(synth.make_random_model(cfg, seed=1))
+    path = tmp_path / "model.safetensors"
+    write_container(path, tensors)
+    f32_bytes = sum(arr.nbytes for arr in tensors.values())
+    largest = max(arr.nbytes for arr in tensors.values())
+    weights, peak = heap_peak(store.load_model, path, cfg)
+    assert sum(arr.nbytes for arr in weights.values()) == 2 * f32_bytes
+    assert peak <= 2 * f32_bytes + largest + 64 * 1024
+
+
 # ---------------------------------------------------------------------------
 # Ratio arithmetic
 
@@ -156,6 +172,18 @@ def test_write_compressed_roundtrip_bitwise(tmp_path):
     assert set(tensors_a) == set(tensors_b)
     for name in tensors_a:
         assert tensors_a[name].tobytes() == tensors_b[name].tobytes()
+
+
+def test_load_compressed_widens_one_tensor_at_a_time(tmp_path, heap_peak):
+    # Like load_model: the widened map plus one on-disk tensor, never
+    # every on-disk tensor next to its widened copy.
+    config, _, _, out = _compressed_toy(tmp_path)
+    on_disk, _ = read_container(out / "model.safetensors")
+    disk_bytes = sum(arr.nbytes for arr in on_disk.values())
+    largest = max(arr.nbytes for arr in on_disk.values())
+    (_, tensors, _), peak = heap_peak(store.load_compressed, out)
+    assert sum(arr.nbytes for arr in tensors.values()) == 2 * disk_bytes
+    assert peak <= 2 * disk_bytes + largest + 64 * 1024
 
 
 def test_factored_tensor_shapes(tmp_path):
