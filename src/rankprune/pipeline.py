@@ -6,9 +6,15 @@ every state to collect input-norm statistics, factor the attention
 matrices under the allocated budget, prune the FFN channel groups, then
 advance every state through the compressed layer - so the statistics of
 layer i+1 always see the output of the compressed layer i.  That is
-2L-1 layer passes per window for L layers, and the carried states take
-samples x tokens x dim float64 values.  The run is bit-deterministic
-given (model bytes, calibration bytes, seed, plan).  The method functions
+2L-1 layer passes per window for L layers.  The layer passes run in the
+model's dtype (see `transformer`): for a model loaded from disk the
+carried states take samples x tokens x dim float32 values, 4 bytes each
+(about 4.3 GB at 128 x 2048 x 4096).  Statistics, factors, errors and
+scores are computed in float64, and each compressed projection is cast
+to the dtype of the dense projection it replaces before the states
+advance through it, so they advance through exactly the factors that
+are written.  The run is bit-deterministic given (model bytes,
+calibration bytes, seed, plan).  The method functions
 return only what they decided; each layer's manifest and report entries
 are built in one place, `_layer_records`, from the source layer, the
 compressed layer and those decisions.
@@ -241,7 +247,9 @@ def _compress_layer(cfg, i, source, stats, plan):
         raise DecompositionError(f"layer {i}: {exc}") from exc
 
     retained = None if decision is None else decision.retained
-    compressed = source.with_projections({**mha_maps, **ffn_maps}, kept_heads=kept_heads, retained_channels=retained)
+    # Factors and pruned slices come back in float64; store them in the source's dtype.
+    maps = {name: proj.astype(weights[name].dtype) for name, proj in {**mha_maps, **ffn_maps}.items()}
+    compressed = source.with_projections(maps, kept_heads=kept_heads, retained_channels=retained)
     return (compressed, *_layer_records(i, plan, source, compressed, budget, errors, decision))
 
 

@@ -180,13 +180,14 @@ def expected_shapes(config: ModelConfig, manifest: dict | None = None) -> dict[s
 
 
 def load_model(path: str | Path, config: ModelConfig) -> dict[str, np.ndarray]:
-    """Load a dense checkpoint, widening every tensor to float64.
+    """Load a dense checkpoint as float32 tensors.
 
     Every expected tensor must be present with the shape the config
     implies and hold only finite values; unexpected extras (e.g. rotary
-    frequency buffers some exporters include) are ignored.  Tensors are
-    widened one at a time and each float32 array is dropped once widened,
-    so the peak is the float64 model plus one float32 tensor.
+    frequency buffers some exporters include) are ignored.  F32 tensors
+    are the arrays the container reader filled, so loading F float32
+    bytes holds F bytes; an F16 tensor is widened to float32, one at a
+    time.
     """
     tensors, _ = read_container(path)
     shapes = expected_shapes(config)
@@ -201,7 +202,7 @@ def load_model(path: str | Path, config: ModelConfig) -> dict[str, np.ndarray]:
                 f"{path}: tensor {name!r} has shape {arr.shape}, expected {want}"
             )
         require_finite(path, name, arr)
-        out[name] = arr.astype(np.float64)
+        out[name] = arr.astype(np.float32, copy=False)
     return out
 
 
@@ -406,10 +407,12 @@ def write_compressed(out_dir: str | Path, tensors: dict[str, np.ndarray], manife
 def load_compressed(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
     """Load a compressed model directory (or its container file directly).
 
-    Returns (config, tensor map in float64/int64, manifest).  Float
+    Returns (config, tensor map in float32/int64, manifest).  Float
     tensors must hold only finite values; a manifest without a valid
     config object is a ManifestError like any other manifest fault.
-    Tensors are widened one at a time, like `load_model`'s.
+    Like `load_model`, F32 tensors are the arrays the reader filled, so
+    the payload is held once; F16 and I32 tensors are widened one at a
+    time.
     """
     path = Path(path)
     model_path = path / "model.safetensors" if path.is_dir() else path
@@ -428,5 +431,5 @@ def load_compressed(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     widened: dict[str, np.ndarray] = {}
     for name in list(tensors):
         arr = tensors.pop(name)
-        widened[name] = arr.astype(np.float64 if arr.dtype.kind == "f" else np.int64)
+        widened[name] = arr.astype(np.float32 if arr.dtype.kind == "f" else np.int64, copy=False)
     return config, widened, manifest

@@ -16,6 +16,7 @@ import numpy as np
 from . import store
 from .config import ModelConfig
 from .container import write_container
+from .errors import DataError
 from .transformer import (
     BYTE_VOCAB,
     Dense,
@@ -158,6 +159,8 @@ def sample_from_model(model: TransformerModel, n_tokens: int, seed: int, window:
     caches = kv_caches(model, n_windows, window)
     for t in range(window - 1):
         z = decode_step(model, tokens[:, t], caches)
+        if not np.isfinite(z).all():
+            raise DataError(f"position {t + 1}: non-finite logits; the model overflows its float range")
         z -= z.max(axis=-1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(axis=-1, keepdims=True)

@@ -1,7 +1,7 @@
 """Minimal LLaMA-style forward pass on numpy.
 
-Every layer pass runs in float64 through one step, `_layer_forward`, on
-hidden states of shape (..., tokens, dim): just enough machinery to
+Every layer pass runs through one step, `_layer_forward`, on hidden
+states of shape (..., tokens, dim): just enough machinery to
 capture calibration activations, score perplexity, decode fixture tokens
 a position at a time with a per-layer `KVCache` (`decode_step`), and
 count parameters/MACs.  Calibration is built from three steps on one
@@ -12,15 +12,28 @@ that layer.  Factored matrices participate in the forward as two
 sequential products (R then L), pruned FFNs at their reduced width,
 head-pruned attention with its reduced head count.
 
+Precision follows the model: the layer step runs in the dtype of the
+model's arrays and never upcasts.  A model loaded from disk is float32,
+the precision checkpoints are stored in, so its hidden states, KV caches
+and carried calibration states take 4 bytes per value; the in-memory
+float64 models `synth` builds run in float64 through the same code.
+Values that are reduced or decided on are widened to float64: the RMS
+mean square, the x_din sums of squares and the log-softmax and NLL of
+`perplexity`.  The step lets a value that leaves its float range
+propagate as inf or NaN without a warning; those reductions reject it
+loudly (CalibrationError, DataError) instead of returning a wrong number.
+
 Causal attention is per-head BLAS matmul on (heads, tokens, head_dim)
-views under a cached read-only causal mask (bool and 0/1 float64, 9 bytes
-per entry).  Its softmax never passes -inf to `exp`, which numpy sends
-down a slow path: masked scores are clamped, then zeroed by the 0/1 mask.
-Rotary embedding rotates each component pair as one complex number.
+views under a cached read-only causal mask (bool and 0/1 in the state's
+dtype, cached per length and dtype).  Its softmax never passes -inf to
+`exp`, which numpy sends down a slow path: masked scores are clamped,
+then zeroed by the 0/1 mask.  Rotary embedding rotates each component
+pair as one complex number, complex64 for float32 states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -48,6 +61,9 @@ class Dense:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return x @ self.w.T
 
+    def astype(self, dtype) -> "Dense":
+        return Dense(self.w.astype(dtype, copy=False))
+
     @property
     def shape(self) -> tuple[int, int]:
         return self.w.shape
@@ -66,6 +82,9 @@ class Factored:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return (x @ self.r.T) @ self.l.T
+
+    def astype(self, dtype) -> "Factored":
+        return Factored(self.l.astype(dtype, copy=False), self.r.astype(dtype, copy=False))
 
     @property
     def rank(self) -> int:
@@ -149,7 +168,9 @@ class ActivationStats:
 
 
 def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float) -> np.ndarray:
-    scale = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+    # The mean square is reduced in float64: squares of float32 states overflow above ~1.8e19.
+    mean_sq = np.mean(np.square(x, dtype=np.float64), axis=-1, keepdims=True)
+    scale = (1.0 / np.sqrt(mean_sq + eps)).astype(x.dtype, copy=False)
     return x * scale * weight
 
 
@@ -159,9 +180,11 @@ def silu(x: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _rope_tables(n_pos: int, head_dim: int, theta: float) -> np.ndarray:
+def _rope_tables(n_pos: int, head_dim: int, theta: float, dtype: np.dtype) -> np.ndarray:
+    """Rotations exp(i m theta^(-2i/head_dim)), (n_pos, head_dim // 2), computed in
+    float64 and stored as the complex type of real `dtype` (complex64 for float32)."""
     angles = np.outer(np.arange(n_pos, dtype=np.float64), theta ** (-2.0 * np.arange(head_dim // 2) / head_dim))
-    rot = np.cos(angles) + 1j * np.sin(angles)
+    rot = (np.cos(angles) + 1j * np.sin(angles)).astype(np.result_type(dtype, np.complex64), copy=False)
     rot.flags.writeable = False  # cached: every caller shares it
     return rot
 
@@ -174,16 +197,17 @@ def apply_rope(x: np.ndarray, theta: float, start: int = 0, capacity: int | None
     Tables cover `capacity` positions (default: just enough) and are sliced: one table per window.
     """
     n_pos, _, head_dim = x.shape[-3:]
-    rot = _rope_tables(capacity or start + n_pos, head_dim, theta)[start : start + n_pos, None, :]
-    return (np.ascontiguousarray(x).view(np.complex128) * rot).view(np.float64)
+    rot = _rope_tables(capacity or start + n_pos, head_dim, theta, x.dtype)[start : start + n_pos, None, :]
+    return (np.ascontiguousarray(x).view(rot.dtype) * rot).view(x.dtype)
 
 
 @lru_cache(maxsize=4)
-def _causal_mask(n_pos: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only causal masks, (n_pos, n_pos): True and 1.0 on and below the diagonal,
-    False and 0.0 above.  A few lengths are cached; each costs n_pos^2 * 9 bytes."""
+def _causal_mask(n_pos: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only causal masks, (n_pos, n_pos): True and 1 (in `dtype`) on and below the
+    diagonal, False and 0 above.  A few (length, dtype) pairs are cached; each costs
+    n_pos^2 * (1 + itemsize) bytes."""
     keep = np.tri(n_pos, dtype=bool)
-    keep_f = keep.astype(np.float64)
+    keep_f = keep.astype(dtype)
     keep.flags.writeable = keep_f.flags.writeable = False
     return keep, keep_f
 
@@ -197,8 +221,9 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int, capacity
     mask then zeroes them exactly.  Rows are divided by their sums (>= 1) after the value product.
     """
     end = start + q.shape[-2]
-    keep, keep_f = (mask[start:end, :end] for mask in _causal_mask(capacity))
-    scores = (q * (1.0 / np.sqrt(q.shape[-1]))) @ k.swapaxes(-1, -2)
+    keep, keep_f = (mask[start:end, :end] for mask in _causal_mask(capacity, q.dtype))
+    # A Python float scale: a NumPy float64 scalar would promote float32 scores to float64.
+    scores = (q * (1.0 / math.sqrt(q.shape[-1]))) @ k.swapaxes(-1, -2)
     scores -= scores.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
     np.minimum(scores, 0.0, out=scores)
     np.exp(scores, out=scores)
@@ -255,6 +280,7 @@ def forward(
     return _logits(model, x), captured
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite logits are rejected where they are reduced
 def _logits(model: TransformerModel, x: np.ndarray) -> np.ndarray:
     return rms_norm(x, model.final_norm, model.config.norm_eps) @ model.lm_head.T
 
@@ -271,9 +297,9 @@ class KVCache:
 
 def kv_caches(model: TransformerModel, n_windows: int, capacity: int) -> list[KVCache]:
     """One empty cache per layer for a batch of windows of up to `capacity` positions."""
-    cfg = model.config
+    cfg, dtype = model.config, model.embed.dtype
     shapes = [(n_windows, capacity, layer.n_heads(cfg), cfg.head_dim) for layer in model.layers]
-    return [KVCache(np.empty(shape), np.empty(shape)) for shape in shapes]
+    return [KVCache(np.empty(shape, dtype), np.empty(shape, dtype)) for shape in shapes]
 
 
 def decode_step(model: TransformerModel, tokens: np.ndarray, caches: list[KVCache]) -> np.ndarray:
@@ -285,6 +311,7 @@ def decode_step(model: TransformerModel, tokens: np.ndarray, caches: list[KVCach
     return _logits(model, x[:, 0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see the module docstring: reductions reject non-finite values
 def _layer_forward(
     cfg: ModelConfig, layer: TransformerLayer, x: np.ndarray, grab=lambda site, values: None, cache: KVCache | None = None
 ) -> np.ndarray:
@@ -293,6 +320,7 @@ def _layer_forward(
     The positions are 0..n_pos-1, or follow a cache's filled positions,
     which the queries attend to as well.  grab(site, values) sees each
     input site as (rows, features), all windows' positions stacked.
+    Everything runs in x's dtype, which must be the layer's.
     """
     *lead, n_pos, dim = x.shape
     d_h = cfg.head_dim
@@ -334,15 +362,20 @@ def _layer_forward(
 
 
 def _site_sq_sums(model: TransformerModel, state: np.ndarray, layer: int) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Run one layer on one hidden state; return the per-feature sums of
-    squares of its four input sites and the layer's output."""
+    """Run one layer on one hidden state; return the per-feature float64 sums
+    of squares of its four input sites and the layer's output.  A sum that
+    is not finite is a CalibrationError naming the layer and site."""
     sq_sums: dict[str, np.ndarray] = {}
 
     def grab(site: str, values: np.ndarray) -> None:
         # Reduce a C-ordered array, as a captured copy is, so the summation
         # order never depends on how the producing op laid out its result.
         vals = np.ascontiguousarray(values)
-        sq_sums[site] = np.einsum("lj,lj->j", vals, vals)
+        sq_sums[site] = np.einsum("lj,lj->j", vals, vals, dtype=np.float64)
+        if not np.isfinite(sq_sums[site]).all():
+            raise CalibrationError(
+                f"layer {layer}: {site} activations are not finite; the layer overflows its float range"
+            )
 
     out = _layer_forward(model.config, model.layers[layer], state, grab)
     return sq_sums, out
@@ -369,7 +402,8 @@ def layer_stats(model: TransformerModel, states: list[np.ndarray], layer: int) -
 
     Each state is one calibration window as it enters `layer`; the layer
     runs once per state.  Accumulation is sequential in sample order in
-    float64, which keeps the result bit-stable and order-invariant.
+    float64, which keeps the result bit-stable and order-invariant.  A
+    window whose activations overflow is a CalibrationError.
     """
     if not states:
         raise CalibrationError("calibration set is empty")
@@ -423,7 +457,9 @@ def perplexity(model: TransformerModel, stream: np.ndarray, seq_len: int) -> flo
 
     Window w feeds tokens [w*S, w*S + S) and is scored against targets
     [w*S + 1, w*S + S], so every token after the first of each window is
-    predicted exactly once; the final partial window is discarded.
+    predicted exactly once; the final partial window is discarded.  The
+    log-softmax and NLL are taken in float64; a non-finite log-probability
+    (the model overflowed its float range) is a DataError.
     """
     stream = np.asarray(stream)
     if seq_len < 1:
@@ -437,8 +473,11 @@ def perplexity(model: TransformerModel, stream: np.ndarray, seq_len: int) -> flo
         ctx = stream[w * seq_len : (w + 1) * seq_len]
         targets = stream[w * seq_len + 1 : (w + 1) * seq_len + 1]
         logits, _ = forward(model, ctx)
-        logp = _log_softmax(logits)
-        total_nll -= float(logp[np.arange(seq_len), targets].sum())
+        with np.errstate(invalid="ignore"):  # inf - inf below is caught as a non-finite log-probability
+            logp = _log_softmax(logits.astype(np.float64, copy=False))[np.arange(seq_len), targets]
+        if not np.isfinite(logp).all():
+            raise DataError(f"window {w}: non-finite log-probabilities; the model overflows its float range")
+        total_nll -= float(logp.sum())
         total_tokens += seq_len
     return float(np.exp(total_nll / total_tokens))
 
@@ -503,31 +542,35 @@ def load_dense_model(path: str | Path, config: ModelConfig) -> TransformerModel:
     return model_from_tensors(config, store.load_model(path, config))
 
 
-def model_to_tensors(model: TransformerModel, dtype: str = "float32") -> dict[str, np.ndarray]:
-    """Serialize a model to a {name: array} map ready for the container.
+def model_to_tensors(model: TransformerModel) -> dict[str, np.ndarray]:
+    """Serialize a model to a float32 {name: array} map ready for the container.
 
     Factored matrices become name.L / name.R, pruned FFNs are stored at
     their reduced shapes next to an integer retained-channel tensor, and
-    head-pruned attention records its kept head indices.
+    head-pruned attention records its kept head indices.  A float32
+    model's arrays go in as they are, without a copy.
     """
-    f = np.float32 if dtype == "float32" else np.float64
+
+    def f32(a: np.ndarray) -> np.ndarray:
+        return a.astype(np.float32, copy=False)
+
     out: dict[str, np.ndarray] = {
-        store.EMBED_NAME: model.embed.astype(f),
-        store.HEAD_NAME: model.lm_head.astype(f),
-        store.FINAL_NORM_NAME: model.final_norm.astype(f),
+        store.EMBED_NAME: f32(model.embed),
+        store.HEAD_NAME: f32(model.lm_head),
+        store.FINAL_NORM_NAME: f32(model.final_norm),
     }
 
     def put(name: str, proj: LinearMap) -> None:
         if isinstance(proj, Dense):
-            out[name] = proj.w.astype(f)
+            out[name] = f32(proj.w)
         else:
             lname, rname = store.factor_names(name)
-            out[lname] = proj.l.astype(f)
-            out[rname] = proj.r.astype(f)
+            out[lname] = f32(proj.l)
+            out[rname] = f32(proj.r)
 
     for i, layer in enumerate(model.layers):
-        out[store.attn_norm_name(i)] = layer.attn_norm.astype(f)
-        out[store.ffn_norm_name(i)] = layer.ffn_norm.astype(f)
+        out[store.attn_norm_name(i)] = f32(layer.attn_norm)
+        out[store.ffn_norm_name(i)] = f32(layer.ffn_norm)
         for proj_name, proj in layer.projections().items():
             put(store.weight_name(i, proj_name), proj)
         if layer.retained_channels is not None:
@@ -538,21 +581,22 @@ def model_to_tensors(model: TransformerModel, dtype: str = "float32") -> dict[st
 
 
 def model_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> TransformerModel:
-    """Rebuild a (possibly compressed) model from a tensor map.
+    """Rebuild a (possibly compressed) float32 model from a tensor map.
 
     The scheme of each matrix is inferred from which names are present:
-    name.weight means dense, name.L/name.R means factored.
+    name.weight means dense, name.L/name.R means factored.  float32
+    tensors are used as they are, without a copy.
     """
+
+    def f32(name: str) -> np.ndarray:
+        return np.asarray(tensors[name], dtype=np.float32)
 
     def pick(name: str) -> LinearMap:
         if name in tensors:
-            return Dense(np.asarray(tensors[name], dtype=np.float64))
+            return Dense(f32(name))
         lname, rname = store.factor_names(name)
         if lname in tensors and rname in tensors:
-            return Factored(
-                l=np.asarray(tensors[lname], dtype=np.float64),
-                r=np.asarray(tensors[rname], dtype=np.float64),
-            )
+            return Factored(l=f32(lname), r=f32(rname))
         raise ShapeMismatchError(f"no dense or factored tensors found for {name!r}")
 
     layers = []
@@ -565,8 +609,8 @@ def model_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> T
             retained = np.asarray(tensors[store.retained_channels_name(i)], dtype=np.int64)
         layers.append(
             TransformerLayer(
-                attn_norm=np.asarray(tensors[store.attn_norm_name(i)], dtype=np.float64),
-                ffn_norm=np.asarray(tensors[store.ffn_norm_name(i)], dtype=np.float64),
+                attn_norm=f32(store.attn_norm_name(i)),
+                ffn_norm=f32(store.ffn_norm_name(i)),
                 **{p.attr: pick(store.weight_name(i, p.name)) for p in store.PROJECTIONS},
                 kept_heads=kept_heads,
                 retained_channels=retained,
@@ -574,8 +618,8 @@ def model_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> T
         )
     return TransformerModel(
         config=config,
-        embed=np.asarray(tensors[store.EMBED_NAME], dtype=np.float64),
+        embed=f32(store.EMBED_NAME),
         layers=tuple(layers),
-        final_norm=np.asarray(tensors[store.FINAL_NORM_NAME], dtype=np.float64),
-        lm_head=np.asarray(tensors[store.HEAD_NAME], dtype=np.float64),
+        final_norm=f32(store.FINAL_NORM_NAME),
+        lm_head=f32(store.HEAD_NAME),
     )

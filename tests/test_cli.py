@@ -71,14 +71,21 @@ def test_compress_determinism_at_cli_level(fixture_dir, tmp_path):
 # complex multiply: two weighted_error floats moved by at most 7.3e-16
 # relative and eleven x_din vectors by at most 6.5e-16 relative, while
 # model.safetensors and manifest.json kept their bytes (the masked softmax
-# of the same change alone moved no hash).  float64 results depend on the
-# BLAS build, so re-pin only with a recorded reason.
+# of the same change alone moved no hash).  model.safetensors, report.json
+# and the calibrate stats were re-pinned a fourth time when a loaded model
+# began to compute in float32 (float64 only for the reductions): every x_din
+# vector moved by at most 3.7e-7 relative, so the awsvd factors moved - each
+# factored product L @ R by at most 2.5e-7 relative in Frobenius norm, single
+# factor entries by up to 1.5e-3 relative where near-equal singular values
+# let the basis rotate - and eight of nine weighted_error floats by at most
+# 2.0e-8 relative; manifest.json kept its bytes.  Float results depend on
+# the BLAS build, so re-pin only with a recorded reason.
 GOLDEN_COMPRESS = {
-    "model.safetensors": "d1e6bb6b8148562604ff69e588f8d9f595dacf2b8909de38feda39008c6daf26",
+    "model.safetensors": "2be9b3915ae6d9fec8251e9fedcf40fbeece57e27b99851869ec3ccde6d4b249",
     "manifest.json": "562e9bf04a2baecb9b7dec6abc1450cfefbc74e471015fc229b834c4a4320ba0",
-    "report.json": "f297c362e3f80bbd28ab15b1e5cb460bfe27ad31fba998d8e5eeafb6ef1e678b",
+    "report.json": "74f375aa67f2d0dd5ee1800f09fb289dbf15da3539cb226f220b1a6f1316f5eb",
 }
-GOLDEN_CALIBRATE = "79f29cf095f395eb7d5e9d2acb7d145b82ba18ef9edcaa16fefbab6ed74801f7"
+GOLDEN_CALIBRATE = "c6c51d54357ae682fa3860590b96dbf1f4cb747c2d9f0d885e67d347b9917d38"
 # The baseline methods on the same fixture and flags, pinned from the code
 # before serialization, loading and validation moved onto the projection
 # table: head-pruned attention and a factored FFN must keep their bytes.
@@ -104,10 +111,15 @@ GOLDEN_COMPRESS_BASELINES = {
     # and report were re-pinned once with the SiLU and rotary change above:
     # one float32 entry of layer 1's o_proj.L moved by one ulp (6.1e-8
     # relative) and three weighted_error floats by at most 7.4e-16 relative.
+    # Re-pinned again with the float32 layer step, like GOLDEN_COMPRESS: each
+    # factored product moved by at most 3.1e-7 relative in Frobenius norm and
+    # eight of nine weighted_error floats by at most 1.2e-8 relative.  The
+    # methods that read no x_din in their factors (svd, head_prune) kept
+    # every byte: their channel and head choices did not move.
     ("awsvd", "svd"): {
-        "model.safetensors": "5c0715e711bfc10e38921eed1e581bcb9b54840d777d98c8a57d0d17cf80dc5c",
+        "model.safetensors": "7a57f1b484e3d8298850a10712dbfb77acf3225be4caccf56052f8bf01341dfa",
         "manifest.json": "f0975a9473b309c241d96f4f09e8b4d67d09179f898ae2ff1e47b7a5e7581634",
-        "report.json": "3f2c10f99a3700fb92faca7d1699091de2c1f830fa7ab61ac5ef7222514363c0",
+        "report.json": "86878ad689e93b8f73ef397c9c11bd0f2fdd11d48404be756788b6cd6f823b1b",
     },
     ("svd", "prune"): {
         "model.safetensors": "d8a01ff233d399eeaa6e0c341c4f99d538714efb6f428c80a5db1a93f414338f",
@@ -185,8 +197,10 @@ def test_eval_prints_ppl_line(fixture_dir, tmp_path, capsys):
 
 # ppl printed by `eval --seqlen 128` on the fixture above, from the einsum
 # attention that preceded the matmul rewrite; a later forward may change
-# bytes, but not perplexity beyond float rounding.
-PINNED_EVAL_PPL = {"compressed": 97.17226053104797, "dense": 94.71811808796319}
+# bytes, but not perplexity beyond float rounding.  Re-pinned once when a
+# loaded model began to compute in float32: dense moved 3.8e-8 relative
+# (94.71811808796319 before) and compressed 3.3e-8 (97.17226053104797).
+PINNED_EVAL_PPL = {"compressed": 97.17226376370763, "dense": 94.71812164572084}
 
 
 def _eval_ppl(capsys, *model_args):
@@ -208,6 +222,57 @@ def test_eval_ppl_matches_pinned_values(fixture_dir, tmp_path, capsys):
     compressed = _eval_ppl(capsys, "--model", str(out), *data)
     assert dense == pytest.approx(PINNED_EVAL_PPL["dense"], rel=1e-9)
     assert compressed == pytest.approx(PINNED_EVAL_PPL["compressed"], rel=1e-9)
+
+
+def _edited_checkpoint(fixture_dir, path, edit):
+    from rankprune.container import read_container, write_container
+
+    tensors, _ = read_container(fixture_dir / "model.safetensors")
+    edit(tensors)
+    write_container(path, tensors)
+    return ["--model", str(path), "--config", str(fixture_dir / "config.json")]
+
+
+def _large_embedding_feature(tensors):
+    tensors["model.embed_tokens.weight"][:, 0] = 1e20
+
+
+def _huge_query_key_weights(tensors):
+    for proj in ("q_proj", "k_proj"):
+        tensors[f"model.layers.0.self_attn.{proj}.weight"] *= np.float32(1e20)
+
+
+# ppl of the fixture with embedding feature 0 set to 1e20, as the float64
+# layer step printed it.  Its squares overflow float32, so a mean square
+# reduced in float32 gives an RMS scale of 0 and the uniform ppl=256.
+LARGE_FEATURE_PPL = 5591.634904687047
+
+
+def test_float32_states_with_a_large_feature_keep_their_ppl(fixture_dir, tmp_path, capsys):
+    model = _edited_checkpoint(fixture_dir, tmp_path / "large.safetensors", _large_embedding_feature)
+    ppl = _eval_ppl(capsys, *model, "--data", str(fixture_dir / "eval.bin"))
+    assert ppl == pytest.approx(LARGE_FEATURE_PPL, rel=1e-6)
+
+
+@pytest.mark.parametrize("command, message", [
+    ("eval", "window 0: non-finite log-probabilities"),
+    ("compress", "layer 0: attn_o_input activations are not finite"),
+    ("calibrate", "layer 0: attn_o_input activations are not finite"),
+])
+def test_attention_scores_past_float32_range_exit_2(fixture_dir, tmp_path, capsys, command, message):
+    # q and k scaled by 1e20 overflow the float32 attention scores: eval must
+    # not print ppl=nan, and calibration must not hand NaN x_din on.
+    model = _edited_checkpoint(fixture_dir, tmp_path / "huge.safetensors", _huge_query_key_weights)
+    calib = ["--data", str(fixture_dir / "calib.bin"), "--samples", "4", "--seqlen", "32", "--out", str(tmp_path / "out")]
+    args = {
+        "eval": ["eval", *model, "--data", str(fixture_dir / "eval.bin"), "--seqlen", "128"],
+        "compress": ["compress", *model, "--ratio", "0.5", *calib],
+        "calibrate": ["calibrate", *model, *calib],
+    }[command]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "ppl=" not in captured.out
+    assert message in captured.err
 
 
 def test_eval_update_report(fixture_dir, tmp_path, capsys):

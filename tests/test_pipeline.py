@@ -1,8 +1,12 @@
 import json
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rankprune import pipeline, store, synth, transformer
 from rankprune.config import ModelConfig
@@ -116,6 +120,63 @@ def test_roundtrip_through_container(setup, tmp_path):
         b, _ = forward(rebuilt, toks)
         # container stores f32, so round-trip agrees to f32 resolution
         assert np.max(np.abs(a - b)) < 1e-4
+
+
+def _layer_arrays(layer):
+    return {f"{name}.{field}": a for name, proj in layer.projections().items() for field, a in vars(proj).items()} | {
+        "attn_norm": layer.attn_norm, "ffn_norm": layer.ffn_norm,
+    }
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n_heads=st.integers(1, 3),
+    head_dim=st.sampled_from([8, 16]),
+    n_layers=st.integers(1, 2),
+    ffn_dim=st.integers(8, 40),
+    keep=st.sampled_from([0.5, 0.75]),
+    mha=st.sampled_from(pipeline.MHA_METHODS),
+    ffn=st.sampled_from(pipeline.FFN_METHODS),
+    seed=st.integers(0, 2**16),
+)
+def test_written_model_reloads_bit_exact(n_heads, head_dim, n_layers, ffn_dim, keep, mha, ffn, seed):
+    # A model loaded from disk is float32 and so is every projection
+    # compress_model builds from it, so what write_outputs stores and
+    # load_compressed returns is the in-memory compressed model exactly.
+    cfg = ModelConfig(dim=n_heads * head_dim, n_heads=n_heads, head_dim=head_dim, n_layers=n_layers,
+                      ffn_dim=ffn_dim, vocab_size=256)
+    model = model_from_tensors(cfg, model_to_tensors(synth.make_random_model(cfg, seed, scale=0.2)))
+    plan = CompressionPlan(keep_ratio=keep, calib_samples=2, calib_tokens=8, seed=seed, mha_method=mha, ffn_method=ffn)
+    compressed, manifest, report = compress_model(model, plan, synth.random_token_stream(64, seed))
+    with tempfile.TemporaryDirectory() as out:
+        pipeline.write_outputs(out, compressed, manifest, report)
+        rebuilt = model_from_tensors(*store.load_compressed(Path(out))[:2])
+    for name in ("embed", "final_norm", "lm_head"):
+        a, b = getattr(rebuilt, name), getattr(compressed, name)
+        assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b), name
+    for got, want in zip(rebuilt.layers, compressed.layers, strict=True):
+        assert got.kept_heads == want.kept_heads
+        if want.retained_channels is None:
+            assert got.retained_channels is None
+        else:
+            assert got.retained_channels.dtype == want.retained_channels.dtype
+            assert np.array_equal(got.retained_channels, want.retained_channels)
+        assert {n: type(p) for n, p in got.projections().items()} == {n: type(p) for n, p in want.projections().items()}
+        got_arrays, want_arrays = _layer_arrays(got), _layer_arrays(want)
+        assert got_arrays.keys() == want_arrays.keys()
+        for name, b in want_arrays.items():
+            a = got_arrays[name]
+            assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b), name
+
+
+def test_write_outputs_copies_no_float32_model(setup):
+    # A compressed float32 model goes to the container as it is: the tensor
+    # map write_outputs hands the writer holds the model's own arrays.
+    cfg, model, calib, _ = setup
+    compressed, _, _ = compress_model(model_from_tensors(cfg, model_to_tensors(model)), _plan(0.5), calib)
+    own = {id(a) for a in _model_arrays(compressed, copy=False)}
+    floats = [a for a in model_to_tensors(compressed).values() if a.dtype.kind == "f"]
+    assert len(floats) == len(own) and all(id(a) in own for a in floats)
 
 
 @pytest.mark.parametrize("pruned", ["heads and channels", "channels"])
@@ -259,13 +320,22 @@ def test_compress_model_frees_a_dense_layer_it_holds_alone(setup, monkeypatch):
     assert alive_at == {0: [True] * 7, 1: [False] * 7}
 
 
+def _model_arrays(model, copy=True):
+    """Every float array of a model, in a fixed order."""
+    arrays = [model.embed, model.lm_head, model.final_norm]
+    for layer in model.layers:
+        arrays += [layer.attn_norm, layer.ffn_norm]
+        arrays += [a for proj in layer.projections().values() for a in vars(proj).values()]
+    return [a.copy() for a in arrays] if copy else arrays
+
+
 def test_compress_model_leaves_a_kept_model_unchanged(setup):
     cfg, model, calib, _ = setup
-    before = model_to_tensors(model, dtype="float64")
+    before = _model_arrays(model)
     compress_model(model, _plan(0.5), calib)
-    after = model_to_tensors(model, dtype="float64")
-    assert before.keys() == after.keys()
-    assert all(np.array_equal(before[name], after[name]) for name in before)
+    after = _model_arrays(model)
+    assert len(before) == len(after)
+    assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(before, after))
 
 
 def test_record_evaluation_updates_report(setup, tmp_path):

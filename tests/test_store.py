@@ -29,7 +29,7 @@ def test_load_model_roundtrip(toy_checkpoint, toy_cfg):
     assert len(weights) == 2 * 9 + 3
     q = weights[store.weight_name(0, "q_proj")]
     assert q.shape == (64, 64)
-    assert q.dtype == np.float64
+    assert q.dtype == np.float32
     gate = weights[store.weight_name(1, "gate_proj")]
     assert gate.shape == (172, 64)
 
@@ -78,20 +78,28 @@ def test_load_model_rejects_non_finite_weight(tmp_path, toy_cfg, random_model):
         store.load_model(path, toy_cfg)
 
 
-def test_load_model_peak_is_float64_model_plus_one_float32_tensor(tmp_path, heap_peak):
-    # Reading F float32 bytes and widening them to 2F float64 bytes needs
-    # 3F if every float32 array stays alive until the end; widening one
-    # tensor at a time and dropping it bounds the peak at 2F plus the
-    # largest float32 tensor (the last one widened).
+def test_load_model_holds_one_copy_of_the_float32_model(tmp_path, heap_peak):
+    # F32 tensors are the arrays the container reader filled: loading F
+    # float32 bytes holds F bytes, with no widened or converted copy.
     cfg = synth.toy_config(n_layers=4)
     tensors = model_to_tensors(synth.make_random_model(cfg, seed=1))
     path = tmp_path / "model.safetensors"
     write_container(path, tensors)
     f32_bytes = sum(arr.nbytes for arr in tensors.values())
-    largest = max(arr.nbytes for arr in tensors.values())
     weights, peak = heap_peak(store.load_model, path, cfg)
-    assert sum(arr.nbytes for arr in weights.values()) == 2 * f32_bytes
-    assert peak <= 2 * f32_bytes + largest + 64 * 1024
+    assert all(arr.dtype == np.float32 for arr in weights.values())
+    assert sum(arr.nbytes for arr in weights.values()) == f32_bytes
+    assert peak <= f32_bytes + 64 * 1024
+
+
+def test_load_model_widens_float16_to_float32(tmp_path, toy_cfg, random_model):
+    tensors = {name: arr.astype(np.float16) for name, arr in model_to_tensors(random_model).items()}
+    path = tmp_path / "model.safetensors"
+    write_container(path, tensors)
+    weights = store.load_model(path, toy_cfg)
+    for name, arr in tensors.items():
+        assert weights[name].dtype == np.float32
+        np.testing.assert_array_equal(weights[name], arr.astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +182,18 @@ def test_write_compressed_roundtrip_bitwise(tmp_path):
         assert tensors_a[name].tobytes() == tensors_b[name].tobytes()
 
 
-def test_load_compressed_widens_one_tensor_at_a_time(tmp_path, heap_peak):
-    # Like load_model: the widened map plus one on-disk tensor, never
-    # every on-disk tensor next to its widened copy.
+def test_load_compressed_holds_one_copy_of_the_payload(tmp_path, heap_peak):
+    # Like load_model: the float tensors are the arrays the reader filled;
+    # only the small int32 index tensors are widened, to int64.
     config, _, _, out = _compressed_toy(tmp_path)
     on_disk, _ = read_container(out / "model.safetensors")
     disk_bytes = sum(arr.nbytes for arr in on_disk.values())
-    largest = max(arr.nbytes for arr in on_disk.values())
     (_, tensors, _), peak = heap_peak(store.load_compressed, out)
-    assert sum(arr.nbytes for arr in tensors.values()) == 2 * disk_bytes
-    assert peak <= 2 * disk_bytes + largest + 64 * 1024
+    for name, arr in tensors.items():
+        assert arr.dtype == (np.float32 if on_disk[name].dtype.kind == "f" else np.int64), name
+    index_bytes = sum(arr.nbytes for arr in on_disk.values() if arr.dtype.kind == "i")
+    assert sum(arr.nbytes for arr in tensors.values()) == disk_bytes + index_bytes
+    assert peak <= disk_bytes + 64 * 1024
 
 
 def test_factored_tensor_shapes(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from rankprune.transformer import (
     _causal_mask,
     _layer_forward,
     _rope_tables,
+    decode_step,
+    kv_caches,
     rms_norm,
     silu,
     tokenize_bytes,
@@ -136,6 +139,30 @@ def _grabbing_layer_forward(cfg, layer, x):
     return out, sites
 
 
+def _layer_as(layer: TransformerLayer, dtype) -> TransformerLayer:
+    """The layer with every float array cast to dtype."""
+    return layer.with_projections(
+        {name: proj.astype(dtype) for name, proj in layer.projections().items()},
+        attn_norm=layer.attn_norm.astype(dtype), ffn_norm=layer.ffn_norm.astype(dtype),
+    )
+
+
+def _as_dtype(model: TransformerModel, dtype) -> TransformerModel:
+    """The model with every float array cast to dtype."""
+    return replace(
+        model, embed=model.embed.astype(dtype), layers=tuple(_layer_as(layer, dtype) for layer in model.layers),
+        final_norm=model.final_norm.astype(dtype), lm_head=model.lm_head.astype(dtype),
+    )
+
+
+def _model_arrays(model: TransformerModel) -> list[np.ndarray]:
+    arrays = [model.embed, model.lm_head, model.final_norm]
+    for layer in model.layers:
+        arrays += [layer.attn_norm, layer.ffn_norm]
+        arrays += [a for proj in layer.projections().values() for a in vars(proj).values()]
+    return arrays
+
+
 @pytest.fixture(scope="module")
 def oracle_layers(toy_cfg):
     # a larger weight scale than random_model's, so the attention rows are
@@ -193,17 +220,78 @@ def test_cached_steps_over_a_batch_match_full_windows(toy_cfg, oracle_layers, ki
     assert np.allclose(_layer_forward(toy_cfg, layer, x), full, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["dense", "factored", "head_pruned"])
+def test_layer_step_runs_in_the_model_dtype(toy_cfg, oracle_layers, kind, dtype):
+    # Nothing in the step upcasts a float32 layer, and a float64 layer stays float64:
+    # every grabbed site, the output and the cache, uncached and cached.
+    layer = _layer_as(oracle_layers[kind], dtype)
+    x = np.random.default_rng(5).normal(size=(2, 7, toy_cfg.dim)).astype(dtype)
+    seen = {}
+
+    def grab(site, values):
+        seen[site] = values.dtype
+
+    out = _layer_forward(toy_cfg, layer, x, grab)
+    assert out.dtype == dtype and seen == dict.fromkeys(ALL_SITES, np.dtype(dtype))
+    shape = (2, 7, layer.n_heads(toy_cfg), toy_cfg.head_dim)
+    cache = KVCache(np.empty(shape, dtype), np.empty(shape, dtype))
+    seen.clear()
+    for t in range(0, 7, 3):
+        assert _layer_forward(toy_cfg, layer, x[:, t : t + 3], grab, cache=cache).dtype == dtype
+    assert seen == dict.fromkeys(ALL_SITES, np.dtype(dtype))
+    assert cache.k.dtype == cache.v.dtype == dtype
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_decode_and_forward_run_in_the_model_dtype(random_model, dtype):
+    model = _as_dtype(random_model, dtype)
+    caches = kv_caches(model, 3, 4)
+    assert all(c.k.dtype == c.v.dtype == dtype for c in caches)
+    logits = decode_step(model, np.array([1, 2, 3]), caches)
+    assert logits.dtype == dtype and all(c.length == 1 for c in caches)
+    logits, caps = forward(model, synth.random_token_stream(9, 2), capture=set(ALL_SITES))
+    assert logits.dtype == dtype and {a.dtype for a in caps.values()} == {np.dtype(dtype)}
+
+
+@pytest.mark.parametrize("kind", ["dense", "factored", "head_pruned"])
+@pytest.mark.parametrize("n_pos", [1, 33, 128])
+def test_float32_layer_step_matches_einsum_reference(toy_cfg, oracle_layers, kind, n_pos):
+    layer64 = oracle_layers[kind]
+    x = np.random.default_rng(n_pos).normal(size=(n_pos, toy_cfg.dim)).astype(np.float32)
+    out, sites = _grabbing_layer_forward(toy_cfg, _layer_as(layer64, np.float32), x)
+    ref_out, ref_sites = _einsum_layer_reference(toy_cfg, layer64, x.astype(np.float64))
+    assert out.dtype == np.float32
+    # Within 1e-5 of each array's largest magnitude: float32 rounding is ~6e-8
+    # per operation, and the step's sums cancel, so small entries carry the
+    # absolute error of the large ones (measured worst: 4.6e-7).
+    for site, got, want in [("out", out, ref_out)] + [(site, sites[site], ref_sites[site]) for site in ALL_SITES]:
+        assert np.max(np.abs(got - want)) <= 1e-5 * np.max(np.abs(want)), site
+
+
+def test_rms_norm_reduces_float32_in_float64():
+    # 1e20 squared overflows float32; the float64 mean square keeps the scale finite.
+    x = np.random.default_rng(4).normal(size=(3, 64))
+    x[:, 0] = 1e20
+    y32 = rms_norm(x.astype(np.float32), np.ones(64, np.float32), 1e-5)
+    assert y32.dtype == np.float32
+    assert np.allclose(y32, rms_norm(x, np.ones(64), 1e-5), rtol=1e-6, atol=1e-12)
+
+
 def test_causal_mask_is_cached_read_only_and_small():
-    keep, keep_f = _causal_mask(5)
     lower = np.tril(np.ones((5, 5), dtype=bool))
-    assert keep.dtype == bool and np.array_equal(keep, lower)
-    assert keep_f.dtype == np.float64 and np.array_equal(keep_f, lower.astype(np.float64))
-    assert keep.flags.writeable is False and keep_f.flags.writeable is False
-    assert _causal_mask(5)[0] is keep and _causal_mask(5)[1] is keep_f
-    with pytest.raises(ValueError):
-        keep[0, 1] = True
-    with pytest.raises(ValueError):
-        keep_f[0, 1] = 1.0
+    masks = {}
+    for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
+        keep, keep_f = masks[dtype] = _causal_mask(5, dtype)
+        assert keep.dtype == bool and np.array_equal(keep, lower)
+        assert keep_f.dtype == dtype and np.array_equal(keep_f, lower.astype(dtype))
+        assert keep.flags.writeable is False and keep_f.flags.writeable is False
+        assert _causal_mask(5, dtype)[0] is keep and _causal_mask(5, dtype)[1] is keep_f
+        with pytest.raises(ValueError):
+            keep[0, 1] = True
+        with pytest.raises(ValueError):
+            keep_f[0, 1] = 1.0
+    assert masks[np.dtype(np.float32)][1] is not masks[np.dtype(np.float64)][1]
     assert _causal_mask.cache_info().maxsize <= 4
 
 
@@ -302,7 +390,22 @@ def test_apply_rope_matches_pairwise_formula(start, capacity):
     assert np.max(np.abs(y[..., 1::2] - (even * sin + odd * cos))) <= 1e-15
     assert np.array_equal(x, before)
     with pytest.raises(ValueError):
-        _rope_tables(n_pos, d_h, theta)[0, 0] = 0.0
+        _rope_tables(n_pos, d_h, theta, x.dtype)[0, 0] = 0.0
+
+
+def test_rope_tables_are_cached_read_only_per_dtype():
+    n_pos, d_h, theta = 9, 16, 10000.0
+    f32, f64 = (_rope_tables(n_pos, d_h, theta, np.dtype(t)) for t in (np.float32, np.float64))
+    assert f32.dtype == np.complex64 and f64.dtype == np.complex128
+    assert np.array_equal(f32, f64.astype(np.complex64))
+    assert _rope_tables(n_pos, d_h, theta, np.dtype(np.float32)) is f32
+    for table in (f32, f64):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+    x = np.random.default_rng(3).normal(size=(n_pos, 4, d_h))
+    y32 = apply_rope(x.astype(np.float32), theta)
+    assert y32.dtype == np.float32
+    assert np.allclose(y32, apply_rope(x, theta), rtol=1e-6, atol=1e-6)
 
 
 def test_full_rank_factored_matches_dense(random_model):
@@ -561,11 +664,19 @@ def test_read_token_file_formats(tmp_path):
 
 
 def test_model_tensor_roundtrip_preserves_logits(random_model):
+    # model_to_tensors writes float32 and model_from_tensors keeps it: the
+    # rebuilt model is the float32 rounding of every array, exactly, and
+    # computes exactly what that rounded model computes.
     toks = synth.random_token_stream(16, 13)
-    base, _ = forward(random_model, toks)
-    rebuilt = model_from_tensors(random_model.config, model_to_tensors(random_model, dtype="float64"))
+    want = _as_dtype(random_model, np.float32)
+    rebuilt = model_from_tensors(random_model.config, model_to_tensors(random_model))
+    got_arrays, want_arrays = _model_arrays(rebuilt), _model_arrays(want)
+    assert len(got_arrays) == len(want_arrays)
+    for a, b in zip(got_arrays, want_arrays):
+        assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b)
     again, _ = forward(rebuilt, toks)
-    assert np.allclose(base, again, atol=1e-12)
+    assert np.array_equal(again, forward(want, toks)[0])
+    assert np.allclose(again, forward(random_model, toks)[0], rtol=1e-5, atol=1e-5)
 
 
 def test_sampler_matches_forward_oracle(planted_model):
@@ -591,6 +702,13 @@ def test_sampler_matches_forward_oracle(planted_model):
     fast = synth.sample_from_model(planted_model, 96, seed=17, window=16)
     slow = oracle(planted_model, 96, seed=17, window=16)
     assert np.array_equal(fast, slow)
+
+
+def test_sampler_rejects_non_finite_logits(random_model):
+    layer = random_model.layers[0]
+    huge = layer.with_projections({"q_proj": Dense(layer.q.w * 1e200), "k_proj": Dense(layer.k.w * 1e200)})
+    with pytest.raises(DataError, match="non-finite logits"):
+        synth.sample_from_model(random_model.replace_layer(0, huge), 8, seed=0, window=4)
 
 
 def test_sampled_stream_matches_golden_hash():
