@@ -35,7 +35,6 @@ from .pruning import (
 )
 from .store import RatioPlan, load_compressed, load_model, plan_ratio, write_compressed
 from .transformer import (
-    ActivationStats,
     TransformerModel,
     collect_stats,
     count_params_macs,
@@ -47,7 +46,6 @@ from .transformer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationStats",
     "AllocationError",
     "CalibrationError",
     "CompressionError",

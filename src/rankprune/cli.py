@@ -17,7 +17,7 @@ from . import pipeline, pruning, store
 from .config import ModelConfig
 from .errors import CompressionError, DataError
 from .lowrank import parse_alloc_ratio
-from .transformer import count_params_macs, load_dense_model, read_token_file
+from .transformer import collect_stats, count_params_macs, load_dense_model, read_token_file
 from .util import canonical_json, sha256_file
 
 
@@ -58,7 +58,7 @@ def build_parser() -> _Parser:
     p.add_argument("--matrix", required=True, help="qualified tensor name")
     p.add_argument("--sparsity", type=float, default=0.5)
     p.add_argument("--stats", default=None, help="calibration stats JSON (unit norms when omitted)")
-    _add_common(p)
+    p.add_argument("--out", required=True, help="PGM image file")
     p.set_defaults(handler=cmd_mask)
 
     p = sub.add_parser("calibrate", help="collect per-matrix input-norm statistics")
@@ -68,12 +68,12 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=128)
     p.add_argument("--seqlen", type=int, default=128)
     p.add_argument("--seed", type=int, default=0, help="RNG seed for drawing the calibration windows")
-    _add_common(p)
+    p.add_argument("--out", required=True, help="stats JSON file")
     p.set_defaults(handler=cmd_calibrate)
 
     p = sub.add_parser("compress", help="run the full compression pipeline")
     p.add_argument("--model", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", required=True, help="model config JSON of the source checkpoint")
     _add_data_args(p)
     ratio = p.add_mutually_exclusive_group(required=True)
     ratio.add_argument("--ratio", type=float, default=None, help="per-layer retained fraction in (0, 1]")
@@ -89,7 +89,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mha-method", choices=pipeline.MHA_METHODS, default="awsvd")
     p.add_argument("--ffn-method", choices=pipeline.FFN_METHODS, default="prune")
     p.add_argument("--seed", type=int, default=0, help="RNG seed for drawing the calibration windows")
-    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=cmd_compress)
 
     p = sub.add_parser("eval", help="perplexity over non-overlapping windows")
@@ -200,8 +200,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mask(args) -> int:
-    if args.out is None:
-        raise ValueError("mask requires --out for the PGM file")
     by_name = dict(_projection_matrices(args.model))
     if args.matrix not in by_name:
         raise CompressionError(f"matrix {args.matrix!r} not found in the model")
@@ -219,18 +217,15 @@ def cmd_mask(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    if args.out is None:
-        raise ValueError("calibrate requires --out for the stats JSON")
     model, _ = _load_model(args.model, args.config)
     stream = read_token_file(args.data, args.data_format)
     calib, _starts = pipeline.sample_calibration_windows(stream, args.samples, args.seqlen, args.seed)
-    from .transformer import collect_stats_all_layers
-
-    per_layer = collect_stats_all_layers(model, calib)
-    x_din = {}
-    for stats in per_layer.values():
-        for name, vec in stats.by_name.items():
-            x_din[name] = [float(v) for v in vec]
+    # Matrices fed from the same site get the same vector.
+    x_din = {
+        store.weight_name(i, p.name): [float(v) for v in by_site[p.site]]
+        for i, by_site in enumerate(collect_stats(model, calib))
+        for p in store.PROJECTIONS
+    }
     payload = {
         "format_version": 1,
         "sample_count": args.samples,
@@ -245,11 +240,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    if args.out is None:
-        raise ValueError("compress requires --out for the output directory")
-    config = ModelConfig.from_json(args.config) if args.config else None
-    if config is None:
-        raise ValueError("compress requires --config for the source checkpoint")
+    config = ModelConfig.from_json(args.config)
     stream = read_token_file(args.data, args.data_format)
     knobs = dict(
         alloc_ratio=parse_alloc_ratio(args.alloc),

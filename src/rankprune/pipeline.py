@@ -228,12 +228,12 @@ def compress_model(
     return work, manifest, report
 
 
-def _compress_layer(cfg, i, source, stats, plan):
-    """Compress dense layer i from its activation statistics; returns
+def _compress_layer(cfg, i, source, x_din, plan):
+    """Compress dense layer i from its {site: x_din} map; returns
     (compressed layer, manifest entry, report entry).  Nothing here
     outlives the call, so the source layer is held only by the model."""
     weights = _dense_weights(source)
-    x_by_proj = {p.name: stats.by_site[p.site] for p in store.PROJECTIONS}
+    x_by_proj = {p.name: x_din[p.site] for p in store.PROJECTIONS}
     try:
         if plan.mha_method == "head_prune":
             mha_maps, kept_heads, budget, errors = _prune_heads(cfg, source, weights, x_by_proj, plan)

@@ -221,14 +221,10 @@ class RatioPlan:
 
     ratio_s is the fraction of all parameters to remove; because the
     embedding and LM head stay untouched, the layers must absorb the
-    larger fraction ratio_l = param_total * ratio_s / (n_layers * param_layer).
+    larger fraction ratio_l = param_total * ratio_s / (n_layers * layer_params).
     layer_keep = 1 - ratio_l is what the per-layer compressors receive.
     """
 
-    param_total: int
-    param_layer: int
-    n_layers: int
-    ratio_s: float
     ratio_l: float
 
     @property
@@ -239,20 +235,13 @@ class RatioPlan:
 def plan_ratio(config: ModelConfig, param_total: int, ratio_s: float) -> RatioPlan:
     if not 0.0 < ratio_s < 1.0:
         raise ValueError(f"ratio_s must lie in (0, 1), got {ratio_s}")
-    param_layer = config.layer_params
-    ratio_l = (param_total * ratio_s) / (config.n_layers * param_layer)
+    ratio_l = (param_total * ratio_s) / (config.n_layers * config.layer_params)
     if ratio_l > 1.0:
         raise InfeasibleRatioError(
             f"model ratio {ratio_s} needs layer ratio {ratio_l:.4f} > 1; "
             "the transformer layers cannot absorb it"
         )
-    return RatioPlan(
-        param_total=param_total,
-        param_layer=param_layer,
-        n_layers=config.n_layers,
-        ratio_s=ratio_s,
-        ratio_l=ratio_l,
-    )
+    return RatioPlan(ratio_l=ratio_l)
 
 
 def dense_param_total(config: ModelConfig) -> int:

@@ -4,11 +4,16 @@ Every layer pass runs through one step, `_layer_forward`, on hidden
 states of shape (..., tokens, dim): just enough machinery to
 capture calibration activations, score perplexity, decode fixture tokens
 a position at a time with a per-layer `KVCache` (`decode_step`), and
-count parameters/MACs.  Calibration is built from three steps on one
-window's (tokens, dim) state - embed a window (`embed`), reduce one
-layer's four input sites (`layer_stats`) and carry the state through one
-layer (`advance`) - so a caller can interleave them with compressing
-that layer.  Factored matrices participate in the forward as two
+count parameters/MACs.  Calibration statistics are x_din maps, one
+{site: vector} per layer: the l2 norm of each input feature of the
+layer's four input sites over the calibration windows.  Compress builds
+them from three steps on one window's (tokens, dim) state - embed a
+window (`embed`), reduce one layer's sites over the carried states
+(`layer_stats`) and carry the state through one layer (`advance`) - so
+it can interleave them with compressing that layer.  `collect_stats`
+gives every layer's map of the model as it is in one pass per layer per
+window.  Both reduce through the same per-window sums of squares.
+Factored matrices participate in the forward as two
 sequential products (R then L), pruned FFNs at their reduced width,
 head-pruned attention with its reduced head count.
 
@@ -146,21 +151,6 @@ class TransformerModel:
         layers = list(self.layers)
         layers[index] = layer
         return replace(self, layers=tuple(layers))
-
-
-@dataclass(frozen=True)
-class ActivationStats:
-    """Per-input-feature l2 norms collected over a calibration batch.
-
-    by_name maps each weight-matrix name of the layer the stats were
-    collected for to its x_din vector; matrices fed from the same site
-    share the same vector.
-    """
-
-    by_name: dict[str, np.ndarray]
-    by_site: dict[str, np.ndarray]
-    sample_count: int
-    position_count: int
 
 
 # ---------------------------------------------------------------------------
@@ -389,16 +379,8 @@ def _accumulate(acc: dict[str, np.ndarray] | None, sq_sums: dict[str, np.ndarray
     return {site: acc[site] + sq_sums[site] for site in ALL_SITES}
 
 
-def _stats(layer: int, sq_sums: dict[str, np.ndarray], sample_count: int, position_count: int) -> ActivationStats:
-    by_site = {site: np.sqrt(sq_sums[site]) for site in ALL_SITES}
-    by_name = {store.weight_name(layer, p.name): by_site[p.site] for p in store.PROJECTIONS}
-    return ActivationStats(
-        by_name=by_name, by_site=by_site, sample_count=sample_count, position_count=position_count
-    )
-
-
-def layer_stats(model: TransformerModel, states: list[np.ndarray], layer: int) -> ActivationStats:
-    """x_din vectors for one layer's four input sites over carried hidden states.
+def layer_stats(model: TransformerModel, states: list[np.ndarray], layer: int) -> dict[str, np.ndarray]:
+    """x_din of one layer's four input sites, {site: vector}, over carried hidden states.
 
     Each state is one calibration window as it enters `layer`; the layer
     runs once per state.  Accumulation is sequential in sample order in
@@ -410,7 +392,7 @@ def layer_stats(model: TransformerModel, states: list[np.ndarray], layer: int) -
     acc = None
     for state in states:
         acc = _accumulate(acc, _site_sq_sums(model, state, layer)[0])
-    return _stats(layer, acc, len(states), sum(len(state) for state in states))
+    return {site: np.sqrt(sq) for site, sq in acc.items()}
 
 
 def advance(model: TransformerModel, state: np.ndarray, layer: int) -> np.ndarray:
@@ -418,34 +400,23 @@ def advance(model: TransformerModel, state: np.ndarray, layer: int) -> np.ndarra
     return _layer_forward(model.config, model.layers[layer], state)
 
 
-def collect_stats(model: TransformerModel, calib: list[np.ndarray], layer: int) -> ActivationStats:
-    """x_din vectors for one layer's four input sites.
+def collect_stats(model: TransformerModel, calib: list[np.ndarray]) -> list[dict[str, np.ndarray]]:
+    """x_din of every layer of the model as it is, one {site: vector} map per layer.
 
-    Every window is embedded and run through layers 0..layer-1 as they
-    currently are, so the statistics see the prefix as the caller left it.
+    Each window is embedded and run through the layers once, its output at
+    each layer being the next layer's state, so a window takes L layer
+    passes and only one window's state is held at a time.  The sums are
+    the ones `layer_stats` takes over the carried states.
     """
-    if not 0 <= layer < len(model.layers):
-        raise ValueError(f"layer index {layer} out of range")
-    states = [embed(model, stream) for stream in calib]
-    for prefix in range(layer):
-        states = [advance(model, state, prefix) for state in states]
-    return layer_stats(model, states, layer)
-
-
-def collect_stats_all_layers(model: TransformerModel, calib: list[np.ndarray]) -> dict[int, ActivationStats]:
-    """Stats for every layer from a single pass per sample (no compression
-    in between, so each layer's output is the next layer's state)."""
     if not calib:
         raise CalibrationError("calibration set is empty")
-    n_layers = len(model.layers)
-    acc: list[dict[str, np.ndarray] | None] = [None] * n_layers
+    acc: list[dict[str, np.ndarray] | None] = [None] * len(model.layers)
     for stream in calib:
         state = embed(model, stream)
-        for layer in range(n_layers):
+        for layer in range(len(model.layers)):
             sq_sums, state = _site_sq_sums(model, state, layer)
             acc[layer] = _accumulate(acc[layer], sq_sums)
-    n_positions = sum(len(stream) for stream in calib)
-    return {layer: _stats(layer, acc[layer], len(calib), n_positions) for layer in range(n_layers)}
+    return [{site: np.sqrt(sq) for site, sq in sums.items()} for sums in acc]
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,31 @@
+"""perfbench/run.py --trace 1 rebinds rankprune functions by name and reads
+their arguments; a change to those names or signatures must fail here, not
+only inside a benchmark run.  The benchmark files are read, never changed."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports calltrace from its own directory
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_benchmark_cycle_has_no_errors(tmp_path, monkeypatch):
+    bench = _load_bench(monkeypatch)
+    tiny = bench.Workload("tiny", dim=64, n_heads=4, n_layers=2, ffn_dim=172,
+                          calib_samples=3, calib_seqlen=16, eval_tokens=64, eval_seqlen=16)
+    b = bench.Bench(tiny, seed=3, work=tmp_path)
+    b.setup()
+    assert b.setup_problems == []
+    b.cycle(0, trace=True)
+    assert [(o.kind, o.problems) for o in b.ops] == [("compress", []), ("eval", [])]
+    layer = b.layer_samples[0]
+    assert {name: layer[f"{name}.errors"] for name in bench.SCOPE} == dict.fromkeys(bench.SCOPE, 0)

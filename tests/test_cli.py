@@ -411,12 +411,34 @@ def test_usage_errors_exit_1(fixture_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "command, missing",
+    [("mask", "--out"), ("calibrate", "--out"), ("compress", "--out"), ("compress", "--config")],
+)
+def test_missing_required_argument_exits_1_and_writes_nothing(fixture_dir, tmp_path, monkeypatch, capsys, command, missing):
+    model = str(fixture_dir / "model.safetensors")
+    data = ["--data", str(fixture_dir / "calib.bin")]
+    argv = {
+        "mask": ["mask", "--model", model, "--matrix", "model.layers.0.self_attn.q_proj.weight",
+                 "--out", str(tmp_path / "m.pgm")],
+        "calibrate": ["calibrate", "--model", model, "--config", str(fixture_dir / "config.json"), *data,
+                      "--samples", "2", "--seqlen", "8", "--out", str(tmp_path / "s.json")],
+        "compress": _compress_args(fixture_dir, tmp_path / "z"),
+    }[command]
+    i = argv.index(missing)
+    del argv[i : i + 2]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["eval", "--model", "m", "--data", "d"],
         ["stats", "--model", "m"],
         ["analyze", "--model", "m"],
-        ["mask", "--model", "m", "--matrix", "w"],
+        ["mask", "--model", "m", "--matrix", "w", "--out", "o"],
     ],
 )
 def test_seed_only_on_commands_that_sample(args, capsys):

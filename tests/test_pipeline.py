@@ -225,14 +225,12 @@ def test_propagation_uses_compressed_prefix(setup):
     from rankprune.transformer import collect_stats
 
     windows, _ = sample_calibration_windows(calib, 8, 32, seed=0)
-    dense_stats = collect_stats(model, windows, 1)
+    dense_stats = collect_stats(model, windows)[1]
     compressed, _, _ = compress_model(model, _plan(0.35), calib)
     # rebuild a hybrid: compressed layer 0, dense layer 1
     hybrid = model.replace_layer(0, compressed.layers[0])
-    hybrid_stats = collect_stats(hybrid, windows, 1)
-    assert not np.allclose(
-        dense_stats.by_site["attn_input"], hybrid_stats.by_site["attn_input"]
-    )
+    hybrid_stats = collect_stats(hybrid, windows)[1]
+    assert not np.allclose(dense_stats["attn_input"], hybrid_stats["attn_input"])
 
 
 @pytest.fixture(scope="module")
@@ -272,7 +270,7 @@ def test_carried_state_stats_equal_reforward_oracle(deep_setup, monkeypatch):
             hybrid = hybrid.replace_layer(j, compressed.layers[j])
         oracle = _reforward_x_din(hybrid, windows, k)
         for site in ALL_SITES:
-            assert np.array_equal(stats.by_site[site], oracle[site]), (k, site)
+            assert np.array_equal(stats[site], oracle[site]), (k, site)
 
 
 def test_compress_runs_2l_minus_1_layer_passes_per_window(deep_setup, monkeypatch):

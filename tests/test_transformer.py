@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from rankprune import store, synth
+from rankprune import synth, transformer
 from rankprune.config import ModelConfig
 from rankprune.errors import CalibrationError, DataError
 from rankprune.lowrank import awsvd_factor
@@ -23,11 +23,13 @@ from rankprune.transformer import (
     TransformerLayer,
     TransformerModel,
     apply_rope,
+    advance,
     collect_stats,
-    collect_stats_all_layers,
     count_params_macs,
     detokenize_bytes,
+    embed,
     forward,
+    layer_stats,
     model_from_tensors,
     model_to_tensors,
     perplexity,
@@ -488,58 +490,69 @@ def test_capture_sites_shapes(random_model):
 
 def test_collect_stats_zero_embedding(toy_cfg):
     model = _zero_model(toy_cfg)
-    stats = collect_stats(model, [np.array([1, 2, 3])], 0)
-    assert np.allclose(stats.by_site[SITE_ATTN_INPUT], 0.0)
+    stats = collect_stats(model, [np.array([1, 2, 3])])
+    assert np.allclose(stats[0][SITE_ATTN_INPUT], 0.0)
 
 
 def test_collect_stats_duplicate_samples_sqrt2(random_model):
     calib = [synth.random_token_stream(16, 6), synth.random_token_stream(16, 7)]
-    s1 = collect_stats(random_model, calib, 1)
-    s2 = collect_stats(random_model, calib + calib, 1)
+    s1 = collect_stats(random_model, calib)[1]
+    s2 = collect_stats(random_model, calib + calib)[1]
     for site in ALL_SITES:
-        assert np.allclose(s2.by_site[site], np.sqrt(2.0) * s1.by_site[site], rtol=1e-12)
+        assert np.allclose(s2[site], np.sqrt(2.0) * s1[site], rtol=1e-12)
 
 
 def test_collect_stats_single_position_abs(random_model):
     stream = np.array([42])
     _, caps = forward(random_model, stream, capture=ALL_SITES, capture_layers={0}, stop_after_layer=0)
-    stats = collect_stats(random_model, [stream], 0)
+    stats = collect_stats(random_model, [stream])[0]
     for site in ALL_SITES:
         vec = caps[(0, site)][0]
-        assert np.allclose(stats.by_site[site], np.abs(vec), rtol=1e-12)
+        assert np.allclose(stats[site], np.abs(vec), rtol=1e-12)
 
 
 def test_collect_stats_order_invariance(random_model):
     calib = [synth.random_token_stream(12, s) for s in range(4)]
-    s1 = collect_stats(random_model, calib, 0)
-    s2 = collect_stats(random_model, calib[::-1], 0)
+    s1 = collect_stats(random_model, calib)[0]
+    s2 = collect_stats(random_model, calib[::-1])[0]
     for site in ALL_SITES:
-        assert np.allclose(s1.by_site[site], s2.by_site[site], atol=1e-12)
-
-
-def test_collect_stats_names_and_sites(random_model):
-    stats = collect_stats(random_model, [synth.random_token_stream(8, 8)], 1)
-    q = stats.by_name[store.weight_name(1, "q_proj")]
-    v = stats.by_name[store.weight_name(1, "v_proj")]
-    assert q is v  # same input site
-    down = stats.by_name[store.weight_name(1, "down_proj")]
-    assert down.shape == (random_model.config.ffn_dim,)
-    assert stats.sample_count == 1
-    assert stats.position_count == 8
+        assert np.allclose(s1[site], s2[site], atol=1e-12)
 
 
 def test_collect_stats_all_layers_matches_per_layer(random_model):
+    # collect_stats's one pass per window gives, bit for bit, what layer_stats
+    # takes over states carried through the dense model with advance.
     calib = [synth.random_token_stream(10, s) for s in (21, 22)]
-    merged = collect_stats_all_layers(random_model, calib)
+    merged = collect_stats(random_model, calib)
+    assert len(merged) == random_model.config.n_layers
+    states = [embed(random_model, stream) for stream in calib]
     for layer in range(random_model.config.n_layers):
-        single = collect_stats(random_model, calib, layer)
+        single = layer_stats(random_model, states, layer)
+        assert list(merged[layer]) == list(single) == list(ALL_SITES)
         for site in ALL_SITES:
-            assert np.allclose(merged[layer].by_site[site], single.by_site[site], atol=1e-12)
+            assert np.array_equal(merged[layer][site], single[site]), (layer, site)
+        states = [advance(random_model, state, layer) for state in states]
+
+
+def test_collect_stats_runs_one_layer_pass_per_window(random_model, monkeypatch):
+    calib = [synth.random_token_stream(10, s) for s in (31, 32, 33)]
+    passes = []
+    index = {id(layer): i for i, layer in enumerate(random_model.layers)}
+    layer_forward = transformer._layer_forward
+
+    def counting(cfg, layer, x, *args, **kwargs):
+        passes.append(index[id(layer)])
+        return layer_forward(cfg, layer, x, *args, **kwargs)
+
+    monkeypatch.setattr(transformer, "_layer_forward", counting)
+    collect_stats(random_model, calib)
+    n_layers = random_model.config.n_layers
+    assert passes == list(range(n_layers)) * len(calib)
 
 
 def test_collect_stats_empty_calibration(random_model):
     with pytest.raises(CalibrationError):
-        collect_stats(random_model, [], 0)
+        collect_stats(random_model, [])
 
 
 # ---------------------------------------------------------------------------
