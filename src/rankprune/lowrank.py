@@ -14,7 +14,7 @@ passthrough whenever a group's share would exceed its dense size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor
+from math import floor, isfinite
 
 import numpy as np
 
@@ -110,8 +110,8 @@ def parse_alloc_ratio(text: str) -> tuple[float, float]:
         qk, vo = (float(part) for part in text.split(":"))
     except ValueError as exc:
         raise ValueError(f"allocation ratio must look like '1:3', got {text!r}") from exc
-    if qk <= 0 or vo <= 0:
-        raise ValueError("allocation ratio parts must be positive")
+    if not (isfinite(qk) and isfinite(vo) and qk > 0 and vo > 0):
+        raise ValueError(f"allocation ratio parts must be finite and positive, got {text!r}")
     return qk, vo
 
 
@@ -135,8 +135,8 @@ def allocate_mha(
     total = sum(size.values())
     budget = round_half_up(total * layer_ratio)
     qk_w, vo_w = alloc_ratio
-    if qk_w <= 0 or vo_w <= 0:
-        raise ValueError("allocation ratio parts must be positive")
+    if not (isfinite(qk_w) and isfinite(vo_w) and qk_w > 0 and vo_w > 0):
+        raise ValueError(f"allocation ratio parts must be finite and positive, got {alloc_ratio}")
     vo_budget = round_half_up(budget * vo_w / (qk_w + vo_w))
     qk_budget = budget - vo_budget
 

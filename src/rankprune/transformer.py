@@ -23,8 +23,8 @@ the precision checkpoints are stored in, so its hidden states, KV caches
 and carried calibration states take 4 bytes per value; the in-memory
 float64 models `synth` builds run in float64 through the same code.
 Values that are reduced or decided on are widened to float64: the RMS
-mean square, the x_din sums of squares and the log-softmax and NLL of
-`perplexity`.  The step lets a value that leaves its float range
+mean square, the x_din sums of squares and the log-probabilities and NLL
+of `perplexity`.  The step lets a value that leaves its float range
 propagate as inf or NaN without a warning; those reductions reject it
 loudly (CalibrationError, DataError) instead of returning a wrong number.
 
@@ -32,8 +32,13 @@ Causal attention is per-head BLAS matmul on (heads, tokens, head_dim)
 views under a cached read-only causal mask (bool and 0/1 in the state's
 dtype, cached per length and dtype).  Its softmax never passes -inf to
 `exp`, which numpy sends down a slow path: masked scores are clamped,
-then zeroed by the 0/1 mask.  Rotary embedding rotates each component
-pair as one complex number, complex64 for float32 states.
+then zeroed by the 0/1 mask.  More than ATTENTION_ROWS (128) query rows
+run as blocks of 128 over the causal key prefix: rows [s, e) read keys and
+values 0..start+e only and the mask slice [start+s : start+e, : start+e],
+so a block's scores take heads * 128 * (start+e) * itemsize bytes.  A call
+of 128 rows or fewer is one block; above 128 tokens results differ from
+one block over all keys by float rounding only.  Rotary embedding rotates
+each component pair as one complex number, complex64 for float32 states.
 """
 
 from __future__ import annotations
@@ -202,15 +207,32 @@ def _causal_mask(n_pos: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     return keep, keep_f
 
 
+# Query rows per attention block: a block's scores, heads * 128 * keys * itemsize
+# bytes, stay in a 2 MB L2 cache up to 512 keys at 4 float32 heads.
+ATTENTION_ROWS = 128
+
+
 def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int, capacity: int) -> np.ndarray:
     """Causal softmax(q kᵀ / √d_h) v on (..., heads, tokens, head_dim) arrays, for
     queries at positions start.. of a window of up to `capacity` positions.
 
+    More than ATTENTION_ROWS queries run as blocks of that many rows, each over
+    the keys up to its last row only.
     Once each row's maximum over kept scores is subtracted, the clamp at 0 changes no
     kept score and keeps masked ones finite, so exp never sees -inf or overflows; the 0/1
     mask then zeroes them exactly.  Rows are divided by their sums (>= 1) after the value product.
     """
-    end = start + q.shape[-2]
+    n_rows = q.shape[-2]
+    if n_rows > ATTENTION_ROWS:
+        # Rows [s, e) read keys 0..start+e; the last block's slices stop at the last row and key.
+        blocks = []
+        for s in range(0, n_rows, ATTENTION_ROWS):
+            e = s + ATTENTION_ROWS
+            blocks.append(
+                _attention(q[..., s:e, :], k[..., : start + e, :], v[..., : start + e, :], start + s, capacity)
+            )
+        return np.concatenate(blocks, axis=-2)
+    end = start + n_rows
     keep, keep_f = (mask[start:end, :end] for mask in _causal_mask(capacity, q.dtype))
     # A Python float scale: a NumPy float64 scalar would promote float32 scores to float64.
     scores = (q * (1.0 / math.sqrt(q.shape[-1]))) @ k.swapaxes(-1, -2)
@@ -219,11 +241,6 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int, capacity
     np.exp(scores, out=scores)
     scores *= keep_f
     return (scores @ v) / scores.sum(axis=-1, keepdims=True)
-
-
-def _log_softmax(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=-1, keepdims=True)
-    return x - m - np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +446,9 @@ def perplexity(model: TransformerModel, stream: np.ndarray, seq_len: int) -> flo
     Window w feeds tokens [w*S, w*S + S) and is scored against targets
     [w*S + 1, w*S + S], so every token after the first of each window is
     predicted exactly once; the final partial window is discarded.  The
-    log-softmax and NLL are taken in float64; a non-finite log-probability
-    (the model overflowed its float range) is a DataError.
+    targets' log-probabilities and the NLL are taken in float64; a
+    non-finite log-probability (the model overflowed its float range) is a
+    DataError.
     """
     stream = np.asarray(stream)
     if seq_len < 1:
@@ -445,7 +463,9 @@ def perplexity(model: TransformerModel, stream: np.ndarray, seq_len: int) -> flo
         targets = stream[w * seq_len + 1 : (w + 1) * seq_len + 1]
         logits, _ = forward(model, ctx)
         with np.errstate(invalid="ignore"):  # inf - inf below is caught as a non-finite log-probability
-            logp = _log_softmax(logits.astype(np.float64, copy=False))[np.arange(seq_len), targets]
+            # A new float64 array, the logits left as they are; log-probabilities are formed at the targets only.
+            z = np.subtract(logits, logits.max(axis=-1, keepdims=True), dtype=np.float64)
+            logp = z[np.arange(seq_len), targets] - np.log(np.exp(z).sum(axis=-1))
         if not np.isfinite(logp).all():
             raise DataError(f"window {w}: non-finite log-probabilities; the model overflows its float range")
         total_nll -= float(logp.sum())
@@ -457,7 +477,9 @@ def count_params_macs(model: TransformerModel, seq_len: int) -> tuple[int, int]:
     """Stored parameter count and multiply-accumulates for one sequence.
 
     MACs cover all matrix products: the seven projections per layer, the
-    attention score and value products, and the LM head.  Normalization,
+    full seq_len x seq_len attention score and value products (the blocked
+    attention skips part of the masked half above 128 tokens, which is still
+    counted), and the LM head.  Normalization,
     rotary rotation and the elementwise gate are not matrix products and
     are excluded.  A projection costs one multiply-accumulate per stored
     parameter at each position, so its MACs are seq_len * n_params.

@@ -18,14 +18,32 @@ def _load_bench(monkeypatch):
     return module
 
 
+def _traced_cycle(bench, workload, tmp_path):
+    """Set up, run one traced compress-then-eval cycle and one more eval of its
+    output; the harness's own checks (reload, keep ratio, finite and repeated
+    ppl) must find nothing."""
+    b = bench.Bench(workload, seed=3, work=tmp_path)
+    b.setup()
+    assert b.setup_problems == []
+    b.cycle(0, trace=True)
+    b.eval(0)
+    assert [(o.kind, o.problems) for o in b.ops] == [("compress", []), ("eval", []), ("eval", [])]
+    layer = b.layer_samples[0]
+    assert {name: layer[f"{name}.errors"] for name in bench.SCOPE} == dict.fromkeys(bench.SCOPE, 0)
+    return b
+
+
 def test_traced_benchmark_cycle_has_no_errors(tmp_path, monkeypatch):
     bench = _load_bench(monkeypatch)
     tiny = bench.Workload("tiny", dim=64, n_heads=4, n_layers=2, ffn_dim=172,
                           calib_samples=3, calib_seqlen=16, eval_tokens=64, eval_seqlen=16)
-    b = bench.Bench(tiny, seed=3, work=tmp_path)
-    b.setup()
-    assert b.setup_problems == []
-    b.cycle(0, trace=True)
-    assert [(o.kind, o.problems) for o in b.ops] == [("compress", []), ("eval", [])]
-    layer = b.layer_samples[0]
-    assert {name: layer[f"{name}.errors"] for name in bench.SCOPE} == dict.fromkeys(bench.SCOPE, 0)
+    _traced_cycle(bench, tiny, tmp_path)
+
+
+def test_traced_benchmark_cycle_at_a_blocked_attention_window(tmp_path, monkeypatch):
+    # Two 256-token eval windows, each running attention as two 128-row causal-prefix blocks.
+    bench = _load_bench(monkeypatch)
+    long = bench.Workload("long", dim=64, n_heads=4, n_layers=2, ffn_dim=172,
+                          calib_samples=3, calib_seqlen=16, eval_tokens=512, eval_seqlen=256)
+    b = _traced_cycle(bench, long, tmp_path)
+    assert b.layer_samples[0]["transformer.perplexity.tokens"] == 512

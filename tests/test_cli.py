@@ -410,6 +410,15 @@ def test_usage_errors_exit_1(fixture_dir, tmp_path, capsys):
     assert not (tmp_path / "s.json").exists() and not (tmp_path / "z").exists()
 
 
+@pytest.mark.parametrize("ratio", ["nan:1", "1:nan", "inf:1", "1:inf"])
+def test_non_finite_allocation_ratio_exits_1_and_writes_nothing(fixture_dir, tmp_path, capsys, ratio):
+    argv = _compress_args(fixture_dir, tmp_path / "z")
+    argv[argv.index("--alloc") + 1] = ratio
+    assert main(argv) == 1
+    assert f"usage error: allocation ratio parts must be finite and positive, got {ratio!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "command, missing",
     [("mask", "--out"), ("calibrate", "--out"), ("compress", "--out"), ("compress", "--config")],

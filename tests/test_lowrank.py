@@ -164,8 +164,9 @@ def test_parse_alloc_ratio():
     assert parse_alloc_ratio("1:2.5") == (1.0, 2.5)
     with pytest.raises(ValueError):
         parse_alloc_ratio("3")
-    with pytest.raises(ValueError):
-        parse_alloc_ratio("0:3")
+    for text in ("0:3", "nan:1", "1:nan", "inf:1", "1:-inf"):
+        with pytest.raises(ValueError, match="finite and positive"):
+            parse_alloc_ratio(text)
 
 
 # ---------------------------------------------------------------------------

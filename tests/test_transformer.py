@@ -1,4 +1,5 @@
 import hashlib
+import math
 import warnings
 from dataclasses import replace
 
@@ -192,7 +193,7 @@ def oracle_layers(toy_cfg):
 
 
 @pytest.mark.parametrize("kind", ["dense", "factored", "head_pruned"])
-@pytest.mark.parametrize("n_pos", [1, 2, 33, 128])
+@pytest.mark.parametrize("n_pos", [1, 2, 33, 128, 129, 200, 512])  # above 128: causal-prefix blocks
 def test_layer_forward_matches_einsum_reference(toy_cfg, oracle_layers, kind, n_pos):
     layer = oracle_layers[kind]
     x = np.random.default_rng(n_pos).normal(size=(n_pos, toy_cfg.dim))
@@ -257,7 +258,7 @@ def test_decode_and_forward_run_in_the_model_dtype(random_model, dtype):
 
 
 @pytest.mark.parametrize("kind", ["dense", "factored", "head_pruned"])
-@pytest.mark.parametrize("n_pos", [1, 33, 128])
+@pytest.mark.parametrize("n_pos", [1, 33, 128, 129, 200, 512])
 def test_float32_layer_step_matches_einsum_reference(toy_cfg, oracle_layers, kind, n_pos):
     layer64 = oracle_layers[kind]
     x = np.random.default_rng(n_pos).normal(size=(n_pos, toy_cfg.dim)).astype(np.float32)
@@ -297,20 +298,30 @@ def test_causal_mask_is_cached_read_only_and_small():
     assert _causal_mask.cache_info().maxsize <= 4
 
 
-@pytest.mark.parametrize("start, capacity", [(0, 6), (5, 16)])
-def test_masked_scores_never_leak(start, capacity):
-    # Query i is 4 e_i, so after the 1/sqrt(16) scale its score against key j
-    # is exactly k[j, i]: every future key scores +1e300, and key 0 scores
-    # -1000, more than 745 below the row maximum wherever another key is kept,
-    # so its exp underflows.  start > 0 is a cached decode step whose mask is
+@pytest.mark.parametrize(
+    "n, d_h, start, capacity",
+    [
+        pytest.param(6, 16, 0, 6, id="0-6"),
+        pytest.param(6, 16, 5, 16, id="5-16"),
+        pytest.param(200, 256, 0, 200, id="two-blocks-0-200"),
+        pytest.param(200, 256, 70, 300, id="two-blocks-70-300"),
+    ],
+)
+def test_masked_scores_never_leak(n, d_h, start, capacity):
+    # Query i is sqrt(d_h) e_i, so after the 1/sqrt(d_h) scale its score against
+    # key j is exactly k[j, i]: every future key scores +1e300, and key 0 and the
+    # key at the last row of the first 128-row block score -1000 wherever they
+    # are kept, more than 745 below the row maximum wherever another key is
+    # kept, so their exp underflows.  start > 0 is a cached step whose mask is
     # sliced from the one built for `capacity` positions.
-    n, d_h, end = 6, 16, start + 6
+    end = start + n
     rng = np.random.default_rng(start)
     causal = np.arange(end) <= np.arange(start, end)[:, None]  # (n, end)
-    q = np.tile(4.0 * np.eye(n, d_h), (2, 1, 1))
+    q = np.tile(math.sqrt(d_h) * np.eye(n, d_h), (2, 1, 1))
     k = rng.normal(size=(2, end, d_h))
     k[:, :, :n] = np.where(causal.T, k[:, :, :n], 1e300)
-    k[:, 0, :n] = -1000.0
+    for j in (0, min(start + transformer.ATTENTION_ROWS, end) - 1):
+        k[:, j, :n] = np.where(causal.T[j], -1000.0, 1e300)
     v = rng.normal(size=(2, end, d_h))
 
     with warnings.catch_warnings():
@@ -325,14 +336,46 @@ def test_masked_scores_never_leak(start, capacity):
     assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("start", [0, 40])
+@pytest.mark.parametrize("i", [0, 100, 127, 128, 200, 298])
+def test_attention_rows_ignore_later_keys_and_values(dtype, start, i):
+    # Rewriting every key and value after position start + i leaves rows 0..i
+    # bit-identical, inside a 128-row block and across block boundaries.
+    n, end = 300, start + 300
+    rng = np.random.default_rng(i)
+    q, k, v = (rng.normal(size=(4, m, 16)).astype(dtype) for m in (n, end, end))
+    out = _attention(q, k, v, start, end)
+    k2, v2 = k.copy(), v.copy()
+    k2[:, start + i + 1 :] = 10.0 * rng.normal(size=k2[:, start + i + 1 :].shape)
+    v2[:, start + i + 1 :] = 10.0 * rng.normal(size=v2[:, start + i + 1 :].shape)
+    out2 = _attention(q, k2, v2, start, end)
+    assert out.dtype == dtype
+    assert np.array_equal(out2[:, : i + 1], out[:, : i + 1])
+    assert not np.array_equal(out2[:, i + 1 :], out[:, i + 1 :])
+
+
+@pytest.mark.parametrize("kind", ["dense", "factored", "head_pruned"])
+def test_prefill_of_300_positions_matches_the_uncached_window(toy_cfg, oracle_layers, kind):
+    # A cache fed 300 positions in one call (three 128-row blocks), then two
+    # more calls of 10, matches the 320-position window run without a cache.
+    layer = oracle_layers[kind]
+    x = np.random.default_rng(300).normal(size=(2, 320, toy_cfg.dim))
+    shape = (2, 384, layer.n_heads(toy_cfg), toy_cfg.head_dim)
+    cache = KVCache(np.empty(shape), np.empty(shape))
+    steps = [_layer_forward(toy_cfg, layer, x[:, a:b], cache=cache) for a, b in ((0, 300), (300, 310), (310, 320))]
+    assert cache.length == 320
+    assert np.allclose(np.concatenate(steps, axis=1), _layer_forward(toy_cfg, layer, x), rtol=1e-12, atol=1e-12)
+
+
 def test_layer_forward_alternating_lengths_match_fresh_calls(toy_cfg, oracle_layers):
     layer = oracle_layers["dense"]
-    xs = {n: np.random.default_rng(n).normal(size=(n, toy_cfg.dim)) for n in (33, 128)}
+    xs = {n: np.random.default_rng(n).normal(size=(n, toy_cfg.dim)) for n in (33, 128, 300)}
     fresh = {}
     for n, x in xs.items():
         _causal_mask.cache_clear()
         fresh[n] = _grabbing_layer_forward(toy_cfg, layer, x)
-    for n in (33, 128, 33):
+    for n in (33, 300, 128, 33, 300):
         out, sites = _grabbing_layer_forward(toy_cfg, layer, xs[n])
         assert np.array_equal(out, fresh[n][0])
         for site in ALL_SITES:
@@ -594,6 +637,33 @@ def test_perplexity_random_model_concentrates_near_vocab(random_model):
         total -= logp[np.arange(128), tgt].sum()
         count += 128
     assert ppl == pytest.approx(float(np.exp(total / count)), rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_perplexity_equals_full_log_softmax_bit_for_bit(random_model, dtype, monkeypatch):
+    # perplexity forms only the targets' log-probabilities; the reference builds
+    # the whole (T, vocab) float64 log-softmax first and indexes it, as the NLL
+    # was first written.  Windows of 200 tokens also run the blocked attention.
+    model = _as_dtype(random_model, dtype)
+    arrays = [a.copy() for a in _model_arrays(model)]
+    stream, seq_len = synth.random_token_stream(601, 12), 200
+    total = 0.0
+    for w in range(3):
+        x = forward(model, stream[w * seq_len : (w + 1) * seq_len])[0].astype(np.float64)
+        m = x.max(axis=-1, keepdims=True)
+        logp = x - m - np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
+        total -= float(logp[np.arange(seq_len), stream[w * seq_len + 1 : (w + 1) * seq_len + 1]].sum())
+    logits_seen = []
+
+    def recording_forward(*args, **kwargs):
+        logits, captured = forward(*args, **kwargs)
+        logits_seen.append((logits, logits.copy()))
+        return logits, captured
+
+    monkeypatch.setattr(transformer, "forward", recording_forward)
+    assert perplexity(model, stream, seq_len) == float(np.exp(total / (3 * seq_len)))
+    assert len(logits_seen) == 3 and all(np.array_equal(got, kept) for got, kept in logits_seen)
+    assert all(np.array_equal(a, b) for a, b in zip(_model_arrays(model), arrays))
 
 
 def test_perplexity_discards_partial_window(toy_cfg):
