@@ -273,8 +273,13 @@ def validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: Mo
     tensors integer - so the embedding, LM head and norms are checked
     like the projections.  Every rank and retained count must be a
     positive int (8.0 or True would compare equal to a tensor axis).
-    The layer parameter total recorded in the manifest must be the
-    projection sizes of that layout.  Retained FFN channels and kept
+    Each MHA scheme's `params` must be the element count of its tensors,
+    and the parameter totals must follow from the config and the layout:
+    layer_source = n_layers * layer_params, source_total the dense
+    checkpoint's count, layer_retained the projection sizes of the
+    layout, compressed_total = source_total - layer_source +
+    layer_retained and realized_ratio_s = (source_total -
+    compressed_total) / source_total.  Retained FFN channels and kept
     heads must be strictly ascending, in range and equal to their index
     tensors; every retained channel's provenance must be "top" or
     "bottom", and the number marked "bottom" must be the quota the
@@ -306,8 +311,19 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
             raise ManifestError(f"tensor {name!r} has shape {arr.shape}, manifest implies {shape}")
         if arr.dtype.kind != ("i" if name in index_names else "f"):
             raise ManifestError(f"tensor {name!r} has dtype {arr.dtype}; weights are float, index tensors integer")
+    sizes: dict[tuple[int, str], int] = {}  # (layer, projection): elements of its tensors
+    for name, shape in layout.items():
+        split = split_projection_name(name)
+        if split is not None:
+            key = split[0], split[1].name
+            sizes[key] = sizes.get(key, 0) + int(np.prod(shape))
     retain_least = manifest["global"]["retain_least"]
     for i, rec in enumerate(recs):
+        for proj, scheme in rec["mha"]["schemes"].items():
+            if scheme["params"] != sizes[i, proj]:
+                raise ManifestError(
+                    f"layer {i}: {proj} params is {scheme['params']!r}, its tensors hold {sizes[i, proj]}"
+                )
         kept_heads = rec["mha"].get("kept_heads")
         if kept_heads is not None:
             if not _ascending_within(kept_heads, config.n_heads):
@@ -316,11 +332,22 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
                 raise ManifestError(f"layer {i}: kept-heads tensor disagrees with manifest list")
         if rec["ffn"]["kind"] == "pruned":
             _check_retained(i, rec["ffn"], tensors[retained_channels_name(i)], config.ffn_dim, retain_least)
-    recorded = manifest["global"]["params"]["layer_retained"]
-    projections = [shape for name, shape in layout.items() if split_projection_name(name) is not None]
-    from_layout = sum(int(np.prod(shape)) for shape in projections)
-    if recorded != from_layout:
-        raise ManifestError(f"layer parameter totals disagree: manifest={recorded}, tensors={from_layout}")
+    layer_source, source_total = config.n_layers * config.layer_params, dense_param_total(config)
+    layer_retained = sum(sizes.values())
+    compressed_total = source_total - layer_source + layer_retained
+    implied = {
+        "layer_source": layer_source,
+        "source_total": source_total,
+        "layer_retained": layer_retained,
+        "compressed_total": compressed_total,
+        "realized_ratio_s": (source_total - compressed_total) / source_total,
+    }
+    recorded = manifest["global"]["params"]
+    for key, want in implied.items():
+        if recorded[key] != want:
+            raise ManifestError(
+                f"parameter totals disagree: manifest {key}={recorded[key]!r}, config and tensors give {want}"
+            )
 
 
 def _ranks(i: int, rec: dict) -> dict[str, int | None]:

@@ -31,14 +31,17 @@ loudly (CalibrationError, DataError) instead of returning a wrong number.
 Causal attention is per-head BLAS matmul on (heads, tokens, head_dim)
 views under a cached read-only causal mask (bool and 0/1 in the state's
 dtype, cached per length and dtype).  Its softmax never passes -inf to
-`exp`, which numpy sends down a slow path: masked scores are clamped,
-then zeroed by the 0/1 mask.  More than ATTENTION_ROWS (128) query rows
-run as blocks of 128 over the causal key prefix: rows [s, e) read keys and
-values 0..start+e only and the mask slice [start+s : start+e, : start+e],
-so a block's scores take heads * 128 * (start+e) * itemsize bytes.  A call
-of 128 rows or fewer is one block; above 128 tokens results differ from
-one block over all keys by float rounding only.  Rotary embedding rotates
-each component pair as one complex number, complex64 for float32 states.
+`exp`, which numpy sends down a slow path, nor lets a numerator fall to a
+subnormal, which x86 CPUs compute in slow microcode: shifted scores are
+clamped to [ln(tiny/eps), 0] for the dtype (-71.39 in float32, -672.35 in
+float64), then masked ones are zeroed by the 0/1 mask.  More than
+ATTENTION_ROWS (128) query rows run as blocks of 128 over the causal key
+prefix: rows [s, e) read keys and values 0..start+e only and the mask
+slice [start+s : start+e, : start+e], so a block's scores take
+heads * 128 * (start+e) * itemsize bytes.  A call of 128 rows or fewer is
+one block; above 128 tokens results differ from one block over all keys
+by float rounding only.  Rotary embedding rotates each component pair as
+one complex number, complex64 for float32 states.
 """
 
 from __future__ import annotations
@@ -207,6 +210,14 @@ def _causal_mask(n_pos: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
     return keep, keep_f
 
 
+@lru_cache(maxsize=None)
+def _softmax_floor(dtype: np.dtype) -> float:
+    """ln(tiny / eps) of a float dtype: e^floor, and its product with any value of
+    magnitude >= eps, are normal floats."""
+    info = np.finfo(dtype)
+    return math.log(info.tiny / info.eps)
+
+
 # Query rows per attention block: a block's scores, heads * 128 * keys * itemsize
 # bytes, stay in a 2 MB L2 cache up to 512 keys at 4 float32 heads.
 ATTENTION_ROWS = 128
@@ -218,9 +229,13 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int, capacity
 
     More than ATTENTION_ROWS queries run as blocks of that many rows, each over
     the keys up to its last row only.
-    Once each row's maximum over kept scores is subtracted, the clamp at 0 changes no
-    kept score and keeps masked ones finite, so exp never sees -inf or overflows; the 0/1
-    mask then zeroes them exactly.  Rows are divided by their sums (>= 1) after the value product.
+    Once each row's maximum over kept scores is subtracted, scores are clamped to
+    [_softmax_floor, 0]: masked ones stay finite, so exp never sees -inf or overflows, and
+    the 0/1 mask then zeroes them exactly.  A kept weight below e^floor (under 1e-31 of the
+    row maximum in float32, 1e-292 in float64) is raised to e^floor, so neither exp nor the
+    value product makes subnormals.  That moves the row sum (>= 1) by less than its float
+    resolution and each value term by at most e^floor times the value.  Rows are divided
+    by their sums after the value product.
     """
     n_rows = q.shape[-2]
     if n_rows > ATTENTION_ROWS:
@@ -237,7 +252,7 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int, capacity
     # A Python float scale: a NumPy float64 scalar would promote float32 scores to float64.
     scores = (q * (1.0 / math.sqrt(q.shape[-1]))) @ k.swapaxes(-1, -2)
     scores -= scores.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
-    np.minimum(scores, 0.0, out=scores)
+    np.clip(scores, _softmax_floor(scores.dtype), 0.0, out=scores)
     np.exp(scores, out=scores)
     scores *= keep_f
     return (scores @ v) / scores.sum(axis=-1, keepdims=True)

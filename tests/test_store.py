@@ -353,6 +353,54 @@ def test_corrupt_index_records_are_rejected(head_pruned_out, tmp_path, corrupt, 
     assert main(["stats", "--model", str(out)]) == 2
 
 
+@pytest.fixture(scope="module")
+def factored_out(tmp_path_factory):
+    # factored attention and pruned FFN channels in every layer
+    return _compressed_toy(tmp_path_factory.mktemp("factored"))[3]
+
+
+def _off_by_one(path, delta, message):
+    return pytest.param(path, delta, message, id=".".join(map(str, path)) + f"{delta:+d}")
+
+
+PARAM_TOTALS = ("source_total", "compressed_total", "layer_source", "layer_retained", "realized_ratio_s")
+
+
+# Each record is one off from what the config and the tensors imply.  A wider
+# ffn_dim leaves a pruned output's tensors, channel range and bottom quota valid,
+# so only the totals it implies can catch it.
+@pytest.mark.parametrize(
+    "path, delta, message",
+    [
+        _off_by_one(("config", "ffn_dim"), 1, "layer_source"),
+        *(_off_by_one(("global", "params", key), d, key) for key in PARAM_TOTALS for d in (1, -1)),
+        *(
+            _off_by_one(("layers", i, "mha", "schemes", proj, "params"), d, f"layer {i}: {proj} params")
+            for i in (0, 1)
+            for proj in store.ATTN_PROJS
+            for d in (1, -1)
+        ),
+    ],
+)
+def test_parameter_records_off_by_one_are_rejected(factored_out, tmp_path, path, delta, message):
+    import shutil
+
+    from rankprune.cli import main
+
+    out = tmp_path / "corrupt"
+    shutil.copytree(factored_out, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    *parents, leaf = path
+    record = manifest
+    for key in parents:
+        record = record[key]
+    record[leaf] += delta
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match=message):
+        store.load_compressed(out)
+    assert main(["stats", "--model", str(out)]) == 2
+
+
 def _arrays(proj):
     return (proj.w,) if isinstance(proj, Dense) else (proj.l, proj.r)
 

@@ -312,8 +312,9 @@ def test_masked_scores_never_leak(n, d_h, start, capacity):
     # key j is exactly k[j, i]: every future key scores +1e300, and key 0 and the
     # key at the last row of the first 128-row block score -1000 wherever they
     # are kept, more than 745 below the row maximum wherever another key is
-    # kept, so their exp underflows.  start > 0 is a cached step whose mask is
-    # sliced from the one built for `capacity` positions.
+    # kept, so their weight is the softmax floor's, far under the tolerance.
+    # start > 0 is a cached step whose mask is sliced from the one built for
+    # `capacity` positions.
     end = start + n
     rng = np.random.default_rng(start)
     causal = np.arange(end) <= np.arange(start, end)[:, None]  # (n, end)
@@ -334,6 +335,55 @@ def test_masked_scores_never_leak(n, d_h, start, capacity):
     ref = (e / e.sum(axis=-1, keepdims=True)) @ v
     assert np.all(np.isfinite(out))
     assert np.allclose(out, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "dtype, gap, rtol", [(np.float32, 90.0, 1e-6), (np.float64, 700.0, 1e-12)], ids=["float32", "float64"]
+)
+@pytest.mark.parametrize("start", [0, 70])
+def test_softmax_numerators_are_never_subnormal(dtype, gap, rtol, start):
+    # As in test_masked_scores_never_leak, row i's score against key j is k[j, i].
+    # Keys score in [-1, 0) except every third key (0, 3, 6, ...), which scores
+    # -gap, so gap - 1 or more below the row maximum wherever another key is kept:
+    # e^-89 is subnormal in float32, and in float64 e^-699 times a value under
+    # 8e-5 is; those keys' values are 1e-3 times a normal draw.  Without the
+    # softmax floor exp (float32) or the value product (float64) underflows.
+    n, d_h = 200, 256
+    end = start + n
+    rng = np.random.default_rng(start)
+    causal = np.arange(end) <= np.arange(start, end)[:, None]  # (n, end)
+    q = np.tile(math.sqrt(d_h) * np.eye(n, d_h), (2, 1, 1))
+    k = rng.uniform(-1.0, 0.0, size=(2, end, d_h))
+    k[:, 0::3, :n] = -gap
+    v = rng.normal(size=(2, end, d_h))
+    v[:, 0::3] *= 1e-3
+    q, k, v = (a.astype(dtype) for a in (q, k, v))
+
+    with np.errstate(under="raise"):
+        out = _attention(q, k, v, start, end)
+
+    scores = np.where(causal, q.astype(np.float64) @ k.astype(np.float64).swapaxes(-1, -2) / np.sqrt(d_h), -np.inf)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    ref = (e / e.sum(axis=-1, keepdims=True)) @ v.astype(np.float64)
+    assert out.dtype == dtype
+    np.testing.assert_allclose(out, ref, rtol=rtol, atol=rtol)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n, start", [(100, 0), (100, 40), (300, 0), (300, 40)])
+def test_softmax_floor_changes_nothing_above_it(dtype, n, start, monkeypatch):
+    # When every kept score is within the floor of its row maximum, the clamp to
+    # [floor, 0] gives the bits of the clamp at 0 alone (a floor of -inf).
+    end = start + n
+    rng = np.random.default_rng(n + start)
+    q, k, v = (rng.normal(size=(4, m, 16)).astype(dtype) for m in (n, end, end))
+    causal = np.arange(end) <= np.arange(start, end)[:, None]
+    scores = np.where(causal, q @ k.swapaxes(-1, -2) / 4.0, np.nan)
+    shifted = scores - np.nanmax(scores, axis=-1, keepdims=True)
+    assert np.nanmin(shifted) > transformer._softmax_floor(np.dtype(dtype))
+    out = _attention(q, k, v, start, end)
+    monkeypatch.setattr(transformer, "_softmax_floor", lambda dtype: -np.inf)
+    assert np.array_equal(_attention(q, k, v, start, end), out)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
