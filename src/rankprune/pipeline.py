@@ -38,7 +38,7 @@ import numpy as np
 
 from . import pruning, store
 from .config import ModelConfig
-from .errors import CalibrationError, DecompositionError, ManifestError
+from .errors import CalibrationError, DataError, DecompositionError, ManifestError
 from .lowrank import allocate_mha, compress_mha, plain_factor
 from .store import MANIFEST_VERSION, RatioPlan
 from .transformer import (
@@ -393,9 +393,12 @@ def load_any_model(path: str | Path, config: ModelConfig | None = None) -> tuple
 
 
 def record_evaluation(report_path: str | Path, data_key: str, ppl: float, wall_time_s: float) -> None:
-    """Append an evaluation result to an existing run report."""
+    """Append an evaluation result to an existing run report; a report that is not an
+    object, or whose evaluations or timing is not one, is a DataError and is left as it is."""
     report_path = Path(report_path)
     report = json.loads(report_path.read_text(encoding="utf-8"))
+    if not isinstance(report, dict) or not all(isinstance(report.get(k, {}), dict) for k in ("evaluations", "timing")):
+        raise DataError(f"{report_path}: a run report must be a JSON object whose evaluations and timing are objects")
     report.setdefault("evaluations", {})[data_key] = ppl
     report.setdefault("timing", {})[data_key] = {"eval_wall_time_s": wall_time_s}
     report_path.write_text(canonical_json(report), encoding="utf-8")

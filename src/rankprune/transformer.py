@@ -29,19 +29,19 @@ propagate as inf or NaN without a warning; those reductions reject it
 loudly (CalibrationError, DataError) instead of returning a wrong number.
 
 Causal attention is per-head BLAS matmul on (heads, tokens, head_dim)
-views under a cached read-only causal mask (bool and 0/1 in the state's
-dtype, cached per length and dtype).  Its softmax never passes -inf to
-`exp`, which numpy sends down a slow path, nor lets a numerator fall to a
-subnormal, which x86 CPUs compute in slow microcode: shifted scores are
-clamped to [ln(tiny/eps), 0] for the dtype (-71.39 in float32, -672.35 in
-float64), then masked ones are zeroed by the 0/1 mask.  More than
-ATTENTION_ROWS (128) query rows run as blocks of 128 over the causal key
-prefix: rows [s, e) read keys and values 0..start+e only and the mask
-slice [start+s : start+e, : start+e], so a block's scores take
-heads * 128 * (start+e) * itemsize bytes.  A call of 128 rows or fewer is
-one block; above 128 tokens results differ from one block over all keys
-by float rounding only.  Rotary embedding rotates each component pair as
-one complex number, complex64 for float32 states.
+views.  Its softmax never passes -inf to `exp`, which numpy sends down a
+slow path, nor lets a numerator fall to a subnormal, which x86 CPUs
+compute in slow microcode: shifted scores are clamped to [ln(tiny/eps), 0]
+for the dtype (-71.39 in float32, -672.35 in float64), then masked ones
+are zeroed by the 0/1 mask.  More than ATTENTION_ROWS (128) query rows run
+as blocks of 128 over the causal key prefix: rows [s, e) read keys and
+values 0..start+e only, so a block's scores take
+heads * 128 * (start+e) * itemsize bytes.  Every key left of a block is
+kept, so the mask is one read-only 128 x 128 triangle (bool and 0/1,
+cached per dtype) over the block's last columns.  A call of 128 rows or
+fewer is one block; above 128 tokens results differ from one block over
+all keys by float rounding only.  Rotary embedding rotates each component
+pair as one complex number, complex64 for float32 states.
 """
 
 from __future__ import annotations
@@ -177,34 +177,40 @@ def silu(x: np.ndarray) -> np.ndarray:
         return x / (1.0 + np.exp(-x))
 
 
+# Query rows per attention block: a block's scores, heads * 128 * keys * itemsize
+# bytes, stay in a 2 MB L2 cache up to 512 keys at 4 float32 heads.
+ATTENTION_ROWS = 128
+
+
 @lru_cache(maxsize=16)
 def _rope_tables(n_pos: int, head_dim: int, theta: float, dtype: np.dtype) -> np.ndarray:
     """Rotations exp(i m theta^(-2i/head_dim)), (n_pos, head_dim // 2), computed in
-    float64 and stored as the complex type of real `dtype` (complex64 for float32)."""
+    float64 and stored as the complex type of real `dtype` (complex64 for float32).
+    Each row is computed on its own, so a table is the prefix of any longer one."""
     angles = np.outer(np.arange(n_pos, dtype=np.float64), theta ** (-2.0 * np.arange(head_dim // 2) / head_dim))
     rot = (np.cos(angles) + 1j * np.sin(angles)).astype(np.result_type(dtype, np.complex64), copy=False)
     rot.flags.writeable = False  # cached: every caller shares it
     return rot
 
 
-def apply_rope(x: np.ndarray, theta: float, start: int = 0, capacity: int | None = None) -> np.ndarray:
+def apply_rope(x: np.ndarray, theta: float, start: int = 0) -> np.ndarray:
     """Rotate consecutive component pairs of each head by position-dependent angles.
 
     x is (..., n_tokens, n_heads, head_dim) at positions start, start + 1, ...; pair (2i, 2i+1) at
     position m, as the complex number x[2i] + i x[2i+1], is multiplied by exp(i m theta^(-2i/head_dim)).
-    Tables cover `capacity` positions (default: just enough) and are sliced: one table per window.
+    Tables span whole blocks of ATTENTION_ROWS positions and are sliced: one per window up to 128.
     """
     n_pos, _, head_dim = x.shape[-3:]
-    rot = _rope_tables(capacity or start + n_pos, head_dim, theta, x.dtype)[start : start + n_pos, None, :]
+    n_table = -(-(start + n_pos) // ATTENTION_ROWS) * ATTENTION_ROWS
+    rot = _rope_tables(n_table, head_dim, theta, x.dtype)[start : start + n_pos, None, :]
     return (np.ascontiguousarray(x).view(rot.dtype) * rot).view(x.dtype)
 
 
-@lru_cache(maxsize=4)
-def _causal_mask(n_pos: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only causal masks, (n_pos, n_pos): True and 1 (in `dtype`) on and below the
-    diagonal, False and 0 above.  A few (length, dtype) pairs are cached; each costs
-    n_pos^2 * (1 + itemsize) bytes."""
-    keep = np.tri(n_pos, dtype=bool)
+@lru_cache(maxsize=None)
+def _causal_mask(dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only causal triangles, (ATTENTION_ROWS, ATTENTION_ROWS): True and 1 (in
+    `dtype`) on and below the diagonal, False and 0 above; one pair per dtype."""
+    keep = np.tri(ATTENTION_ROWS, dtype=bool)
     keep_f = keep.astype(dtype)
     keep.flags.writeable = keep_f.flags.writeable = False
     return keep, keep_f
@@ -218,17 +224,13 @@ def _softmax_floor(dtype: np.dtype) -> float:
     return math.log(info.tiny / info.eps)
 
 
-# Query rows per attention block: a block's scores, heads * 128 * keys * itemsize
-# bytes, stay in a 2 MB L2 cache up to 512 keys at 4 float32 heads.
-ATTENTION_ROWS = 128
-
-
-def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int, capacity: int) -> np.ndarray:
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int) -> np.ndarray:
     """Causal softmax(q kᵀ / √d_h) v on (..., heads, tokens, head_dim) arrays, for
-    queries at positions start.. of a window of up to `capacity` positions.
+    queries at positions start.. against the keys at positions 0..start + tokens - 1.
 
     More than ATTENTION_ROWS queries run as blocks of that many rows, each over
-    the keys up to its last row only.
+    the keys up to its last row only.  Every key left of a block is kept, so only
+    a block's last columns, one per row, take the cached causal triangle.
     Once each row's maximum over kept scores is subtracted, scores are clamped to
     [_softmax_floor, 0]: masked ones stay finite, so exp never sees -inf or overflows, and
     the 0/1 mask then zeroes them exactly.  A kept weight below e^floor (under 1e-31 of the
@@ -243,18 +245,19 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int, capacity
         blocks = []
         for s in range(0, n_rows, ATTENTION_ROWS):
             e = s + ATTENTION_ROWS
-            blocks.append(
-                _attention(q[..., s:e, :], k[..., : start + e, :], v[..., : start + e, :], start + s, capacity)
-            )
+            blocks.append(_attention(q[..., s:e, :], k[..., : start + e, :], v[..., : start + e, :], start + s))
         return np.concatenate(blocks, axis=-2)
-    end = start + n_rows
-    keep, keep_f = (mask[start:end, :end] for mask in _causal_mask(capacity, q.dtype))
+    keep, keep_f = (tri[:n_rows, :n_rows] for tri in _causal_mask(q.dtype))
     # A Python float scale: a NumPy float64 scalar would promote float32 scores to float64.
     scores = (q * (1.0 / math.sqrt(q.shape[-1]))) @ k.swapaxes(-1, -2)
-    scores -= scores.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    diag = scores[..., start:]  # the block's own keys; every key left of them is kept
+    row_max = diag.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    if start:
+        np.maximum(row_max, scores[..., :start].max(axis=-1, keepdims=True), out=row_max)
+    scores -= row_max
     np.clip(scores, _softmax_floor(scores.dtype), 0.0, out=scores)
     np.exp(scores, out=scores)
-    scores *= keep_f
+    diag *= keep_f
     return (scores @ v) / scores.sum(axis=-1, keepdims=True)
 
 
@@ -347,7 +350,7 @@ def _layer_forward(
     *lead, n_pos, dim = x.shape
     d_h = cfg.head_dim
     n_heads = layer.n_heads(cfg)
-    start, capacity = (0, n_pos) if cache is None else (cache.length, cache.k.shape[-3])
+    start = 0 if cache is None else cache.length
     end = start + n_pos
 
     # Projections run on the rows flattened to 2-D: a broadcast matmul of
@@ -359,7 +362,7 @@ def _layer_forward(
     q = layer.q(h).reshape(*lead, n_pos, n_heads, d_h)
     k = layer.k(h).reshape(*lead, n_pos, n_heads, d_h)
     v = layer.v(h).reshape(*lead, n_pos, n_heads, d_h)
-    q, k = (apply_rope(a, cfg.rope_theta, start, capacity) for a in (q, k))
+    q, k = (apply_rope(a, cfg.rope_theta, start) for a in (q, k))
     if cache is not None:
         cache.k[..., start:end, :, :] = k
         cache.v[..., start:end, :, :] = v
@@ -367,7 +370,7 @@ def _layer_forward(
         k, v = cache.k[..., :end, :, :], cache.v[..., :end, :, :]
 
     # Per-head products on (..., heads, tokens, ...) views; the ndarray method, as np.swapaxes costs a call.
-    context = _attention(q.swapaxes(-3, -2), k.swapaxes(-3, -2), v.swapaxes(-3, -2), start, capacity)
+    context = _attention(q.swapaxes(-3, -2), k.swapaxes(-3, -2), v.swapaxes(-3, -2), start)
     context = context.swapaxes(-3, -2).reshape(-1, n_heads * d_h)
     grab(SITE_ATTN_O_INPUT, context)
     x = x + layer.o(context)

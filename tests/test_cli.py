@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -285,6 +286,21 @@ def test_eval_update_report(fixture_dir, tmp_path, capsys):
     assert code == 0
     report = json.loads((out / "report.json").read_text())
     assert "eval.bin" in report["evaluations"]
+
+
+@pytest.mark.parametrize("report", [[], "x", {"evaluations": []}, {"timing": 3}], ids=["list", "str", "evaluations", "timing"])
+def test_eval_update_report_rejects_a_malformed_report(fixture_dir, compressed_out, tmp_path, capsys, report):
+    out = tmp_path / "z"
+    shutil.copytree(compressed_out, out)
+    raw = json.dumps(report).encode()
+    (out / "report.json").write_bytes(raw)
+    code = main(
+        ["eval", "--model", str(out), "--data", str(fixture_dir / "eval.bin"),
+         "--seqlen", "64", "--update-report"]
+    )
+    assert code == 2
+    assert "report.json" in capsys.readouterr().err
+    assert (out / "report.json").read_bytes() == raw
 
 
 def test_eval_dense_checkpoint_needs_config(fixture_dir, capsys):

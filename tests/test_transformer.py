@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -282,39 +283,98 @@ def test_rms_norm_reduces_float32_in_float64():
 
 
 def test_causal_mask_is_cached_read_only_and_small():
-    lower = np.tril(np.ones((5, 5), dtype=bool))
+    # One ATTENTION_ROWS x ATTENTION_ROWS triangle per dtype, whatever the window length.
+    n = transformer.ATTENTION_ROWS
+    lower = np.tri(n, dtype=bool)
     masks = {}
     for dtype in (np.dtype(np.float32), np.dtype(np.float64)):
-        keep, keep_f = masks[dtype] = _causal_mask(5, dtype)
+        keep, keep_f = masks[dtype] = _causal_mask(dtype)
         assert keep.dtype == bool and np.array_equal(keep, lower)
         assert keep_f.dtype == dtype and np.array_equal(keep_f, lower.astype(dtype))
         assert keep.flags.writeable is False and keep_f.flags.writeable is False
-        assert _causal_mask(5, dtype)[0] is keep and _causal_mask(5, dtype)[1] is keep_f
+        assert _causal_mask(dtype)[0] is keep and _causal_mask(dtype)[1] is keep_f
         with pytest.raises(ValueError):
             keep[0, 1] = True
         with pytest.raises(ValueError):
             keep_f[0, 1] = 1.0
     assert masks[np.dtype(np.float32)][1] is not masks[np.dtype(np.float64)][1]
-    assert _causal_mask.cache_info().maxsize <= 4
+    _causal_mask.cache_clear()
+    for n_pos, start in ((5, 0), (1, 63), (300, 40)):
+        q, k, v = (np.ones((2, m, 16), np.float32) for m in (n_pos, start + n_pos, start + n_pos))
+        _attention(q, k, v, start)
+    assert _causal_mask.cache_info().currsize == 1
+
+
+def _full_mask_attention(q, k, v, start):
+    """The blocked attention formula under a window-sized mask: the same 128-row blocks,
+    each masked by the rows start..end of a full causal triangle, np.tri(end)[start:end]."""
+    n_rows = q.shape[-2]
+    rows = transformer.ATTENTION_ROWS
+    if n_rows > rows:
+        return np.concatenate(
+            [_full_mask_attention(q[..., s : s + rows, :], k[..., : start + s + rows, :],
+                                  v[..., : start + s + rows, :], start + s) for s in range(0, n_rows, rows)],
+            axis=-2,
+        )
+    end = start + n_rows
+    keep = np.tri(end, dtype=bool)[start:end]
+    scores = (q * (1.0 / math.sqrt(q.shape[-1]))) @ k.swapaxes(-1, -2)
+    scores -= scores.max(axis=-1, keepdims=True, where=keep, initial=-np.inf)
+    np.clip(scores, transformer._softmax_floor(scores.dtype), 0.0, out=scores)
+    np.exp(scores, out=scores)
+    scores *= keep.astype(scores.dtype)
+    return (scores @ v) / scores.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "n, start", [(128, 0), (129, 0), (300, 40), (512, 0), (2048, 0), (1, 0), (1, 63), (5, 100)]
+)
+def test_attention_matches_the_full_mask_formula_bit_for_bit(dtype, n, start):
+    # Prefill windows and decode steps (1 or 5 rows after a filled cache) of 2
+    # windows x 4 heads; scores of a few units, so rows are peaked and some
+    # weights fall under the softmax floor.
+    end = start + n
+    rng = np.random.default_rng(n + start)
+    q, k, v = (rng.normal(scale=3.0, size=(2, 4, m, 16)).astype(dtype) for m in (n, end, end))
+    out = _attention(q, k, v, start)
+    assert out.dtype == dtype
+    assert np.array_equal(out, _full_mask_attention(q, k, v, start))
+
+
+def test_attention_memory_does_not_grow_with_the_window():
+    # A cold 2048-token float32 call, 4 heads x 16: its peak is about one
+    # 128-row block's scores (4 MiB), and it caches only the 128 x 128 triangle.
+    rng = np.random.default_rng(0)
+    q, k, v = (rng.normal(size=(4, 2048, 16)).astype(np.float32) for _ in range(3))
+    _causal_mask.cache_clear()
+    tracemalloc.start()
+    try:
+        out = _attention(q, k, v, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+        del out
+        cached = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert cached < 2**20
 
 
 @pytest.mark.parametrize(
-    "n, d_h, start, capacity",
+    "n, d_h, start",
     [
-        pytest.param(6, 16, 0, 6, id="0-6"),
-        pytest.param(6, 16, 5, 16, id="5-16"),
-        pytest.param(200, 256, 0, 200, id="two-blocks-0-200"),
-        pytest.param(200, 256, 70, 300, id="two-blocks-70-300"),
+        pytest.param(6, 16, 0, id="0-6"),
+        pytest.param(6, 16, 5, id="5-16"),
+        pytest.param(200, 256, 0, id="two-blocks-0-200"),
+        pytest.param(200, 256, 70, id="two-blocks-70-300"),
     ],
 )
-def test_masked_scores_never_leak(n, d_h, start, capacity):
+def test_masked_scores_never_leak(n, d_h, start):
     # Query i is sqrt(d_h) e_i, so after the 1/sqrt(d_h) scale its score against
     # key j is exactly k[j, i]: every future key scores +1e300, and key 0 and the
     # key at the last row of the first 128-row block score -1000 wherever they
     # are kept, more than 745 below the row maximum wherever another key is
     # kept, so their weight is the softmax floor's, far under the tolerance.
-    # start > 0 is a cached step whose mask is sliced from the one built for
-    # `capacity` positions.
     end = start + n
     rng = np.random.default_rng(start)
     causal = np.arange(end) <= np.arange(start, end)[:, None]  # (n, end)
@@ -327,7 +387,7 @@ def test_masked_scores_never_leak(n, d_h, start, capacity):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = _attention(q, k, v, start, capacity)
+        out = _attention(q, k, v, start)
 
     scores = np.where(causal, q @ k.swapaxes(-1, -2) / np.sqrt(d_h), -np.inf)
     assert np.max(scores[np.broadcast_to(causal, scores.shape)]) < 10.0
@@ -360,7 +420,7 @@ def test_softmax_numerators_are_never_subnormal(dtype, gap, rtol, start):
     q, k, v = (a.astype(dtype) for a in (q, k, v))
 
     with np.errstate(under="raise"):
-        out = _attention(q, k, v, start, end)
+        out = _attention(q, k, v, start)
 
     scores = np.where(causal, q.astype(np.float64) @ k.astype(np.float64).swapaxes(-1, -2) / np.sqrt(d_h), -np.inf)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -381,9 +441,9 @@ def test_softmax_floor_changes_nothing_above_it(dtype, n, start, monkeypatch):
     scores = np.where(causal, q @ k.swapaxes(-1, -2) / 4.0, np.nan)
     shifted = scores - np.nanmax(scores, axis=-1, keepdims=True)
     assert np.nanmin(shifted) > transformer._softmax_floor(np.dtype(dtype))
-    out = _attention(q, k, v, start, end)
+    out = _attention(q, k, v, start)
     monkeypatch.setattr(transformer, "_softmax_floor", lambda dtype: -np.inf)
-    assert np.array_equal(_attention(q, k, v, start, end), out)
+    assert np.array_equal(_attention(q, k, v, start), out)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -395,11 +455,11 @@ def test_attention_rows_ignore_later_keys_and_values(dtype, start, i):
     n, end = 300, start + 300
     rng = np.random.default_rng(i)
     q, k, v = (rng.normal(size=(4, m, 16)).astype(dtype) for m in (n, end, end))
-    out = _attention(q, k, v, start, end)
+    out = _attention(q, k, v, start)
     k2, v2 = k.copy(), v.copy()
     k2[:, start + i + 1 :] = 10.0 * rng.normal(size=k2[:, start + i + 1 :].shape)
     v2[:, start + i + 1 :] = 10.0 * rng.normal(size=v2[:, start + i + 1 :].shape)
-    out2 = _attention(q, k2, v2, start, end)
+    out2 = _attention(q, k2, v2, start)
     assert out.dtype == dtype
     assert np.array_equal(out2[:, : i + 1], out[:, : i + 1])
     assert not np.array_equal(out2[:, i + 1 :], out[:, i + 1 :])
@@ -469,13 +529,13 @@ def test_silu_within_4_ulp_of_expit_form():
     assert np.all(np.abs(silu(x) - ref) <= 4 * np.spacing(np.abs(ref)))
 
 
-@pytest.mark.parametrize("start, capacity", [(0, None), (3, 20)])
-def test_apply_rope_matches_pairwise_formula(start, capacity):
+@pytest.mark.parametrize("start", [0, 3])
+def test_apply_rope_matches_pairwise_formula(start):
     n_pos, n_heads, d_h, theta = 9, 4, 16, 10000.0
     x = np.random.default_rng(2).normal(size=(2, n_heads, n_pos, d_h)).swapaxes(1, 2)
     assert not x.flags.c_contiguous
     before = x.copy()
-    y = apply_rope(x, theta, start, capacity)
+    y = apply_rope(x, theta, start)
     inv_freq = theta ** (-2.0 * np.arange(d_h // 2) / d_h)
     angles = np.outer(np.arange(start, start + n_pos, dtype=np.float64), inv_freq)[:, None, :]
     cos, sin = np.cos(angles), np.sin(angles)
@@ -486,6 +546,26 @@ def test_apply_rope_matches_pairwise_formula(start, capacity):
     assert np.array_equal(x, before)
     with pytest.raises(ValueError):
         _rope_tables(n_pos, d_h, theta, x.dtype)[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("head_dim", [16, 64, 128])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rope_tables_are_prefixes_of_longer_ones(dtype, head_dim):
+    # apply_rope reads tables rounded up to whole attention blocks; its
+    # rotations keep their bits because a row never depends on the length.
+    build = _rope_tables.__wrapped__  # uncached, so the test leaves the cache as it was
+    longest = build(4096, head_dim, 10000.0, np.dtype(dtype))
+    for n_pos in [*range(1, 300), 511, 512, 513, 1024, 2047, 2048]:
+        assert build(n_pos, head_dim, 10000.0, np.dtype(dtype)).tobytes() == longest[:n_pos].tobytes(), n_pos
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_decoding_a_window_builds_one_rope_table(random_model, dtype):
+    model = _as_dtype(random_model, dtype)
+    _rope_tables.cache_clear()
+    synth.sample_from_model(model, 3 * 128, seed=5, window=128)
+    assert _rope_tables.cache_info().misses == 1  # one (head_dim, dtype): one table of 128 rows
+    assert _rope_tables.cache_info().currsize == 1
 
 
 def test_rope_tables_are_cached_read_only_per_dtype():
