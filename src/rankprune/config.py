@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -11,8 +12,10 @@ from pathlib import Path
 class ModelConfig:
     """Shape constants of a LLaMA-style decoder.
 
-    dim == n_heads * head_dim must hold; head_dim must be even so the
-    rotary embedding can pair its components.
+    Counts are positive ints (not bools) and norm_eps and rope_theta are
+    positive finite reals (not bools or strings); dim == n_heads * head_dim
+    must hold; head_dim must be even so the rotary embedding can pair its
+    components.  Any other value is a ValueError.
     """
 
     dim: int
@@ -34,7 +37,7 @@ class ModelConfig:
             "vocab_size": self.vocab_size,
         }
         for key, value in counts.items():
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:  # True is not a count
                 raise ValueError(f"config field {key} must be a positive integer, got {value!r}")
         if self.dim != self.n_heads * self.head_dim:
             raise ValueError(
@@ -43,10 +46,11 @@ class ModelConfig:
             )
         if self.head_dim % 2 != 0:
             raise ValueError(f"head_dim must be even for rotary pairing, got {self.head_dim}")
-        if not self.norm_eps > 0.0:
-            raise ValueError("norm_eps must be positive")
-        if not self.rope_theta > 0.0:
-            raise ValueError("rope_theta must be positive")
+        for key in ("norm_eps", "rope_theta"):
+            value = getattr(self, key)
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and value > 0):
+                raise ValueError(f"config field {key} must be a positive finite number, got {value!r}")
 
     @property
     def layer_params(self) -> int:
@@ -58,6 +62,8 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        if not isinstance(d, dict):
+            raise ValueError(f"config must be a JSON object, got {d!r}")
         known = {f: d[f] for f in cls.__dataclass_fields__ if f in d}
         missing = [
             f

@@ -89,9 +89,10 @@ def _payload_layout(path: str | Path, header: dict, payload_len: int) -> list[tu
     cursor = 0
     for name, entry in header.items():
         try:
-            dtype_key = entry["dtype"]
-            shape = tuple(int(x) for x in entry["shape"])
-            start, end = (int(x) for x in entry["data_offsets"])
+            dtype_key, shape, (start, end) = entry["dtype"], tuple(entry["shape"]), entry["data_offsets"]
+            # A dtype is a string and every dimension and offset a JSON integer: 64.0, "64" or true is not one.
+            if not isinstance(dtype_key, str) or not all(type(x) is int for x in (*shape, start, end)):
+                raise TypeError(f"dtype {dtype_key!r}, shape {shape!r}, data_offsets {[start, end]!r}")
         except (TypeError, KeyError, ValueError) as exc:
             raise ContainerFormatError(f"{path}: malformed entry for {name!r}") from exc
         if dtype_key not in _DTYPES:

@@ -53,7 +53,8 @@ def awsvd_factor(w, x_din, rank: int, name: str = "matrix") -> FactorPair:
 
     All-zero x_din entries are floored to XDIN_EPS, never an error: the
     weighting then degenerates toward plain truncated SVD for those
-    columns.
+    columns.  Unit weights give plain truncated SVD exactly, since
+    multiplying and dividing by 1.0 are exact.
     """
     w = as_matrix(w, name)
     d = floored_weights(x_din, w.shape[1])
@@ -61,14 +62,6 @@ def awsvd_factor(w, x_din, rank: int, name: str = "matrix") -> FactorPair:
     r_mat = right / d[None, :]
     err = weighted_frobenius_error(w, left, r_mat, d)
     return FactorPair(l=left, r=r_mat, rank=rank, weighted_error=err)
-
-
-def plain_factor(w, rank: int, name: str = "matrix") -> FactorPair:
-    """Unweighted truncated SVD, kept around as the baseline factorizer."""
-    w = as_matrix(w, name)
-    left, right = top_factors(w, rank, name=name)
-    err = weighted_frobenius_error(w, left, right, np.ones(w.shape[1]))
-    return FactorPair(l=left, r=right, rank=rank, weighted_error=err)
 
 
 # ---------------------------------------------------------------------------
@@ -187,20 +180,16 @@ def compress_mha(
     weights: dict[str, np.ndarray],
     x_din_by_matrix: dict[str, np.ndarray],
     alloc: MhaAllocation,
-    use_activation_weights: bool = True,
 ) -> dict[str, FactorPair | None]:
     """Apply the resolved schemes: FactorPair per factored matrix, None
     for dense passthrough.  x_din entries must be present for every
-    matrix that gets factored with activation weighting."""
+    matrix that gets factored; unit weights give plain truncated SVD."""
     out: dict[str, FactorPair | None] = {}
     for m, scheme in alloc.schemes.items():
         if scheme.kind == "dense":
             out[m] = None
             continue
-        if use_activation_weights:
-            if m not in x_din_by_matrix:
-                raise CalibrationError(f"no activation statistics for {m}")
-            out[m] = awsvd_factor(weights[m], x_din_by_matrix[m], scheme.rank, name=m)
-        else:
-            out[m] = plain_factor(weights[m], scheme.rank, name=m)
+        if m not in x_din_by_matrix:
+            raise CalibrationError(f"no activation statistics for {m}")
+        out[m] = awsvd_factor(weights[m], x_din_by_matrix[m], scheme.rank, name=m)
     return out

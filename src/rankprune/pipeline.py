@@ -39,7 +39,7 @@ import numpy as np
 from . import pruning, store
 from .config import ModelConfig
 from .errors import CalibrationError, DataError, DecompositionError, ManifestError
-from .lowrank import allocate_mha, compress_mha, plain_factor
+from .lowrank import allocate_mha, awsvd_factor, compress_mha
 from .store import MANIFEST_VERSION, RatioPlan
 from .transformer import (
     Dense,
@@ -316,11 +316,13 @@ def _layer_records(i, plan, source, compressed, budget, errors, decision):
 
 
 def _factor_attention(weights, x_by_proj, plan):
-    """awsvd/svd: factor q/k/v/o under the allocated budget; a matrix the
-    allocation keeps dense is left out of the returned maps."""
+    """awsvd/svd: factor q/k/v/o under the allocated budget, svd being awsvd at
+    unit weights; a matrix the allocation keeps dense is left out of the returned maps."""
     attn = {p: weights[p] for p in store.ATTN_PROJS}
+    if plan.mha_method == "svd":
+        x_by_proj = {p: np.ones(w.shape[1]) for p, w in attn.items()}
     alloc = allocate_mha({p: w.shape for p, w in attn.items()}, plan.keep_ratio, plan.alloc_ratio)
-    pairs = compress_mha(attn, x_by_proj, alloc, use_activation_weights=plan.mha_method == "awsvd")
+    pairs = compress_mha(attn, x_by_proj, alloc)
     factored = {p: pair for p, pair in pairs.items() if pair is not None}
     budget = {
         "alloc_ratio": list(plan.alloc_ratio),
@@ -359,7 +361,7 @@ def _factor_ffn(weights, plan):
     for proj in store.FFN_PROJS:
         w = weights[proj]
         rank = max(1, int(plan.keep_ratio * w.size / sum(w.shape)))
-        pair = plain_factor(w, rank, name=proj)
+        pair = awsvd_factor(w, np.ones(w.shape[1]), rank, name=proj)
         maps[proj] = Factored(pair.l, pair.r)
     return maps
 

@@ -19,6 +19,7 @@ layer records; it must hold exactly those tensors at exactly those shapes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .pruning import bottom_quota
-from .util import canonical_json
+from .util import canonical_json, round_half_up
 
 MANIFEST_VERSION = 1
 
@@ -273,6 +274,8 @@ def validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: Mo
     tensors integer - so the embedding, LM head and norms are checked
     like the projections.  Every rank and retained count must be a
     positive int (8.0 or True would compare equal to a tensor axis).
+    Each layer's keep_ratio, budget, qk/vo_budget and slack, and the
+    calibration window_starts, must be the values the plan implies.
     Each MHA scheme's `params` must be the element count of its tensors,
     and the parameter totals must follow from the config and the layout:
     layer_source = n_layers * layer_params, source_total the dense
@@ -318,12 +321,19 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
             key = split[0], split[1].name
             sizes[key] = sizes.get(key, 0) + int(np.prod(shape))
     retain_least = manifest["global"]["retain_least"]
+    keep_ratio = manifest["global"]["layer_keep_ratio"]
+    if type(keep_ratio) not in (int, float) or not 0.0 < keep_ratio <= 1.0:
+        raise ManifestError(f"layer_keep_ratio must be a number in (0, 1], got {keep_ratio!r}")
+    dense_attn = sum(math.prod(PROJECTION[p].shape(widths(config))) for p in ATTN_PROJS)
     for i, rec in enumerate(recs):
         for proj, scheme in rec["mha"]["schemes"].items():
             if scheme["params"] != sizes[i, proj]:
                 raise ManifestError(
                     f"layer {i}: {proj} params is {scheme['params']!r}, its tensors hold {sizes[i, proj]}"
                 )
+        if rec["keep_ratio"] != keep_ratio:
+            raise ManifestError(f"layer {i}: keep_ratio {rec['keep_ratio']!r} is not layer_keep_ratio {keep_ratio}")
+        _check_mha_budget(i, rec["mha"], keep_ratio, dense_attn)
         kept_heads = rec["mha"].get("kept_heads")
         if kept_heads is not None:
             if not _ascending_within(kept_heads, config.n_heads):
@@ -332,6 +342,7 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
                 raise ManifestError(f"layer {i}: kept-heads tensor disagrees with manifest list")
         if rec["ffn"]["kind"] == "pruned":
             _check_retained(i, rec["ffn"], tensors[retained_channels_name(i)], config.ffn_dim, retain_least)
+    _check_calibration(manifest["global"]["calibration"])
     layer_source, source_total = config.n_layers * config.layer_params, dense_param_total(config)
     layer_retained = sum(sizes.values())
     compressed_total = source_total - layer_source + layer_retained
@@ -373,10 +384,35 @@ def _ranks(i: int, rec: dict) -> dict[str, int | None]:
     return ranks
 
 
+def _check_mha_budget(i: int, mha: dict, keep_ratio: float, dense_attn: int) -> None:
+    """A layer's MHA budget follows from its keep ratio; with factored attention
+    the group shares add up to it and slack is what the schemes leave of it."""
+    budget, want = mha["budget"], round_half_up(keep_ratio * dense_attn)
+    if type(budget) is not int or budget != want:
+        raise ManifestError(f"layer {i}: budget is {budget!r}, keep_ratio {keep_ratio} of {dense_attn} gives {want}")
+    if mha.get("kept_heads") is not None:
+        return  # heads are kept whole: no group split and no rank-flooring slack
+    qk, vo = mha["qk_budget"], mha["vo_budget"]
+    if not (type(qk) is type(vo) is int and qk + vo == budget):
+        raise ManifestError(f"layer {i}: qk_budget + vo_budget is {qk!r} + {vo!r}, not the budget {budget}")
+    slack = budget - sum(scheme["params"] for scheme in mha["schemes"].values())
+    if type(mha["slack"]) is not int or mha["slack"] != slack:
+        raise ManifestError(f"layer {i}: slack is {mha['slack']!r}, the budget less the schemes' params is {slack}")
+
+
+def _check_calibration(calibration: dict) -> None:
+    samples, tokens, starts = calibration["samples"], calibration["tokens_per_sample"], calibration["window_starts"]
+    if not (_is_count(samples) and _is_count(tokens)):
+        raise ManifestError(f"calibration samples {samples!r} and tokens_per_sample {tokens!r} must be positive integers")
+    multiples = all(type(s) is int and s >= 0 and s % tokens == 0 for s in starts)
+    if not (len(starts) == samples and multiples and all(a < b for a, b in zip(starts, starts[1:]))):
+        raise ManifestError(f"calibration window_starts must be {samples} strictly ascending multiples of {tokens}")
+
+
 def _is_count(value) -> bool:
     """True for a positive int; bool and integral floats (8.0, which
     compares equal to 8) are not counts."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    return type(value) is int and value >= 1
 
 
 def _check_retained(i: int, ffn: dict, index: np.ndarray, d_m: int, retain_least: float) -> None:

@@ -18,7 +18,6 @@ from .config import ModelConfig
 from .container import write_container
 from .errors import DataError
 from .transformer import (
-    BYTE_VOCAB,
     Dense,
     TransformerLayer,
     TransformerModel,
@@ -43,25 +42,6 @@ def _layer_from_arrays(d: int, arrays: dict[str, np.ndarray]) -> TransformerLaye
         attn_norm=np.ones(d),
         ffn_norm=np.ones(d),
         **{p.attr: Dense(arrays[p.attr]) for p in store.PROJECTIONS},
-    )
-
-
-def make_random_model(config: ModelConfig, seed: int, scale: float = 0.05) -> TransformerModel:
-    """Plain random-init model; every weight is N(0, scale^2)."""
-    rng = np.random.default_rng(seed)
-    d = config.dim
-    dense = store.widths(config)
-    layers = []
-    for _ in range(config.n_layers):
-        # One draw per projection in table order; that order fixes the weights a seed gives.
-        arrays = {p.attr: rng.normal(0.0, scale, p.shape(dense)) for p in store.PROJECTIONS}
-        layers.append(_layer_from_arrays(d, arrays))
-    return TransformerModel(
-        config=config,
-        embed=rng.normal(0.0, 1.0, (config.vocab_size, d)),
-        layers=tuple(layers),
-        final_norm=np.ones(d),
-        lm_head=rng.normal(0.0, scale, (config.vocab_size, d)),
     )
 
 
@@ -132,11 +112,6 @@ def make_planted_model(config: ModelConfig, seed: int) -> TransformerModel:
         final_norm=np.ones(d),
         lm_head=rng.normal(0.0, PLANTED_HEAD_SCALE, (config.vocab_size, d)),
     )
-
-
-def random_token_stream(n_tokens: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.integers(0, BYTE_VOCAB, size=n_tokens, dtype=np.int64)
 
 
 def sample_from_model(model: TransformerModel, n_tokens: int, seed: int, window: int = 64) -> np.ndarray:

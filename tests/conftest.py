@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import make_random_model
 from rankprune import synth
 
 
@@ -14,7 +15,7 @@ def toy_cfg():
 @pytest.fixture(scope="session")
 def random_model(toy_cfg):
     # session-scoped: tests must treat it as read-only
-    return synth.make_random_model(toy_cfg, seed=0, scale=0.05)
+    return make_random_model(toy_cfg, seed=0, scale=0.05)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from helpers import kernel_note
 from rankprune import synth
 from rankprune.cli import main
 from rankprune.pruning import energy_rank_ratio
@@ -153,13 +154,13 @@ GOLDEN_FIXTURE = {
 
 
 def test_fixture_matches_golden_hashes(fixture_dir):
-    assert {name: _sha256(fixture_dir / name) for name in GOLDEN_FIXTURE} == GOLDEN_FIXTURE
+    assert {name: _sha256(fixture_dir / name) for name in GOLDEN_FIXTURE} == GOLDEN_FIXTURE, kernel_note()
 
 
 def test_compress_outputs_match_golden_hashes(fixture_dir, tmp_path):
     out = tmp_path / "z"
     assert main(_compress_args(fixture_dir, out)) == 0
-    assert {name: _sha256(out / name) for name in GOLDEN_COMPRESS} == GOLDEN_COMPRESS
+    assert {name: _sha256(out / name) for name in GOLDEN_COMPRESS} == GOLDEN_COMPRESS, kernel_note()
 
 
 @pytest.mark.parametrize("mha, ffn", sorted(GOLDEN_COMPRESS_BASELINES))
@@ -167,7 +168,7 @@ def test_baseline_methods_match_golden_hashes(fixture_dir, tmp_path, mha, ffn):
     out = tmp_path / "z"
     assert main(_compress_args(fixture_dir, out, ("--mha-method", mha, "--ffn-method", ffn))) == 0
     want = GOLDEN_COMPRESS_BASELINES[(mha, ffn)]
-    assert {name: _sha256(out / name) for name in want} == want
+    assert {name: _sha256(out / name) for name in want} == want, kernel_note()
 
 
 def test_calibrate_stats_match_golden_hash(fixture_dir, tmp_path):
@@ -179,7 +180,7 @@ def test_calibrate_stats_match_golden_hash(fixture_dir, tmp_path):
          "--samples", "8", "--seqlen", "32", "--seed", "1", "--out", str(stats)]
     )
     assert code == 0
-    assert _sha256(stats) == GOLDEN_CALIBRATE
+    assert _sha256(stats) == GOLDEN_CALIBRATE, kernel_note()
 
 
 def test_eval_prints_ppl_line(fixture_dir, tmp_path, capsys):
@@ -221,8 +222,8 @@ def test_eval_ppl_matches_pinned_values(fixture_dir, tmp_path, capsys):
         "--config", str(fixture_dir / "config.json"), *data,
     )
     compressed = _eval_ppl(capsys, "--model", str(out), *data)
-    assert dense == pytest.approx(PINNED_EVAL_PPL["dense"], rel=1e-9)
-    assert compressed == pytest.approx(PINNED_EVAL_PPL["compressed"], rel=1e-9)
+    assert dense == pytest.approx(PINNED_EVAL_PPL["dense"], rel=1e-9), kernel_note()
+    assert compressed == pytest.approx(PINNED_EVAL_PPL["compressed"], rel=1e-9), kernel_note()
 
 
 def _edited_checkpoint(fixture_dir, path, edit):
@@ -643,6 +644,44 @@ def test_manifest_without_usable_config_exits_2(fixture_dir, tmp_path, capsys, c
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ManifestError):
         store.load_compressed(out)
+    capsys.readouterr()
+    assert main(["stats", "--model", str(out)]) == 2
+    assert "config" in capsys.readouterr().err
+
+
+# A bool is not a count (true ran one layer and dropped the rest as extras), an
+# infinite eps or theta is not a value the layer step can use, and a config
+# that is not an object used to end in a TypeError traceback.
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_layers", True),
+        ("norm_eps", float("inf")),
+        ("rope_theta", float("inf")),
+        ("norm_eps", "x"),
+        (None, None),
+        (None, 5),
+        (None, "dim"),
+    ],
+)
+def test_bad_config_values_exit_1_as_a_file_and_2_in_a_manifest(
+    fixture_dir, compressed_out, tmp_path, capsys, field, value
+):
+    from rankprune.config import ModelConfig
+
+    good = json.loads((fixture_dir / "config.json").read_text())
+    bad = value if field is None else {**good, field: value}
+    with pytest.raises(ValueError, match="config"):
+        ModelConfig.from_dict(bad)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(bad))
+    eval_args = ["--data", str(fixture_dir / "eval.bin"), "--seqlen", "128"]
+    assert main(["eval", "--model", str(fixture_dir / "model.safetensors"), "--config", str(config), *eval_args]) == 1
+    out = tmp_path / "z"
+    shutil.copytree(compressed_out, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["config"] = bad
+    (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     assert main(["stats", "--model", str(out)]) == 2
     assert "config" in capsys.readouterr().err

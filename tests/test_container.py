@@ -136,6 +136,31 @@ def test_unsupported_dtype(tmp_path):
         read_container(path)
 
 
+# A dtype must be a string and every dimension and offset a JSON integer:
+# int() would read 4.0, "4", true and 4.9 (as 4), and a list dtype is unhashable.
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("dtype", ["F32"], id="dtype-list"),
+        pytest.param("dtype", 32, id="dtype-int"),
+        pytest.param("shape", [4.0], id="dim-float"),
+        pytest.param("shape", ["4"], id="dim-str"),
+        pytest.param("shape", [True], id="dim-bool"),
+        pytest.param("shape", [4.9], id="dim-fraction"),
+        pytest.param("shape", "4", id="shape-str"),
+        pytest.param("data_offsets", [0, 16.0], id="offset-float"),
+        pytest.param("data_offsets", ["0", 16], id="offset-str"),
+        pytest.param("data_offsets", [False, 16], id="offset-bool"),
+    ],
+)
+def test_entry_of_the_wrong_type_is_malformed(tmp_path, field, value):
+    entry = {"dtype": "F32", "shape": [4], "data_offsets": [0, 16], field: value}
+    path = tmp_path / "bad.st"
+    path.write_bytes(_raw_container({"a": entry}, b"\x00" * 16))
+    with pytest.raises(ContainerFormatError, match="malformed entry"):
+        read_container(path)
+
+
 def test_foreign_insertion_order_header_loads(tmp_path):
     # exporters commonly write entries in insertion (non-alphabetical)
     # order with ascending offsets and a __metadata__ block

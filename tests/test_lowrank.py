@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from rankprune.errors import AllocationError, CalibrationError
-from rankprune.linalg import svd, truncate, weighted_frobenius_error
+from rankprune.linalg import svd, top_factors, truncate, weighted_frobenius_error
 from rankprune.lowrank import (
     allocate_mha,
     awsvd_factor,
     compress_mha,
     parse_alloc_ratio,
-    plain_factor,
 )
 from rankprune.pruning import energy_rank_ratio
 
@@ -194,8 +193,8 @@ def test_compress_mha_weighted_beats_plain_on_weighted_objective():
     weights = _layer_weights(d=24)
     stats = _stats(weights)
     alloc = allocate_mha({m: w.shape for m, w in weights.items()}, 0.5)
-    weighted = compress_mha(weights, stats, alloc, use_activation_weights=True)
-    plain = compress_mha(weights, stats, alloc, use_activation_weights=False)
+    weighted = compress_mha(weights, stats, alloc)
+    plain = compress_mha(weights, {m: np.ones(w.shape[1]) for m, w in weights.items()}, alloc)
     for m in weights:
         if weighted[m] is None:
             continue
@@ -214,9 +213,12 @@ def test_compress_mha_missing_stats():
 
 
 def test_plain_factor_is_truncated_svd():
+    # The plain-SVD baseline is awsvd at unit weights: x 1.0 and / 1.0 are exact.
     rng = np.random.default_rng(11)
     w = rng.normal(size=(9, 9))
-    pair = plain_factor(w, 4)
+    pair = awsvd_factor(w, np.ones(9), 4)
+    left, right = top_factors(w, 4)
+    assert np.array_equal(pair.l, left) and np.array_equal(pair.r, right)
     l, r = truncate(svd(w), 4)
     assert np.allclose(pair.l @ pair.r, l @ r, atol=1e-12)
 

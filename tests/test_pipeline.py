@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from rankprune import pipeline, store, synth, transformer
 from rankprune.config import ModelConfig
 from rankprune.errors import CalibrationError, InfeasibleRatioError, ManifestError
@@ -116,8 +117,8 @@ def test_roundtrip_through_container(setup, tmp_path):
         cfg2, tensors, _ = store.load_compressed(out)
         rebuilt = model_from_tensors(cfg2, tensors)
         toks = evalset[:64]
-        a, _ = forward(compressed, toks)
-        b, _ = forward(rebuilt, toks)
+        a = forward(compressed, toks)
+        b = forward(rebuilt, toks)
         # container stores f32, so round-trip agrees to f32 resolution
         assert np.max(np.abs(a - b)) < 1e-4
 
@@ -145,9 +146,9 @@ def test_written_model_reloads_bit_exact(n_heads, head_dim, n_layers, ffn_dim, k
     # load_compressed returns is the in-memory compressed model exactly.
     cfg = ModelConfig(dim=n_heads * head_dim, n_heads=n_heads, head_dim=head_dim, n_layers=n_layers,
                       ffn_dim=ffn_dim, vocab_size=256)
-    model = model_from_tensors(cfg, model_to_tensors(synth.make_random_model(cfg, seed, scale=0.2)))
+    model = model_from_tensors(cfg, model_to_tensors(helpers.make_random_model(cfg, seed, scale=0.2)))
     plan = CompressionPlan(keep_ratio=keep, calib_samples=2, calib_tokens=8, seed=seed, mha_method=mha, ffn_method=ffn)
-    compressed, manifest, report = compress_model(model, plan, synth.random_token_stream(64, seed))
+    compressed, manifest, report = compress_model(model, plan, helpers.random_token_stream(64, seed))
     with tempfile.TemporaryDirectory() as out:
         pipeline.write_outputs(out, compressed, manifest, report)
         rebuilt = model_from_tensors(*store.load_compressed(Path(out))[:2])
@@ -236,8 +237,8 @@ def test_propagation_uses_compressed_prefix(setup):
 @pytest.fixture(scope="module")
 def deep_setup():
     cfg = synth.toy_config(n_layers=4)
-    model = synth.make_random_model(cfg, seed=3)
-    return model, synth.random_token_stream(1024, seed=4), _plan(0.5, calib_samples=5, calib_tokens=24)
+    model = helpers.make_random_model(cfg, seed=3)
+    return model, helpers.random_token_stream(1024, seed=4), _plan(0.5, calib_samples=5, calib_tokens=24)
 
 
 def _reforward_x_din(model, windows, layer):
@@ -245,7 +246,7 @@ def _reforward_x_din(model, windows, layer):
     squares of each site's capture in sample order."""
     acc = None
     for window in windows:
-        _, caps = forward(model, window, capture=set(ALL_SITES), capture_layers={layer}, stop_after_layer=layer)
+        caps = helpers.captured_sites(model, window, n_layers=layer + 1)
         sq = {site: np.einsum("lj,lj->j", caps[(layer, site)], caps[(layer, site)]) for site in ALL_SITES}
         acc = sq if acc is None else {site: acc[site] + sq[site] for site in ALL_SITES}
     return {site: np.sqrt(v) for site, v in acc.items()}
@@ -375,7 +376,7 @@ def test_awsvd_at_width_512_makes_no_full_svd(monkeypatch):
     # come from the Gram eigendecomposition, not the full-SVD fallback.
     cfg = ModelConfig(dim=512, n_heads=8, head_dim=64, n_layers=1, ffn_dim=1376, vocab_size=256)
     model = synth.make_planted_model(cfg, seed=0)
-    calib = synth.random_token_stream(512, seed=3)
+    calib = helpers.random_token_stream(512, seed=3)
     calls = []
     full_svd = np.linalg.svd
 

@@ -372,7 +372,7 @@ def test_decide_head_pruning_top_heads():
 
 
 def test_apply_head_pruning_matches_zeroed_value_oracle(random_model):
-    from rankprune import synth
+    from helpers import random_token_stream
     from rankprune.transformer import Dense, TransformerLayer, forward
 
     cfg = random_model.config
@@ -397,7 +397,7 @@ def test_apply_head_pruning_matches_zeroed_value_oracle(random_model):
         attn_norm=layer.attn_norm, q=layer.q, k=layer.k, v=Dense(v_zeroed), o=layer.o,
         ffn_norm=layer.ffn_norm, gate=layer.gate, up=layer.up, down=layer.down,
     ))
-    toks = synth.random_token_stream(12, 14)
-    lp, _ = forward(pruned_model, toks)
-    lo, _ = forward(oracle_model, toks)
+    toks = random_token_stream(12, 14)
+    lp = forward(pruned_model, toks)
+    lo = forward(oracle_model, toks)
     assert np.max(np.abs(lp - lo)) < 1e-10

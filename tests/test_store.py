@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import helpers
 from rankprune import store, synth
 from rankprune.config import ModelConfig
 from rankprune.container import read_container, write_container
@@ -82,7 +83,7 @@ def test_load_model_holds_one_copy_of_the_float32_model(tmp_path, heap_peak):
     # F32 tensors are the arrays the container reader filled: loading F
     # float32 bytes holds F bytes, with no widened or converted copy.
     cfg = synth.toy_config(n_layers=4)
-    tensors = model_to_tensors(synth.make_random_model(cfg, seed=1))
+    tensors = model_to_tensors(helpers.make_random_model(cfg, seed=1))
     path = tmp_path / "model.safetensors"
     write_container(path, tensors)
     f32_bytes = sum(arr.nbytes for arr in tensors.values())
@@ -159,8 +160,8 @@ def _compressed_toy(tmp_path, keep=0.5, d_m=172, mha_method="awsvd", ffn_method=
     from rankprune import pipeline
 
     config = ModelConfig(dim=64, n_heads=4, head_dim=16, n_layers=2, ffn_dim=d_m, vocab_size=256)
-    model = synth.make_random_model(config, seed=1, scale=0.05)
-    calib = synth.random_token_stream(4096, 3)
+    model = helpers.make_random_model(config, seed=1, scale=0.05)
+    calib = helpers.random_token_stream(4096, 3)
     plan = pipeline.CompressionPlan(
         keep_ratio=keep, calib_samples=8, calib_tokens=32, seed=0,
         mha_method=mha_method, ffn_method=ffn_method,
@@ -380,6 +381,19 @@ PARAM_TOTALS = ("source_total", "compressed_total", "layer_source", "layer_retai
             for proj in store.ATTN_PROJS
             for d in (1, -1)
         ),
+        # The MHA budget follows from keep_ratio, the group shares add up to it,
+        # and slack is what the schemes leave of it.
+        *(
+            _off_by_one(("layers", i, "mha", key), d, f"layer {i}: {message}")
+            for i in (0, 1)
+            for key, message in (
+                ("budget", "budget is"), ("qk_budget", r"qk_budget \+ vo_budget"), ("vo_budget", r"qk_budget \+ vo_budget"),
+                ("slack", "slack is"),
+            )
+            for d in (1, -1)
+        ),
+        *(_off_by_one(("global", "calibration", "samples"), d, "window_starts") for d in (1, -1)),
+        *(_off_by_one(("global", "calibration", "window_starts", 0), d, "window_starts") for d in (1, -1)),
     ],
 )
 def test_parameter_records_off_by_one_are_rejected(factored_out, tmp_path, path, delta, message):
@@ -395,6 +409,49 @@ def test_parameter_records_off_by_one_are_rejected(factored_out, tmp_path, path,
     for key in parents:
         record = record[key]
     record[leaf] += delta
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match=message):
+        store.load_compressed(out)
+    assert main(["stats", "--model", str(out)]) == 2
+
+
+def _keep_ratio_of_layer_0(manifest):
+    manifest["layers"][0]["keep_ratio"] = 0.9
+
+
+def _global_keep_ratio(manifest):
+    manifest["global"]["layer_keep_ratio"] = 0.9
+
+
+def _one_window_start(manifest):
+    del manifest["global"]["calibration"]["window_starts"][1:]
+
+
+def _window_starts_descending(manifest):
+    manifest["global"]["calibration"]["window_starts"].reverse()
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        pytest.param(corrupt, message, id=corrupt.__name__.lstrip("_"))
+        for corrupt, message in (
+            (_keep_ratio_of_layer_0, "layer 0: keep_ratio 0.9 is not layer_keep_ratio 0.5"),
+            (_global_keep_ratio, "layer 0: keep_ratio 0.5 is not layer_keep_ratio 0.9"),
+            (_one_window_start, "window_starts must be 8 strictly ascending"),
+            (_window_starts_descending, "window_starts must be 8 strictly ascending"),
+        )
+    ],
+)
+def test_plan_records_are_checked(factored_out, tmp_path, corrupt, message):
+    import shutil
+
+    from rankprune.cli import main
+
+    out = tmp_path / "corrupt"
+    shutil.copytree(factored_out, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    corrupt(manifest)
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ManifestError, match=message):
         store.load_compressed(out)

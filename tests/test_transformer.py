@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from helpers import captured_sites, grabbing_layer_forward, kernel_note, make_random_model, random_token_stream
 from rankprune import synth, transformer
 from rankprune.config import ModelConfig
 from rankprune.errors import CalibrationError, DataError
@@ -74,7 +75,8 @@ def _zero_model(cfg: ModelConfig) -> TransformerModel:
 
 
 def test_forward_single_token_normalized(random_model):
-    logits, _ = forward(random_model, np.array([17]))
+    logits = forward(random_model, np.array([17]))
+    assert isinstance(logits, np.ndarray)
     assert logits.shape == (1, random_model.config.vocab_size)
     assert np.all(np.isfinite(logits))
     p = np.exp(logits - logits.max())
@@ -90,11 +92,11 @@ def test_forward_rejects_bad_ids(random_model):
 
 
 def test_causality_future_tokens_do_not_matter(random_model):
-    toks_a = synth.random_token_stream(16, 1)
+    toks_a = random_token_stream(16, 1)
     toks_b = toks_a.copy()
     toks_b[10:] = (toks_b[10:] + 7) % 256
-    la, _ = forward(random_model, toks_a)
-    lb, _ = forward(random_model, toks_b)
+    la = forward(random_model, toks_a)
+    lb = forward(random_model, toks_b)
     assert np.allclose(la[:10], lb[:10], atol=1e-10)
     assert not np.allclose(la[10:], lb[10:])
 
@@ -104,7 +106,7 @@ def test_attention_rows_sum_to_one(random_model):
     # vector, so the context equals that vector at every position iff the
     # probability rows sum to one
     toks = np.full(9, 5, dtype=np.int64)
-    _, caps = forward(random_model, toks, capture={"attn_input", "attn_o_input"})
+    caps = captured_sites(random_model, toks, n_layers=1)
     h = caps[(0, "attn_input")]
     assert np.allclose(h, h[0], atol=1e-12)  # same normed input everywhere
     v_row = random_model.layers[0].v(h[0:1])
@@ -137,12 +139,6 @@ def _einsum_layer_reference(cfg: ModelConfig, layer: TransformerLayer, x: np.nda
     return x + layer.down(inter), sites
 
 
-def _grabbing_layer_forward(cfg, layer, x):
-    sites = {}
-    out = _layer_forward(cfg, layer, x, lambda site, values: sites.__setitem__(site, values.copy()))
-    return out, sites
-
-
 def _layer_as(layer: TransformerLayer, dtype) -> TransformerLayer:
     """The layer with every float array cast to dtype."""
     return layer.with_projections(
@@ -171,7 +167,7 @@ def _model_arrays(model: TransformerModel) -> list[np.ndarray]:
 def oracle_layers(toy_cfg):
     # a larger weight scale than random_model's, so the attention rows are
     # far from uniform and the mask and max subtraction matter
-    dense = synth.make_random_model(toy_cfg, seed=4, scale=0.2).layers[0]
+    dense = make_random_model(toy_cfg, seed=4, scale=0.2).layers[0]
 
     def truncated(proj, rank=8):
         u, s, vt = np.linalg.svd(proj.w, full_matrices=False)
@@ -198,7 +194,7 @@ def oracle_layers(toy_cfg):
 def test_layer_forward_matches_einsum_reference(toy_cfg, oracle_layers, kind, n_pos):
     layer = oracle_layers[kind]
     x = np.random.default_rng(n_pos).normal(size=(n_pos, toy_cfg.dim))
-    out, sites = _grabbing_layer_forward(toy_cfg, layer, x)
+    out, sites = grabbing_layer_forward(toy_cfg, layer, x)
     ref_out, ref_sites = _einsum_layer_reference(toy_cfg, layer, x)
     assert np.allclose(out, ref_out, rtol=1e-12, atol=1e-12)
     assert set(sites) == set(ALL_SITES)
@@ -254,7 +250,8 @@ def test_decode_and_forward_run_in_the_model_dtype(random_model, dtype):
     assert all(c.k.dtype == c.v.dtype == dtype for c in caches)
     logits = decode_step(model, np.array([1, 2, 3]), caches)
     assert logits.dtype == dtype and all(c.length == 1 for c in caches)
-    logits, caps = forward(model, synth.random_token_stream(9, 2), capture=set(ALL_SITES))
+    toks = random_token_stream(9, 2)
+    logits, caps = forward(model, toks), captured_sites(model, toks)
     assert logits.dtype == dtype and {a.dtype for a in caps.values()} == {np.dtype(dtype)}
 
 
@@ -263,7 +260,7 @@ def test_decode_and_forward_run_in_the_model_dtype(random_model, dtype):
 def test_float32_layer_step_matches_einsum_reference(toy_cfg, oracle_layers, kind, n_pos):
     layer64 = oracle_layers[kind]
     x = np.random.default_rng(n_pos).normal(size=(n_pos, toy_cfg.dim)).astype(np.float32)
-    out, sites = _grabbing_layer_forward(toy_cfg, _layer_as(layer64, np.float32), x)
+    out, sites = grabbing_layer_forward(toy_cfg, _layer_as(layer64, np.float32), x)
     ref_out, ref_sites = _einsum_layer_reference(toy_cfg, layer64, x.astype(np.float64))
     assert out.dtype == np.float32
     # Within 1e-5 of each array's largest magnitude: float32 rounding is ~6e-8
@@ -484,9 +481,9 @@ def test_layer_forward_alternating_lengths_match_fresh_calls(toy_cfg, oracle_lay
     fresh = {}
     for n, x in xs.items():
         _causal_mask.cache_clear()
-        fresh[n] = _grabbing_layer_forward(toy_cfg, layer, x)
+        fresh[n] = grabbing_layer_forward(toy_cfg, layer, x)
     for n in (33, 300, 128, 33, 300):
-        out, sites = _grabbing_layer_forward(toy_cfg, layer, xs[n])
+        out, sites = grabbing_layer_forward(toy_cfg, layer, xs[n])
         assert np.array_equal(out, fresh[n][0])
         for site in ALL_SITES:
             assert np.array_equal(sites[site], fresh[n][1][site])
@@ -585,8 +582,8 @@ def test_rope_tables_are_cached_read_only_per_dtype():
 
 def test_full_rank_factored_matches_dense(random_model):
     rng = np.random.default_rng(2)
-    toks = synth.random_token_stream(24, 3)
-    dense_logits, _ = forward(random_model, toks)
+    toks = random_token_stream(24, 3)
+    dense_logits = forward(random_model, toks)
 
     def full_rank(proj):
         w = proj.w
@@ -616,14 +613,14 @@ def test_full_rank_factored_matches_dense(random_model):
         final_norm=random_model.final_norm,
         lm_head=random_model.lm_head,
     )
-    factored_logits, _ = forward(factored_model, toks)
+    factored_logits = forward(factored_model, toks)
     assert np.max(np.abs(dense_logits - factored_logits)) < 1e-5
 
 
 def test_ffn_permutation_equivariance(random_model):
     rng = np.random.default_rng(3)
-    toks = synth.random_token_stream(20, 4)
-    base, _ = forward(random_model, toks)
+    toks = random_token_stream(20, 4)
+    base = forward(random_model, toks)
     perm = rng.permutation(random_model.config.ffn_dim)
     layers = []
     for layer in random_model.layers:
@@ -641,13 +638,13 @@ def test_ffn_permutation_equivariance(random_model):
         config=random_model.config, embed=random_model.embed, layers=tuple(layers),
         final_norm=random_model.final_norm, lm_head=random_model.lm_head,
     )
-    out, _ = forward(permuted, toks)
+    out = forward(permuted, toks)
     assert np.allclose(base, out, atol=1e-10)
 
 
 def test_capture_sites_shapes(random_model):
-    toks = synth.random_token_stream(10, 5)
-    _, caps = forward(random_model, toks, capture=set(ALL_SITES))
+    toks = random_token_stream(10, 5)
+    caps = captured_sites(random_model, toks)
     cfg = random_model.config
     for layer in range(cfg.n_layers):
         assert caps[(layer, "attn_input")].shape == (10, cfg.dim)
@@ -668,7 +665,7 @@ def test_collect_stats_zero_embedding(toy_cfg):
 
 
 def test_collect_stats_duplicate_samples_sqrt2(random_model):
-    calib = [synth.random_token_stream(16, 6), synth.random_token_stream(16, 7)]
+    calib = [random_token_stream(16, 6), random_token_stream(16, 7)]
     s1 = collect_stats(random_model, calib)[1]
     s2 = collect_stats(random_model, calib + calib)[1]
     for site in ALL_SITES:
@@ -677,7 +674,7 @@ def test_collect_stats_duplicate_samples_sqrt2(random_model):
 
 def test_collect_stats_single_position_abs(random_model):
     stream = np.array([42])
-    _, caps = forward(random_model, stream, capture=ALL_SITES, capture_layers={0}, stop_after_layer=0)
+    caps = captured_sites(random_model, stream, n_layers=1)
     stats = collect_stats(random_model, [stream])[0]
     for site in ALL_SITES:
         vec = caps[(0, site)][0]
@@ -685,7 +682,7 @@ def test_collect_stats_single_position_abs(random_model):
 
 
 def test_collect_stats_order_invariance(random_model):
-    calib = [synth.random_token_stream(12, s) for s in range(4)]
+    calib = [random_token_stream(12, s) for s in range(4)]
     s1 = collect_stats(random_model, calib)[0]
     s2 = collect_stats(random_model, calib[::-1])[0]
     for site in ALL_SITES:
@@ -695,7 +692,7 @@ def test_collect_stats_order_invariance(random_model):
 def test_collect_stats_all_layers_matches_per_layer(random_model):
     # collect_stats's one pass per window gives, bit for bit, what layer_stats
     # takes over states carried through the dense model with advance.
-    calib = [synth.random_token_stream(10, s) for s in (21, 22)]
+    calib = [random_token_stream(10, s) for s in (21, 22)]
     merged = collect_stats(random_model, calib)
     assert len(merged) == random_model.config.n_layers
     states = [embed(random_model, stream) for stream in calib]
@@ -708,7 +705,7 @@ def test_collect_stats_all_layers_matches_per_layer(random_model):
 
 
 def test_collect_stats_runs_one_layer_pass_per_window(random_model, monkeypatch):
-    calib = [synth.random_token_stream(10, s) for s in (31, 32, 33)]
+    calib = [random_token_stream(10, s) for s in (31, 32, 33)]
     passes = []
     index = {id(layer): i for i, layer in enumerate(random_model.layers)}
     layer_forward = transformer._layer_forward
@@ -734,7 +731,7 @@ def test_collect_stats_empty_calibration(random_model):
 
 def test_perplexity_uniform_model_equals_vocab(toy_cfg):
     model = _zero_model(toy_cfg)
-    stream = synth.random_token_stream(1025, 9)
+    stream = random_token_stream(1025, 9)
     assert perplexity(model, stream, 128) == pytest.approx(256.0, rel=1e-12)
 
 
@@ -753,7 +750,7 @@ def test_perplexity_confident_model_near_one(toy_cfg):
 
 
 def test_perplexity_random_model_concentrates_near_vocab(random_model):
-    stream = synth.random_token_stream(4097, 10)
+    stream = random_token_stream(4097, 10)
     ppl = perplexity(random_model, stream, 128)
     assert 200.0 < ppl < 330.0
     # independent oracle: accumulate NLL directly from forward logits
@@ -761,7 +758,7 @@ def test_perplexity_random_model_concentrates_near_vocab(random_model):
     for w in range((stream.size - 1) // 128):
         ctx = stream[w * 128 : (w + 1) * 128]
         tgt = stream[w * 128 + 1 : (w + 1) * 128 + 1]
-        logits, _ = forward(random_model, ctx)
+        logits = forward(random_model, ctx)
         z = logits - logits.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
         total -= logp[np.arange(128), tgt].sum()
@@ -776,21 +773,24 @@ def test_perplexity_equals_full_log_softmax_bit_for_bit(random_model, dtype, mon
     # was first written.  Windows of 200 tokens also run the blocked attention.
     model = _as_dtype(random_model, dtype)
     arrays = [a.copy() for a in _model_arrays(model)]
-    stream, seq_len = synth.random_token_stream(601, 12), 200
+    stream, seq_len = random_token_stream(601, 12), 200
     total = 0.0
     for w in range(3):
-        x = forward(model, stream[w * seq_len : (w + 1) * seq_len])[0].astype(np.float64)
+        x = forward(model, stream[w * seq_len : (w + 1) * seq_len]).astype(np.float64)
         m = x.max(axis=-1, keepdims=True)
         logp = x - m - np.log(np.exp(x - m).sum(axis=-1, keepdims=True))
         total -= float(logp[np.arange(seq_len), stream[w * seq_len + 1 : (w + 1) * seq_len + 1]].sum())
     logits_seen = []
 
-    def recording_forward(*args, **kwargs):
-        logits, captured = forward(*args, **kwargs)
-        logits_seen.append((logits, logits.copy()))
-        return logits, captured
+    forward_logits = transformer._forward_logits
 
-    monkeypatch.setattr(transformer, "forward", recording_forward)
+    def recording_forward(*args, **kwargs):
+        logits = forward_logits(*args, **kwargs)
+        logits_seen.append((logits, logits.copy()))
+        return logits
+
+    # perplexity runs the shared embed -> layers -> logits loop, not `forward` itself.
+    monkeypatch.setattr(transformer, "_forward_logits", recording_forward)
     assert perplexity(model, stream, seq_len) == float(np.exp(total / (3 * seq_len)))
     assert len(logits_seen) == 3 and all(np.array_equal(got, kept) for got, kept in logits_seen)
     assert all(np.array_equal(a, b) for a, b in zip(_model_arrays(model), arrays))
@@ -798,7 +798,7 @@ def test_perplexity_equals_full_log_softmax_bit_for_bit(random_model, dtype, mon
 
 def test_perplexity_discards_partial_window(toy_cfg):
     model = _zero_model(toy_cfg)
-    stream = synth.random_token_stream(300, 11)
+    stream = random_token_stream(300, 11)
     # windows of 128 -> 2 full prediction windows, remainder dropped
     assert perplexity(model, stream, 128) == pytest.approx(256.0, rel=1e-12)
 
@@ -821,7 +821,7 @@ def test_linear_macs_examples():
 
 def test_count_params_macs_hand_count():
     cfg = ModelConfig(dim=8, n_heads=2, head_dim=4, n_layers=1, ffn_dim=12, vocab_size=16)
-    model = synth.make_random_model(cfg, seed=0, scale=0.1)
+    model = make_random_model(cfg, seed=0, scale=0.1)
     params, macs = count_params_macs(model, 4)
     # embed 16*8 + head 16*8 + final norm 8 + layer(norms 16 + qkvo 4*64 + ffn 3*96)
     assert params == 128 + 128 + 8 + 16 + 256 + 288
@@ -880,16 +880,16 @@ def test_model_tensor_roundtrip_preserves_logits(random_model):
     # model_to_tensors writes float32 and model_from_tensors keeps it: the
     # rebuilt model is the float32 rounding of every array, exactly, and
     # computes exactly what that rounded model computes.
-    toks = synth.random_token_stream(16, 13)
+    toks = random_token_stream(16, 13)
     want = _as_dtype(random_model, np.float32)
     rebuilt = model_from_tensors(random_model.config, model_to_tensors(random_model))
     got_arrays, want_arrays = _model_arrays(rebuilt), _model_arrays(want)
     assert len(got_arrays) == len(want_arrays)
     for a, b in zip(got_arrays, want_arrays):
         assert a.dtype == b.dtype == np.float32 and np.array_equal(a, b)
-    again, _ = forward(rebuilt, toks)
-    assert np.array_equal(again, forward(want, toks)[0])
-    assert np.allclose(again, forward(random_model, toks)[0], rtol=1e-5, atol=1e-5)
+    again = forward(rebuilt, toks)
+    assert np.array_equal(again, forward(want, toks))
+    assert np.allclose(again, forward(random_model, toks), rtol=1e-5, atol=1e-5)
 
 
 def test_sampler_matches_forward_oracle(planted_model):
@@ -904,7 +904,7 @@ def test_sampler_matches_forward_oracle(planted_model):
         for t in range(window - 1):
             probs = np.empty((n_win, vocab))
             for b in range(n_win):
-                logits, _ = forward(model, toks[b, : t + 1])
+                logits = forward(model, toks[b, : t + 1])
                 z = logits[-1] - logits[-1].max()
                 p = np.exp(z)
                 probs[b] = p / p.sum()
@@ -931,4 +931,4 @@ def test_sampled_stream_matches_golden_hash():
     model = synth.make_planted_model(synth.toy_config(n_layers=8), seed=0)
     stream = synth.sample_from_model(model, 2049, seed=1, window=128)
     digest = hashlib.sha256(detokenize_bytes(stream)).hexdigest()
-    assert digest == "f06442dea7de4518fc7fcb108468b69197a6dd7f49d908da7ab6b6c3718ef422"
+    assert digest == "f06442dea7de4518fc7fcb108468b69197a6dd7f49d908da7ab6b6c3718ef422", kernel_note()
