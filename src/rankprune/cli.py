@@ -86,8 +86,8 @@ def build_parser() -> _Parser:
     p.add_argument("--retain-least", type=float, default=0.01)
     p.add_argument("--samples", type=int, default=128, help="calibration samples")
     p.add_argument("--seqlen", type=int, default=128, help="tokens per calibration sample")
-    p.add_argument("--mha-method", choices=pipeline.MHA_METHODS, default="awsvd")
-    p.add_argument("--ffn-method", choices=pipeline.FFN_METHODS, default="prune")
+    p.add_argument("--mha-method", choices=store.MHA_METHODS, default="awsvd")
+    p.add_argument("--ffn-method", choices=store.FFN_METHODS, default="prune")
     p.add_argument("--seed", type=int, default=0, help="RNG seed for drawing the calibration windows")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=cmd_compress)
@@ -309,7 +309,7 @@ def main(argv=None) -> int:
         return int(code) if isinstance(code, int) else (0 if code is None else 1)
     try:
         return args.handler(args)
-    except (CompressionError, OSError, json.JSONDecodeError) as exc:
+    except (CompressionError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"rankprune: error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -40,7 +40,7 @@ from . import pruning, store
 from .config import ModelConfig
 from .errors import CalibrationError, DataError, DecompositionError, ManifestError
 from .lowrank import allocate_mha, awsvd_factor, compress_mha
-from .store import MANIFEST_VERSION, RatioPlan
+from .store import FFN_METHODS, MANIFEST_VERSION, MHA_METHODS, RatioPlan
 from .transformer import (
     Dense,
     Factored,
@@ -55,10 +55,7 @@ from .transformer import (
     model_to_tensors,
     perplexity,
 )
-from .util import canonical_json, round_half_up
-
-MHA_METHODS = ("awsvd", "svd", "head_prune")
-FFN_METHODS = ("prune", "svd")
+from .util import canonical_json
 
 
 @dataclass(frozen=True)
@@ -157,6 +154,17 @@ def compress_model(
     calib, starts = sample_calibration_windows(
         calib_stream, plan.calib_samples, plan.calib_tokens, plan.seed
     )
+    global_plan = {
+        "layer_keep_ratio": plan.keep_ratio,
+        "target_ratio_s": plan.target_ratio_s,
+        "alloc_ratio": list(plan.alloc_ratio),
+        "aggregation": plan.aggregation,
+        "retain_least": plan.retain_least,
+        "seed": plan.seed,
+        "mha_method": plan.mha_method,
+        "ffn_method": plan.ffn_method,
+    }
+    planned = store.layer_plan(cfg, global_plan)
     params_before, macs_before = count_params_macs(model, plan.calib_tokens)
     layer_params_before = sum(_layer_param_count(layer) for layer in model.layers)
 
@@ -168,7 +176,7 @@ def compress_model(
     layer_reports: list[dict] = []
     for i in range(cfg.n_layers):
         compressed, layer_manifest, layer_report = _compress_layer(
-            cfg, i, work.layers[i], layer_stats(work, states, i), plan
+            cfg, i, work.layers[i], layer_stats(work, states, i), plan, planned
         )
         work = work.replace_layer(i, compressed)
         if i + 1 < cfg.n_layers:
@@ -185,14 +193,7 @@ def compress_model(
         "format_version": MANIFEST_VERSION,
         "config": cfg.to_dict(),
         "global": {
-            "layer_keep_ratio": plan.keep_ratio,
-            "target_ratio_s": plan.target_ratio_s,
-            "alloc_ratio": list(plan.alloc_ratio),
-            "aggregation": plan.aggregation,
-            "retain_least": plan.retain_least,
-            "seed": plan.seed,
-            "mha_method": plan.mha_method,
-            "ffn_method": plan.ffn_method,
+            **global_plan,
             "calibration": {
                 "sha256": calib_sha256,
                 "samples": plan.calib_samples,
@@ -228,21 +229,21 @@ def compress_model(
     return work, manifest, report
 
 
-def _compress_layer(cfg, i, source, x_din, plan):
-    """Compress dense layer i from its {site: x_din} map; returns
-    (compressed layer, manifest entry, report entry).  Nothing here
+def _compress_layer(cfg, i, source, x_din, plan, planned):
+    """Compress dense layer i from its {site: x_din} map and planned record;
+    returns (compressed layer, manifest entry, report entry).  Nothing here
     outlives the call, so the source layer is held only by the model."""
     weights = _dense_weights(source)
     x_by_proj = {p.name: x_din[p.site] for p in store.PROJECTIONS}
     try:
         if plan.mha_method == "head_prune":
-            mha_maps, kept_heads, budget, errors = _prune_heads(cfg, source, weights, x_by_proj, plan)
+            mha_maps, kept_heads, errors = _prune_heads(cfg, source, weights, x_by_proj, plan)
         else:
-            mha_maps, kept_heads, budget, errors = _factor_attention(weights, x_by_proj, plan)
+            mha_maps, kept_heads, errors = _factor_attention(weights, x_by_proj, plan)
         if plan.ffn_method == "prune":
             ffn_maps, decision = _prune_ffn(weights, x_by_proj, plan)
         else:
-            ffn_maps, decision = _factor_ffn(weights, plan), None
+            ffn_maps, decision = _factor_ffn(weights, planned["ffn"]["ranks"]), None
     except DecompositionError as exc:
         raise DecompositionError(f"layer {i}: {exc}") from exc
 
@@ -250,7 +251,7 @@ def _compress_layer(cfg, i, source, x_din, plan):
     # Factors and pruned slices come back in float64; store them in the source's dtype.
     maps = {name: proj.astype(weights[name].dtype) for name, proj in {**mha_maps, **ffn_maps}.items()}
     compressed = source.with_projections(maps, kept_heads=kept_heads, retained_channels=retained)
-    return (compressed, *_layer_records(i, plan, source, compressed, budget, errors, decision))
+    return (compressed, *_layer_records(i, plan, source, compressed, planned["mha"], errors, decision))
 
 
 def _layer_param_count(layer: TransformerLayer) -> int:
@@ -274,13 +275,13 @@ def _projection_record(proj: Dense | Factored) -> dict:
     return {"kind": "dense", "rank": None, "params": proj.n_params}
 
 
-def _layer_records(i, plan, source, compressed, budget, errors, decision):
-    """Layer i's manifest and report entries: the source and compressed layers
-    plus the MHA budget, attention weighted errors and FFN PruneDecision (None when factored)."""
+def _layer_records(i, plan, source, compressed, mha_plan, errors, decision):
+    """Layer i's manifest and report entries: the source and compressed layers plus the
+    planned MHA record (budget fields), attention weighted errors and FFN PruneDecision (None when factored)."""
     before, after = source.projections(), compressed.projections()
     records = {name: _projection_record(proj) for name, proj in after.items()}
     kept_heads = None if compressed.kept_heads is None else list(compressed.kept_heads)
-    mha_manifest = {"schemes": {p: records[p] for p in store.ATTN_PROJS}, "kept_heads": kept_heads, **budget}
+    mha_manifest = {**mha_plan, "schemes": {p: records[p] for p in store.ATTN_PROJS}, "kept_heads": kept_heads}
     mha_report = {
         p: {**records[p], "dense_params": before[p].n_params, "weighted_error": errors.get(p)}
         for p in store.ATTN_PROJS
@@ -307,7 +308,7 @@ def _layer_records(i, plan, source, compressed, budget, errors, decision):
     report = {
         "layer": i,
         "mha": mha_report,
-        "mha_slack": budget["slack"],
+        "mha_slack": mha_plan["slack"],
         "ffn": ffn_report,
         "layer_params_before": _layer_param_count(source),
         "layer_params_after": _layer_param_count(compressed),
@@ -324,15 +325,8 @@ def _factor_attention(weights, x_by_proj, plan):
     alloc = allocate_mha({p: w.shape for p, w in attn.items()}, plan.keep_ratio, plan.alloc_ratio)
     pairs = compress_mha(attn, x_by_proj, alloc)
     factored = {p: pair for p, pair in pairs.items() if pair is not None}
-    budget = {
-        "alloc_ratio": list(plan.alloc_ratio),
-        "budget": alloc.budget,
-        "qk_budget": alloc.qk_budget,
-        "vo_budget": alloc.vo_budget,
-        "slack": alloc.slack,
-    }
     errors = {p: pair.weighted_error for p, pair in factored.items()}
-    return {p: Factored(pair.l, pair.r) for p, pair in factored.items()}, None, budget, errors
+    return {p: Factored(pair.l, pair.r) for p, pair in factored.items()}, None, errors
 
 
 def _prune_heads(cfg, layer, weights, x_by_proj, plan):
@@ -342,10 +336,7 @@ def _prune_heads(cfg, layer, weights, x_by_proj, plan):
     )
     kept = pruning.decide_head_pruning(scores, plan.keep_ratio)
     pruned = pruning.apply_head_pruning(*qkvo, kept, cfg.head_dim)
-    # Heads are kept whole: no q/k vs v/o split and no rank-flooring slack.
-    budget = {"alloc_ratio": None, "qk_budget": None, "vo_budget": None, "slack": 0}
-    budget["budget"] = round_half_up(plan.keep_ratio * sum(w.size for w in qkvo))
-    return {p: Dense(w) for p, w in zip(store.ATTN_PROJS, pruned)}, kept, budget, {}
+    return {p: Dense(w) for p, w in zip(store.ATTN_PROJS, pruned)}, kept, {}
 
 
 def _prune_ffn(weights, x_by_proj, plan):
@@ -356,11 +347,10 @@ def _prune_ffn(weights, x_by_proj, plan):
     return {"up_proj": Dense(up), "gate_proj": Dense(gate), "down_proj": Dense(down)}, decision
 
 
-def _factor_ffn(weights, plan):
+def _factor_ffn(weights, ranks):
     maps = {}
-    for proj in store.FFN_PROJS:
+    for proj, rank in ranks.items():
         w = weights[proj]
-        rank = max(1, int(plan.keep_ratio * w.size / sum(w.shape)))
         pair = awsvd_factor(w, np.ones(w.shape[1]), rank, name=proj)
         maps[proj] = Factored(pair.l, pair.r)
     return maps

@@ -100,6 +100,16 @@ def bottom_quota(d_m: int, n_retained: int, retain_least: float) -> int:
     return min(quota, n_retained)
 
 
+def retained_count(d_m: int, keep_ratio: float) -> int:
+    """How many of d_m FFN channels a keep ratio retains: round(keep_ratio * d_m)."""
+    return round_half_up(keep_ratio * d_m)
+
+
+def kept_head_count(n_heads: int, keep_ratio: float) -> int:
+    """How many whole heads a keep ratio keeps: round(keep_ratio * n_heads), at least 1."""
+    return max(1, round_half_up(keep_ratio * n_heads))
+
+
 def decide_pruning(scores, keep_ratio: float, retain_least: float = 0.01) -> PruneDecision:
     """Choose round(keep_ratio * d_m) channels to keep.
 
@@ -114,7 +124,7 @@ def decide_pruning(scores, keep_ratio: float, retain_least: float = 0.01) -> Pru
         raise ValueError(f"keep_ratio must lie in (0, 1], got {keep_ratio}")
     if not 0.0 <= retain_least < keep_ratio:
         raise ValueError(f"retain_least must lie in [0, keep_ratio), got {retain_least}")
-    n_retained = round_half_up(keep_ratio * d_m)
+    n_retained = retained_count(d_m, keep_ratio)
     if n_retained < 1:
         raise AllocationError(f"keep_ratio {keep_ratio} retains no channel of {d_m}")
     n_bottom = bottom_quota(d_m, n_retained, retain_least)
@@ -233,8 +243,7 @@ def decide_head_pruning(scores: np.ndarray, keep_ratio: float) -> tuple[int, ...
     """Keep the round(keep_ratio * n_heads) highest-scoring heads (>= 1)."""
     if not 0.0 < keep_ratio <= 1.0:
         raise ValueError(f"keep_ratio must lie in (0, 1], got {keep_ratio}")
-    n_heads = scores.size
-    n_keep = max(1, round_half_up(keep_ratio * n_heads))
+    n_keep = kept_head_count(scores.size, keep_ratio)
     kept = _order(np.asarray(scores, dtype=np.float64), descending=True)[:n_keep]
     return tuple(int(h) for h in np.sort(kept))
 

@@ -12,14 +12,20 @@ and calibration naming all iterate over it.
 
 `expected_shapes(config, manifest=None)` is the one {name: shape} layout
 of both container kinds.  Compression touches only the layer projections,
-so a compressed output's layout follows from the config and its manifest's
-layer records; it must hold exactly those tensors at exactly those shapes.
+and every layer under one plan, so a compressed output's layout follows
+from the config and its manifest's `global` (`layer_plan`); it must hold
+exactly those tensors at exactly those shapes.  `validate_manifest` holds
+a manifest to one rule: every field the plan fixes must equal what
+`global` implies.  Only what the calibration data decides - kept heads,
+retained channels and their provenance, window starts - and the totals
+and `global` fields no layer record follows from are checked beside it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,16 +34,22 @@ import numpy as np
 from .config import ModelConfig
 from .container import read_container, write_container
 from .errors import (
+    AllocationError,
     ContainerFormatError,
     InfeasibleRatioError,
     ManifestError,
     MissingTensorError,
     ShapeMismatchError,
 )
-from .pruning import bottom_quota
+from .pruning import AGGREGATIONS, bottom_quota, kept_head_count, retained_count
 from .util import canonical_json, round_half_up
 
 MANIFEST_VERSION = 1
+MHA_METHODS = ("awsvd", "svd", "head_prune")
+FFN_METHODS = ("prune", "svd")
+
+# An entry of a manifest list the calibration data decides; see `layer_plan`.
+DATA = ...
 
 EMBED_NAME = "model.embed_tokens.weight"
 HEAD_NAME = "lm_head.weight"
@@ -139,11 +151,11 @@ def expected_shapes(config: ModelConfig, manifest: dict | None = None) -> dict[s
 
     Without a manifest this is a dense checkpoint: embedding, LM head,
     final norm, and per layer two norms and the seven projections at
-    dense width.  With a compressed output's manifest (whose layer
-    records must cover every layer in order), each layer's projections
-    are sized by its kept heads and retained channels, a projection
-    with a rank becomes name.L (out, r) and name.R (r, in), and the
-    kept-head and retained-channel index tensors are added.
+    dense width.  With a compressed output's manifest every layer is laid
+    out as `layer_plan` plans it from the manifest's `global`: projections
+    are sized by the kept heads and retained channels, a projection with
+    a rank becomes name.L (out, r) and name.R (r, in), and the kept-head
+    and retained-channel index tensors are added.
 
     Projections follow the y = Wx orientation: axis 0 is the output
     feature axis, axis 1 the input feature axis.
@@ -154,21 +166,22 @@ def expected_shapes(config: ModelConfig, manifest: dict | None = None) -> dict[s
         HEAD_NAME: (v, d),
         FINAL_NORM_NAME: (d,),
     }
+    ranks, n_heads, n_channels = dict.fromkeys(PROJECTION), None, None
+    if manifest is not None:
+        plan = layer_plan(config, manifest["global"])
+        ranks.update({p: scheme["rank"] for p, scheme in plan["mha"]["schemes"].items()})
+        ranks.update(plan["ffn"].get("ranks", {}))
+        if plan["mha"]["kept_heads"] is not None:
+            n_heads = len(plan["mha"]["kept_heads"])
+        n_channels = plan["ffn"].get("retained_count")
+    layer_widths = widths(config, n_heads, n_channels)
     for i in range(config.n_layers):
         shapes[attn_norm_name(i)] = (d,)
         shapes[ffn_norm_name(i)] = (d,)
-        ranks, n_heads, n_channels = dict.fromkeys(PROJECTION), None, None
-        if manifest is not None:
-            rec = manifest["layers"][i]
-            ranks = _ranks(i, rec)
-            kept_heads = rec["mha"].get("kept_heads")
-            if kept_heads is not None:
-                n_heads = len(kept_heads)
-                shapes[kept_heads_name(i)] = (n_heads,)
-            if rec["ffn"]["kind"] == "pruned":
-                n_channels = rec["ffn"]["retained_count"]
-                shapes[retained_channels_name(i)] = (n_channels,)
-        layer_widths = widths(config, n_heads, n_channels)
+        if n_heads is not None:
+            shapes[kept_heads_name(i)] = (n_heads,)
+        if n_channels is not None:
+            shapes[retained_channels_name(i)] = (n_channels,)
         for p in PROJECTIONS:
             name, rank = weight_name(i, p.name), ranks[p.name]
             out, inp = p.shape(layer_widths)
@@ -178,6 +191,59 @@ def expected_shapes(config: ModelConfig, manifest: dict | None = None) -> dict[s
                 lname, rname = factor_names(name)
                 shapes[lname], shapes[rname] = (out, rank), (rank, inp)
     return shapes
+
+
+def layer_plan(config: ModelConfig, global_plan: dict) -> dict:
+    """The layer record a manifest's `global` implies, decided as compress
+    decides it: awsvd/svd attention by `lowrank.allocate_mha`, whole heads
+    and pruned channels by the `pruning` counts, FFN factor ranks by
+    max(1, floor(keep_ratio * size / (d_out + d_in))).  Every layer has this
+    record but for its "layer" index and the list entries its calibration
+    data decides (kept heads, retained channels, provenance), which stand
+    here as DATA.  A global no plan has is a ValueError or AllocationError.
+    """
+    from .lowrank import allocate_mha  # lowrank imports this module's projection table
+
+    keep, alloc_ratio = global_plan["layer_keep_ratio"], global_plan["alloc_ratio"]
+    mha_method, ffn_method = global_plan["mha_method"], global_plan["ffn_method"]
+    if not (_is_real(keep) and 0.0 < keep <= 1.0):
+        raise ValueError(f"layer_keep_ratio must be a number in (0, 1], got {keep!r}")
+    pair = type(alloc_ratio) is list and len(alloc_ratio) == 2
+    if not (pair and all(_is_real(a) and 0.0 < a < math.inf for a in alloc_ratio)):
+        raise ValueError(f"alloc_ratio must be a list of two positive finite numbers, got {alloc_ratio!r}")
+    if mha_method not in MHA_METHODS or ffn_method not in FFN_METHODS:
+        raise ValueError(f"unknown methods {mha_method!r}/{ffn_method!r}: MHA {MHA_METHODS}, FFN {FFN_METHODS}")
+    dense = {p.name: p.shape(widths(config)) for p in PROJECTIONS}
+    if mha_method == "head_prune":
+        n_heads = kept_head_count(config.n_heads, keep)
+        kept = {p: PROJECTION[p].shape(widths(config, n_heads)) for p in ATTN_PROJS}
+        mha = {
+            "schemes": {p: {"kind": "dense", "rank": None, "params": math.prod(shape)} for p, shape in kept.items()},
+            "kept_heads": [DATA] * n_heads,
+            "alloc_ratio": None,
+            "budget": round_half_up(keep * sum(math.prod(dense[p]) for p in ATTN_PROJS)),
+            "qk_budget": None,
+            "vo_budget": None,
+            "slack": 0,  # heads are kept whole: no q/k vs v/o split and no rank-flooring slack
+        }
+    else:
+        alloc = allocate_mha({p: dense[p] for p in ATTN_PROJS}, keep, alloc_ratio)
+        mha = {
+            "schemes": {p: {"kind": s.kind, "rank": s.rank, "params": s.n_params} for p, s in alloc.schemes.items()},
+            "kept_heads": None,
+            "alloc_ratio": list(alloc_ratio),
+            "budget": alloc.budget,
+            "qk_budget": alloc.qk_budget,
+            "vo_budget": alloc.vo_budget,
+            "slack": alloc.slack,
+        }
+    if ffn_method == "prune":
+        n = retained_count(config.ffn_dim, keep)
+        ffn = {"kind": "pruned", "retained_count": n, "retained_channels": [DATA] * n, "provenance": [DATA] * n}
+    else:
+        ranks = {p: max(1, int(keep * math.prod(dense[p]) / sum(dense[p]))) for p in FFN_PROJS}
+        ffn = {"kind": "factored", "ranks": ranks}
+    return {"keep_ratio": keep, "mha": mha, "ffn": ffn}
 
 
 def load_model(path: str | Path, config: ModelConfig) -> dict[str, np.ndarray]:
@@ -268,38 +334,34 @@ LLAMA_SHAPES = {
 def validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: ModelConfig) -> None:
     """Cross-check a manifest against the tensors it describes.
 
-    Both container kinds share one layout map: a compressed output must
-    hold exactly the tensors of `expected_shapes(config, manifest)` -
-    none missing, none extra, every shape equal, weights float and index
-    tensors integer - so the embedding, LM head and norms are checked
-    like the projections.  Every rank and retained count must be a
-    positive int (8.0 or True would compare equal to a tensor axis).
-    Each layer's keep_ratio, budget, qk/vo_budget and slack, and the
-    calibration window_starts, must be the values the plan implies.
-    Each MHA scheme's `params` must be the element count of its tensors,
-    and the parameter totals must follow from the config and the layout:
-    layer_source = n_layers * layer_params, source_total the dense
-    checkpoint's count, layer_retained the projection sizes of the
-    layout, compressed_total = source_total - layer_source +
-    layer_retained and realized_ratio_s = (source_total -
-    compressed_total) / source_total.  Retained FFN channels and kept
-    heads must be strictly ascending, in range and equal to their index
-    tensors; every retained channel's provenance must be "top" or
-    "bottom", and the number marked "bottom" must be the quota the
-    plan's retain-least share gives.
+    The one rule: every field the plan fixes must equal what `global`
+    implies.  Each layer record is `layer_plan(config, global)` with its
+    index, JSON type for JSON type (8.0 and true are not 8), and the
+    container must hold exactly the tensors `expected_shapes` lays out
+    from that plan, weights float and index tensors integer.  Beside it
+    only what the data decides is checked: kept heads and retained
+    channels strictly ascending in range and equal to their index tensors,
+    each provenance "top" or "bottom" with the retain-least quota of
+    "bottom", and the `global` fields no record follows from (aggregation,
+    seed, retain_least, target_ratio_s, the calibration windows), and the
+    parameter totals the config and the layout give.
     """
     try:
         _validate_manifest(manifest, tensors, config)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, AllocationError) as exc:
         raise ManifestError(f"manifest is missing or misusing a required field: {exc}") from exc
 
 
 def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: ModelConfig) -> None:
-    if manifest.get("format_version") != MANIFEST_VERSION:
-        raise ManifestError(f"unsupported manifest format_version {manifest.get('format_version')!r}")
-    recs = manifest["layers"]
-    if [r["layer"] for r in recs] != list(range(config.n_layers)):
+    version = manifest.get("format_version")
+    if type(version) is not int or version != MANIFEST_VERSION:
+        raise ManifestError(f"unsupported manifest format_version {version!r}")
+    plan, recs = layer_plan(config, manifest["global"]), manifest["layers"]
+    _check_global(manifest["global"])
+    if type(recs) is not list or len(recs) != config.n_layers:
         raise ManifestError("manifest layer records do not cover every layer exactly once")
+    for i, rec in enumerate(recs):
+        _require_planned(f"layer {i}", {"layer": i, **plan}, rec)
     layout = expected_shapes(config, manifest)
     missing, unexpected = sorted(set(layout) - set(tensors)), sorted(set(tensors) - set(layout))
     if missing or unexpected:
@@ -314,27 +376,9 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
             raise ManifestError(f"tensor {name!r} has shape {arr.shape}, manifest implies {shape}")
         if arr.dtype.kind != ("i" if name in index_names else "f"):
             raise ManifestError(f"tensor {name!r} has dtype {arr.dtype}; weights are float, index tensors integer")
-    sizes: dict[tuple[int, str], int] = {}  # (layer, projection): elements of its tensors
-    for name, shape in layout.items():
-        split = split_projection_name(name)
-        if split is not None:
-            key = split[0], split[1].name
-            sizes[key] = sizes.get(key, 0) + int(np.prod(shape))
     retain_least = manifest["global"]["retain_least"]
-    keep_ratio = manifest["global"]["layer_keep_ratio"]
-    if type(keep_ratio) not in (int, float) or not 0.0 < keep_ratio <= 1.0:
-        raise ManifestError(f"layer_keep_ratio must be a number in (0, 1], got {keep_ratio!r}")
-    dense_attn = sum(math.prod(PROJECTION[p].shape(widths(config))) for p in ATTN_PROJS)
     for i, rec in enumerate(recs):
-        for proj, scheme in rec["mha"]["schemes"].items():
-            if scheme["params"] != sizes[i, proj]:
-                raise ManifestError(
-                    f"layer {i}: {proj} params is {scheme['params']!r}, its tensors hold {sizes[i, proj]}"
-                )
-        if rec["keep_ratio"] != keep_ratio:
-            raise ManifestError(f"layer {i}: keep_ratio {rec['keep_ratio']!r} is not layer_keep_ratio {keep_ratio}")
-        _check_mha_budget(i, rec["mha"], keep_ratio, dense_attn)
-        kept_heads = rec["mha"].get("kept_heads")
+        kept_heads = rec["mha"]["kept_heads"]
         if kept_heads is not None:
             if not _ascending_within(kept_heads, config.n_heads):
                 raise ManifestError(f"layer {i}: kept_heads must be strictly ascending inside [0, {config.n_heads})")
@@ -342,9 +386,8 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
                 raise ManifestError(f"layer {i}: kept-heads tensor disagrees with manifest list")
         if rec["ffn"]["kind"] == "pruned":
             _check_retained(i, rec["ffn"], tensors[retained_channels_name(i)], config.ffn_dim, retain_least)
-    _check_calibration(manifest["global"]["calibration"])
     layer_source, source_total = config.n_layers * config.layer_params, dense_param_total(config)
-    layer_retained = sum(sizes.values())
+    layer_retained = sum(math.prod(shape) for name, shape in layout.items() if split_projection_name(name))
     compressed_total = source_total - layer_source + layer_retained
     implied = {
         "layer_source": layer_source,
@@ -353,55 +396,39 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
         "compressed_total": compressed_total,
         "realized_ratio_s": (source_total - compressed_total) / source_total,
     }
-    recorded = manifest["global"]["params"]
-    for key, want in implied.items():
-        if recorded[key] != want:
-            raise ManifestError(
-                f"parameter totals disagree: manifest {key}={recorded[key]!r}, config and tensors give {want}"
-            )
+    _require_planned("global", implied, manifest["global"]["params"], "params")
 
 
-def _ranks(i: int, rec: dict) -> dict[str, int | None]:
-    """The rank of every projection a layer record declares; None means dense."""
-    schemes = rec["mha"]["schemes"]
-    if sorted(schemes) != sorted(ATTN_PROJS):
-        raise ManifestError(f"layer {i}: MHA schemes must cover exactly {ATTN_PROJS}")
-    ranks: dict[str, int | None] = {}
-    for proj, scheme in schemes.items():
-        if scheme["kind"] not in ("dense", "factored"):
-            raise ManifestError(f"layer {i}: unknown MHA scheme {scheme['kind']!r} for {proj}")
-        ranks[proj] = scheme["rank"] if scheme["kind"] == "factored" else None
-    ffn = rec["ffn"]
-    if ffn["kind"] == "pruned":
-        ranks.update(dict.fromkeys(FFN_PROJS))
-    elif ffn["kind"] == "factored":
-        ranks.update({proj: ffn["ranks"][proj] for proj in FFN_PROJS})
+def _require_planned(where: str, want, got, path: str = "") -> None:
+    """got must be want exactly, JSON type for JSON type (8.0 and true are not 8), but for DATA entries."""
+    if isinstance(want, dict):
+        keys, same = want.keys(), type(got) is dict and got.keys() == want.keys()
+    elif isinstance(want, list):
+        keys, same = range(len(want)), type(got) is list and len(got) == len(want)
     else:
-        raise ManifestError(f"layer {i}: unknown FFN scheme {ffn['kind']!r}")
-    for proj, rank in ranks.items():
-        if rank is not None and not _is_count(rank):
-            raise ManifestError(f"layer {i}: {proj} rank must be a positive integer, got {rank!r}")
-    return ranks
+        keys, same = (), type(got) is type(want) and got == want
+    if not same:
+        raise ManifestError(f"{where}: {path or 'record'} is {reprlib.repr(got)}; expected {reprlib.repr(want)}")
+    for key in keys:
+        if want[key] is not DATA:
+            _require_planned(where, want[key], got[key], f"{path}.{key}" if path else str(key))
 
 
-def _check_mha_budget(i: int, mha: dict, keep_ratio: float, dense_attn: int) -> None:
-    """A layer's MHA budget follows from its keep ratio; with factored attention
-    the group shares add up to it and slack is what the schemes leave of it."""
-    budget, want = mha["budget"], round_half_up(keep_ratio * dense_attn)
-    if type(budget) is not int or budget != want:
-        raise ManifestError(f"layer {i}: budget is {budget!r}, keep_ratio {keep_ratio} of {dense_attn} gives {want}")
-    if mha.get("kept_heads") is not None:
-        return  # heads are kept whole: no group split and no rank-flooring slack
-    qk, vo = mha["qk_budget"], mha["vo_budget"]
-    if not (type(qk) is type(vo) is int and qk + vo == budget):
-        raise ManifestError(f"layer {i}: qk_budget + vo_budget is {qk!r} + {vo!r}, not the budget {budget}")
-    slack = budget - sum(scheme["params"] for scheme in mha["schemes"].values())
-    if type(mha["slack"]) is not int or mha["slack"] != slack:
-        raise ManifestError(f"layer {i}: slack is {mha['slack']!r}, the budget less the schemes' params is {slack}")
-
-
-def _check_calibration(calibration: dict) -> None:
+def _check_global(glob: dict) -> None:
+    """The global fields no layer record follows from must be values compress writes."""
+    seed, retain_least, target = glob["seed"], glob["retain_least"], glob["target_ratio_s"]
+    if glob["aggregation"] not in AGGREGATIONS:
+        raise ManifestError(f"aggregation must be one of {AGGREGATIONS}, got {glob['aggregation']!r}")
+    if type(seed) is not int or seed < 0:
+        raise ManifestError(f"seed must be a non-negative integer, got {seed!r}")
+    if not (_is_real(retain_least) and 0.0 <= retain_least < glob["layer_keep_ratio"]):
+        raise ManifestError(f"retain_least must be a number in [0, layer_keep_ratio), got {retain_least!r}")
+    if target is not None and not _is_real(target):
+        raise ManifestError(f"target_ratio_s must be null or a number, got {target!r}")
+    calibration = glob["calibration"]
     samples, tokens, starts = calibration["samples"], calibration["tokens_per_sample"], calibration["window_starts"]
+    if type(calibration["sha256"]) is not str or calibration["resampled_per_layer"] is not False:
+        raise ManifestError("calibration sha256 must be a string and resampled_per_layer false")
     if not (_is_count(samples) and _is_count(tokens)):
         raise ManifestError(f"calibration samples {samples!r} and tokens_per_sample {tokens!r} must be positive integers")
     multiples = all(type(s) is int and s >= 0 and s % tokens == 0 for s in starts)
@@ -415,20 +442,19 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 1
 
 
+def _is_real(value) -> bool:
+    """True for an int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_retained(i: int, ffn: dict, index: np.ndarray, d_m: int, retain_least: float) -> None:
-    kept = ffn["retained_count"]
-    if not _is_count(kept):
-        raise ManifestError(f"layer {i}: retained_count must be a positive integer, got {kept!r}")
-    idx = ffn["retained_channels"]
-    provenance = ffn["provenance"]
-    if len(idx) != kept or len(provenance) != kept:
-        raise ManifestError(f"layer {i}: retained index/provenance lists disagree with count")
+    idx, provenance = ffn["retained_channels"], ffn["provenance"]
     if not _ascending_within(idx, d_m):
         raise ManifestError(f"layer {i}: retained channels must be strictly ascending inside [0, {d_m})")
     if not set(provenance) <= {"top", "bottom"}:
         raise ManifestError(f"layer {i}: provenance values must be 'top' or 'bottom'")
     n_bottom = provenance.count("bottom")
-    quota = bottom_quota(d_m, kept, retain_least)
+    quota = bottom_quota(d_m, len(provenance), retain_least)
     if n_bottom != quota:
         raise ManifestError(f"layer {i}: {n_bottom} channels marked bottom, retain_least {retain_least} gives {quota}")
     if index.tolist() != idx:
@@ -436,8 +462,8 @@ def _check_retained(i: int, ffn: dict, index: np.ndarray, d_m: int, retain_least
 
 
 def _ascending_within(values: list[int], upper: int) -> bool:
-    """True when values are strictly ascending (hence unique) inside [0, upper)."""
-    return all(a < b for a, b in zip(values, values[1:])) and all(0 <= v < upper for v in values)
+    """True when values are strictly ascending (hence unique) ints inside [0, upper)."""
+    return all(a < b for a, b in zip(values, values[1:])) and all(type(v) is int and 0 <= v < upper for v in values)
 
 
 def write_compressed(out_dir: str | Path, tensors: dict[str, np.ndarray], manifest: dict) -> Path:

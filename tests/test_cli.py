@@ -705,3 +705,26 @@ def test_calibration_token_outside_vocab_exits_2(fixture_dir, tmp_path, capsys, 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["compress", "--help"]) == 0
+
+
+# UnicodeDecodeError is a ValueError; a file that is not UTF-8 is a data
+# fault like invalid JSON, not a usage error.
+@pytest.mark.parametrize(
+    "command, bad_file",
+    [("stats", "manifest.json"), ("analyze", "manifest.json"), ("mask", "manifest.json"),
+     ("analyze", "stats.json"), ("mask", "stats.json"), ("eval", "report.json")],
+)
+def test_file_that_is_not_utf8_exits_2(fixture_dir, compressed_out, tmp_path, capsys, command, bad_file):
+    out = tmp_path / "z"
+    shutil.copytree(compressed_out, out)
+    (out / bad_file).write_bytes(b"{\"x_din\": \"\xff\xfe\"}")
+    if bad_file == "stats.json":
+        args = [command, "--model", str(fixture_dir / "model.safetensors"), "--stats", str(out / bad_file)]
+    else:
+        args = [command, "--model", str(out)]
+    if command == "mask":
+        args += ["--matrix", "model.layers.0.mlp.up_proj.weight", "--out", str(tmp_path / "mask.pgm")]
+    if command == "eval":
+        args += ["--data", str(fixture_dir / "eval.bin"), "--seqlen", "64", "--update-report"]
+    assert main(args) == 2
+    assert "usage error" not in capsys.readouterr().err

@@ -5,13 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
 from rankprune import pipeline, store, synth, transformer
 from rankprune.config import ModelConfig
-from rankprune.errors import CalibrationError, InfeasibleRatioError, ManifestError
+from rankprune.errors import AllocationError, CalibrationError, InfeasibleRatioError, ManifestError
 from rankprune.pipeline import CompressionPlan, compress_model, sample_calibration_windows
 from rankprune.transformer import ALL_SITES, count_params_macs, forward, model_from_tensors, model_to_tensors, perplexity
 
@@ -135,20 +135,27 @@ def _layer_arrays(layer):
     head_dim=st.sampled_from([8, 16]),
     n_layers=st.integers(1, 2),
     ffn_dim=st.integers(8, 40),
-    keep=st.sampled_from([0.5, 0.75]),
+    keep=st.sampled_from([0.1, 0.3, 0.5, 0.75, 0.95, 1.0]),
+    alloc=st.sampled_from([(1.0, 3.0), (1.0, 1.0), (5.0, 1.0)]),
     mha=st.sampled_from(pipeline.MHA_METHODS),
     ffn=st.sampled_from(pipeline.FFN_METHODS),
     seed=st.integers(0, 2**16),
 )
-def test_written_model_reloads_bit_exact(n_heads, head_dim, n_layers, ffn_dim, keep, mha, ffn, seed):
+def test_written_model_reloads_bit_exact(n_heads, head_dim, n_layers, ffn_dim, keep, alloc, mha, ffn, seed):
     # A model loaded from disk is float32 and so is every projection
     # compress_model builds from it, so what write_outputs stores and
     # load_compressed returns is the in-memory compressed model exactly.
+    # Keep ratios from rank 1 to dense passthrough put the write-time check
+    # of each record against its plan at both edges.
     cfg = ModelConfig(dim=n_heads * head_dim, n_heads=n_heads, head_dim=head_dim, n_layers=n_layers,
                       ffn_dim=ffn_dim, vocab_size=256)
     model = model_from_tensors(cfg, model_to_tensors(helpers.make_random_model(cfg, seed, scale=0.2)))
-    plan = CompressionPlan(keep_ratio=keep, calib_samples=2, calib_tokens=8, seed=seed, mha_method=mha, ffn_method=ffn)
-    compressed, manifest, report = compress_model(model, plan, helpers.random_token_stream(64, seed))
+    plan = CompressionPlan(keep_ratio=keep, alloc_ratio=alloc, calib_samples=2, calib_tokens=8, seed=seed,
+                           mha_method=mha, ffn_method=ffn)
+    try:
+        compressed, manifest, report = compress_model(model, plan, helpers.random_token_stream(64, seed))
+    except AllocationError:
+        assume(False)  # a budget below rank 1, or no channel retained
     with tempfile.TemporaryDirectory() as out:
         pipeline.write_outputs(out, compressed, manifest, report)
         rebuilt = model_from_tensors(*store.load_compressed(Path(out))[:2])

@@ -299,9 +299,12 @@ def _float_count(manifest, tensors):
 @pytest.mark.parametrize(
     "corrupt, keep, d_m, message",
     [
-        (_float_rank, 0.5, 172, "q_proj rank must be a positive integer"),
-        (_bool_rank, 0.5, 172, "q_proj rank must be a positive integer"),
-        (_float_count, 0.8, 128, "retained_count must be a positive integer"),
+        pytest.param(corrupt, keep, d_m, message, id=corrupt.__name__.lstrip("_"))
+        for corrupt, keep, d_m, message in (
+            (_float_rank, 0.5, 172, "layer 0: mha.schemes.q_proj.rank is 8.0; expected 8"),
+            (_bool_rank, 0.5, 172, "layer 0: mha.schemes.q_proj.rank is True; expected 8"),
+            (_float_count, 0.8, 128, "layer 0: ffn.retained_count is 102.0; expected 102"),
+        )
     ],
 )
 def test_non_integer_rank_or_count_is_rejected(tmp_path, corrupt, keep, d_m, message):
@@ -367,29 +370,25 @@ def _off_by_one(path, delta, message):
 PARAM_TOTALS = ("source_total", "compressed_total", "layer_source", "layer_retained", "realized_ratio_s")
 
 
-# Each record is one off from what the config and the tensors imply.  A wider
-# ffn_dim leaves a pruned output's tensors, channel range and bottom quota valid,
-# so only the totals it implies can catch it.
+# Each record is one off from what the config, the plan in global and the
+# tensors imply.  A wider ffn_dim leaves a pruned output's tensors, channel
+# range and bottom quota valid, but not the retained count it plans.
 @pytest.mark.parametrize(
     "path, delta, message",
     [
-        _off_by_one(("config", "ffn_dim"), 1, "layer_source"),
+        _off_by_one(("config", "ffn_dim"), 1, "layer 0: ffn.retained_count is 86; expected 87"),
         *(_off_by_one(("global", "params", key), d, key) for key in PARAM_TOTALS for d in (1, -1)),
         *(
-            _off_by_one(("layers", i, "mha", "schemes", proj, "params"), d, f"layer {i}: {proj} params")
+            _off_by_one(("layers", i, "mha", "schemes", proj, "params"), d, f"layer {i}: mha.schemes.{proj}.params is")
             for i in (0, 1)
             for proj in store.ATTN_PROJS
             for d in (1, -1)
         ),
-        # The MHA budget follows from keep_ratio, the group shares add up to it,
-        # and slack is what the schemes leave of it.
+        # The MHA budget, its group shares and the slack follow from the plan.
         *(
-            _off_by_one(("layers", i, "mha", key), d, f"layer {i}: {message}")
+            _off_by_one(("layers", i, "mha", key), d, f"layer {i}: mha.{key} is")
             for i in (0, 1)
-            for key, message in (
-                ("budget", "budget is"), ("qk_budget", r"qk_budget \+ vo_budget"), ("vo_budget", r"qk_budget \+ vo_budget"),
-                ("slack", "slack is"),
-            )
+            for key in ("budget", "qk_budget", "vo_budget", "slack")
             for d in (1, -1)
         ),
         *(_off_by_one(("global", "calibration", "samples"), d, "window_starts") for d in (1, -1)),
@@ -436,8 +435,8 @@ def _window_starts_descending(manifest):
     [
         pytest.param(corrupt, message, id=corrupt.__name__.lstrip("_"))
         for corrupt, message in (
-            (_keep_ratio_of_layer_0, "layer 0: keep_ratio 0.9 is not layer_keep_ratio 0.5"),
-            (_global_keep_ratio, "layer 0: keep_ratio 0.5 is not layer_keep_ratio 0.9"),
+            (_keep_ratio_of_layer_0, "layer 0: keep_ratio is 0.9; expected 0.5"),
+            (_global_keep_ratio, "layer 0: keep_ratio is 0.5; expected 0.9"),
             (_one_window_start, "window_starts must be 8 strictly ascending"),
             (_window_starts_descending, "window_starts must be 8 strictly ascending"),
         )
@@ -452,6 +451,52 @@ def test_plan_records_are_checked(factored_out, tmp_path, corrupt, message):
     shutil.copytree(factored_out, out)
     manifest = json.loads((out / "manifest.json").read_text())
     corrupt(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match=message):
+        store.load_compressed(out)
+    assert main(["stats", "--model", str(out)]) == 2
+
+
+def _set_leaf(tree, path, value):
+    *parents, leaf = path
+    for key in parents:
+        tree = tree[key]
+    tree[leaf] = value
+
+
+# Edits that used to load, or to end in a traceback: the methods, aggregation,
+# seed and alloc_ratio in global, and a layer's alloc_ratio, budgets and schemes.
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        pytest.param({("global", "mha_method"): "head_prune"}, "layer 0: mha.schemes.q_proj.kind is 'factored'",
+                     id="mha_method"),
+        pytest.param({("global", "mha_method"): "bogus"}, "unknown methods 'bogus'/'prune'", id="mha_method-bogus"),
+        pytest.param({("global", "ffn_method"): "svd"}, "layer 0: ffn is {'kind': 'pruned'", id="ffn_method"),
+        pytest.param({("global", "aggregation"): "l3"}, "aggregation must be one of", id="aggregation"),
+        pytest.param({("global", "alloc_ratio"): [1, 1]}, "layer 0: mha.schemes.q_proj.rank is 8; expected 16",
+                     id="alloc_ratio"),
+        pytest.param({("global", "alloc_ratio"): "1:3"}, "alloc_ratio must be a list", id="alloc_ratio-string"),
+        pytest.param({("layers", 0, "mha", "alloc_ratio"): [1, 1]}, "layer 0: mha.alloc_ratio.0 is 1; expected 1.0",
+                     id="layer-alloc_ratio"),
+        pytest.param({("layers", 0, "mha", "qk_budget"): 6144, ("layers", 0, "mha", "vo_budget"): 2048},
+                     "layer 0: mha.qk_budget is 6144; expected 2048", id="budgets-swapped"),
+        pytest.param({("layers", 0, "mha", "schemes"): list(store.ATTN_PROJS)}, r"layer 0: mha.schemes is \['q_proj'",
+                     id="schemes-list"),
+        *(pytest.param({("global", "seed"): seed}, "seed must be a non-negative integer", id=f"seed-{seed}")
+          for seed in ("x", -5, 2.5)),
+    ],
+)
+def test_edits_of_the_plan_are_rejected(factored_out, tmp_path, edits, message):
+    import shutil
+
+    from rankprune.cli import main
+
+    out = tmp_path / "corrupt"
+    shutil.copytree(factored_out, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    for path, value in edits.items():
+        _set_leaf(manifest, path, value)
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ManifestError, match=message):
         store.load_compressed(out)
@@ -572,3 +617,86 @@ def test_tensor_of_the_wrong_kind_is_rejected(outputs, name, dtype):
     config, _, manifest, tensors = outputs["awsvd", "prune"]
     with pytest.raises(ManifestError, match="dtype"):
         store.validate_manifest(manifest, {**tensors, name: tensors[name].astype(dtype)}, config)
+
+
+# ---------------------------------------------------------------------------
+# Manifest sweep
+
+
+def _leaves(node, path=()):
+    """(path, value) of each leaf of a JSON tree.  Of a list only the first and
+    last entries are taken: the checks treat a list's entries alike."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, (*path, key))
+    elif isinstance(node, list) and node:
+        for j in sorted({0, len(node) - 1}):
+            yield from _leaves(node[j], (*path, j))
+    else:
+        yield path, node
+
+
+def _leaf_edits(value):
+    """{label: edited value}: ints +-1, strings "bogus", and flips to each other JSON type."""
+    flips = {"float": float(value) if type(value) in (int, bool) else 0.5, "bool": True,
+             "null": None, "list": [value], "dict": {"value": value}}
+    edits = {label: flip for label, flip in flips.items() if type(flip) is not type(value)}
+    if type(value) is bool:
+        edits["bool"] = not value
+    if type(value) is int:
+        edits.update({"+1": value + 1, "-1": value - 1})
+    if type(value) is str:
+        edits["bogus"] = "bogus"
+    return edits
+
+
+# Edits that must load: they leave every shape and count as written, so no
+# check can tell them from the tensors.  Each is asserted to load, so this
+# list cannot outlive the rule that admits it.
+PROVENANCE_EDITS = {
+    "global.seed +1",
+    "global.calibration.sha256 bogus",
+    "global.target_ratio_s float",
+    "global.mha_method awsvd<->svd",  # one layout: svd is awsvd at unit weights
+    "config.norm_eps x2",
+}
+
+
+@pytest.mark.parametrize("mha, ffn", METHOD_PAIRS)
+def test_every_manifest_leaf_edit_exits_2(tmp_path, capsys, monkeypatch, mha, ffn):
+    import functools
+
+    from rankprune import cli
+
+    out = _compressed_toy(tmp_path, mha_method=mha, ffn_method=ffn)[3]
+    written = json.loads((out / "manifest.json").read_text())
+    edits = [(path, label, edit) for path, value in _leaves(written) for label, edit in _leaf_edits(value).items()]
+    edits.append((("config", "norm_eps"), "x2", 2 * written["config"]["norm_eps"]))
+    if mha != "head_prune":
+        edits.append((("global", "mha_method"), "awsvd<->svd", {"awsvd": "svd", "svd": "awsvd"}[mha]))
+    # Each edit runs `stats` once; what load_compressed raised in it is kept.
+    raised = []
+    load = store.load_compressed
+
+    def recording_load(path):
+        try:
+            return load(path)
+        except Exception as exc:
+            raised.append(type(exc))
+            raise
+
+    monkeypatch.setattr(store, "load_compressed", recording_load)
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))  # one parser serves every call
+    results = {}
+    for path, label, edit in edits:
+        manifest = json.loads(json.dumps(written))
+        _set_leaf(manifest, path, edit)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        raised.clear()
+        code = cli.main(["stats", "--model", str(out)])
+        results[f"{'.'.join(map(str, path))} {label}"] = code, raised[0] if raised else None
+    capsys.readouterr()
+    loads, rejected = (0, None), ((2, ManifestError), (2, ContainerFormatError))
+    assert {name: r for name, r in results.items() if r != loads and r not in rejected} == {}
+    want = PROVENANCE_EDITS - ({"global.mha_method awsvd<->svd"} if mha == "head_prune" else set())
+    assert {name for name, r in results.items() if r == loads} == want
