@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data/format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -41,6 +42,7 @@ def _add_data_args(p: _Parser) -> None:
     )
 
 
+@functools.cache  # one parser per process: main is called in-process, many times over
 def build_parser() -> _Parser:
     parser = _Parser(prog="rankprune", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -117,7 +119,8 @@ def _load_model(path: str, config_path: str | None):
 
 
 def _load_stats_file(path: str) -> dict[str, np.ndarray]:
-    """The x_din vectors of a `calibrate` stats file; anything else in it is a DataError."""
+    """The x_din vectors of a `calibrate` stats file: lists of finite, non-negative
+    JSON numbers (not booleans or strings); anything else in it is a DataError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     vectors = payload.get("x_din") if isinstance(payload, dict) else None
@@ -125,14 +128,16 @@ def _load_stats_file(path: str) -> dict[str, np.ndarray]:
         raise DataError(f"{path}: stats file has no x_din object mapping matrix names to vectors")
     x_din = {}
     for name, vec in vectors.items():
+        if type(vec) is not list or not all(type(v) in (int, float) for v in vec):
+            raise DataError(f"{path}: x_din of {name!r} is not a vector of numbers")
         try:
             x_din[name] = np.asarray(vec, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"{path}: x_din of {name!r} is not a vector of numbers") from exc
-        if x_din[name].ndim != 1:
-            raise DataError(f"{path}: x_din of {name!r} is not a vector of numbers")
+        except OverflowError as exc:  # an integer beyond the float range
+            raise DataError(f"{path}: x_din of {name!r} holds NaN or infinite values") from exc
         if not np.isfinite(x_din[name]).all():
             raise DataError(f"{path}: x_din of {name!r} holds NaN or infinite values")
+        if (x_din[name] < 0).any():
+            raise DataError(f"{path}: x_din of {name!r} holds negative values; input norms are non-negative")
     return x_din
 
 

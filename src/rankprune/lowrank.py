@@ -179,17 +179,17 @@ def allocate_mha(
 def compress_mha(
     weights: dict[str, np.ndarray],
     x_din_by_matrix: dict[str, np.ndarray],
-    alloc: MhaAllocation,
+    ranks: dict[str, int | None],
 ) -> dict[str, FactorPair | None]:
-    """Apply the resolved schemes: FactorPair per factored matrix, None
-    for dense passthrough.  x_din entries must be present for every
-    matrix that gets factored; unit weights give plain truncated SVD."""
+    """Factor each matrix of {name: rank}: a FactorPair at its rank, None for a dense
+    passthrough (rank None).  x_din entries must be present for every matrix that
+    gets factored; unit weights give plain truncated SVD."""
     out: dict[str, FactorPair | None] = {}
-    for m, scheme in alloc.schemes.items():
-        if scheme.kind == "dense":
+    for m, rank in ranks.items():
+        if rank is None:
             out[m] = None
             continue
         if m not in x_din_by_matrix:
             raise CalibrationError(f"no activation statistics for {m}")
-        out[m] = awsvd_factor(weights[m], x_din_by_matrix[m], scheme.rank, name=m)
+        out[m] = awsvd_factor(weights[m], x_din_by_matrix[m], rank, name=m)
     return out

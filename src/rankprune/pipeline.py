@@ -14,10 +14,12 @@ scores are computed in float64, and each compressed projection is cast
 to the dtype of the dense projection it replaces before the states
 advance through it, so they advance through exactly the factors that
 are written.  The run is bit-deterministic given (model bytes,
-calibration bytes, seed, plan).  The method functions
-return only what they decided; each layer's manifest and report entries
-are built in one place, `_layer_records`, from the source layer, the
-compressed layer and those decisions.
+calibration bytes, seed, plan).  The plan (`store.layer_plan`) fixes
+every layer's attention ranks and FFN channel counts once per run; each
+layer is factored at those ranks in one `compress_mha` call, and its
+manifest record is the plan with what the calibration data decided
+(kept heads, retained channels, provenance) filled in by
+`_layer_records`.
 
 `compress_model` never changes the model it is given.  Once the windows
 are embedded it refers to the model only through the one it is building,
@@ -29,6 +31,7 @@ caller that keeps its model keeps all of it.
 
 from __future__ import annotations
 
+import copy
 import json
 import time
 from dataclasses import dataclass
@@ -39,8 +42,8 @@ import numpy as np
 from . import pruning, store
 from .config import ModelConfig
 from .errors import CalibrationError, DataError, DecompositionError, ManifestError
-from .lowrank import allocate_mha, awsvd_factor, compress_mha
-from .store import FFN_METHODS, MANIFEST_VERSION, MHA_METHODS, RatioPlan
+from .lowrank import compress_mha
+from .store import FFN_METHODS, MANIFEST_VERSION, MHA_METHODS, RatioPlan  # noqa: F401 - the methods are re-exported
 from .transformer import (
     Dense,
     Factored,
@@ -81,18 +84,22 @@ class CompressionPlan:
     target_ratio_s: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.keep_ratio <= 1.0:
-            raise ValueError(f"keep_ratio must lie in (0, 1], got {self.keep_ratio}")
-        if not 0.0 <= self.retain_least < self.keep_ratio:
-            raise ValueError("retain_least must lie in [0, keep_ratio)")
-        if self.aggregation not in pruning.AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {pruning.AGGREGATIONS}")
-        if self.mha_method not in MHA_METHODS:
-            raise ValueError(f"mha_method must be one of {MHA_METHODS}")
-        if self.ffn_method not in FFN_METHODS:
-            raise ValueError(f"ffn_method must be one of {FFN_METHODS}")
+        store.check_plan(self.global_fields())
         if self.calib_samples < 1 or self.calib_tokens < 1:
             raise ValueError("calibration sample and token counts must be >= 1")
+
+    def global_fields(self) -> dict:
+        """The plan as a manifest's `global` records it."""
+        return {
+            "layer_keep_ratio": self.keep_ratio,
+            "target_ratio_s": self.target_ratio_s,
+            "alloc_ratio": list(self.alloc_ratio),
+            "aggregation": self.aggregation,
+            "retain_least": self.retain_least,
+            "seed": self.seed,
+            "mha_method": self.mha_method,
+            "ffn_method": self.ffn_method,
+        }
 
 
 def plan_from_ratio_s(config: ModelConfig, ratio_s: float, **knobs) -> CompressionPlan:
@@ -154,16 +161,7 @@ def compress_model(
     calib, starts = sample_calibration_windows(
         calib_stream, plan.calib_samples, plan.calib_tokens, plan.seed
     )
-    global_plan = {
-        "layer_keep_ratio": plan.keep_ratio,
-        "target_ratio_s": plan.target_ratio_s,
-        "alloc_ratio": list(plan.alloc_ratio),
-        "aggregation": plan.aggregation,
-        "retain_least": plan.retain_least,
-        "seed": plan.seed,
-        "mha_method": plan.mha_method,
-        "ffn_method": plan.ffn_method,
-    }
+    global_plan = plan.global_fields()
     planned = store.layer_plan(cfg, global_plan)
     params_before, macs_before = count_params_macs(model, plan.calib_tokens)
     layer_params_before = sum(_layer_param_count(layer) for layer in model.layers)
@@ -230,28 +228,28 @@ def compress_model(
 
 
 def _compress_layer(cfg, i, source, x_din, plan, planned):
-    """Compress dense layer i from its {site: x_din} map and planned record;
-    returns (compressed layer, manifest entry, report entry).  Nothing here
-    outlives the call, so the source layer is held only by the model."""
+    """Compress dense layer i from its {site: x_din} map as the planned record
+    says; returns (compressed layer, manifest entry, report entry).  Nothing
+    here outlives the call, so the source layer is held only by the model."""
     weights = _dense_weights(source)
     x_by_proj = {p.name: x_din[p.site] for p in store.PROJECTIONS}
+    # svd attention and the factored FFN are awsvd at unit weights.
+    weighted = store.ATTN_PROJS if plan.mha_method == "awsvd" else ()
+    x_factor = {p: x_by_proj[p] if p in weighted else np.ones(w.shape[1]) for p, w in weights.items()}
     try:
-        if plan.mha_method == "head_prune":
-            mha_maps, kept_heads, errors = _prune_heads(cfg, source, weights, x_by_proj, plan)
-        else:
-            mha_maps, kept_heads, errors = _factor_attention(weights, x_by_proj, plan)
-        if plan.ffn_method == "prune":
-            ffn_maps, decision = _prune_ffn(weights, x_by_proj, plan)
-        else:
-            ffn_maps, decision = _factor_ffn(weights, planned["ffn"]["ranks"]), None
+        pairs = compress_mha(weights, x_factor, store.planned_ranks(planned))
     except DecompositionError as exc:
         raise DecompositionError(f"layer {i}: {exc}") from exc
+    head_prune, ffn_prune = plan.mha_method == "head_prune", plan.ffn_method == "prune"
+    head_maps, kept_heads = _prune_heads(cfg, source, weights, x_by_proj, plan) if head_prune else ({}, None)
+    ffn_maps, decision = _prune_ffn(weights, x_by_proj, plan) if ffn_prune else ({}, None)
 
+    factored = {p: Factored(pair.l, pair.r) for p, pair in pairs.items() if pair is not None}
     retained = None if decision is None else decision.retained
     # Factors and pruned slices come back in float64; store them in the source's dtype.
-    maps = {name: proj.astype(weights[name].dtype) for name, proj in {**mha_maps, **ffn_maps}.items()}
+    maps = {name: proj.astype(weights[name].dtype) for name, proj in {**factored, **head_maps, **ffn_maps}.items()}
     compressed = source.with_projections(maps, kept_heads=kept_heads, retained_channels=retained)
-    return (compressed, *_layer_records(i, plan, source, compressed, planned["mha"], errors, decision))
+    return (compressed, *_layer_records(i, planned, source, compressed, pairs, decision))
 
 
 def _layer_param_count(layer: TransformerLayer) -> int:
@@ -268,65 +266,40 @@ def _cross_check(report: dict) -> None:
         raise ManifestError("parameter savings outside the transformer layers detected")
 
 
-def _projection_record(proj: Dense | Factored) -> dict:
-    """The {kind, rank, params} record of one compressed projection; rank is None when dense."""
-    if isinstance(proj, Factored):
-        return {"kind": "factored", "rank": proj.rank, "params": proj.n_params}
-    return {"kind": "dense", "rank": None, "params": proj.n_params}
-
-
-def _layer_records(i, plan, source, compressed, mha_plan, errors, decision):
-    """Layer i's manifest and report entries: the source and compressed layers plus the
-    planned MHA record (budget fields), attention weighted errors and FFN PruneDecision (None when factored)."""
+def _layer_records(i, planned, source, compressed, pairs, decision):
+    """Layer i's manifest and report entries: its own copy of the planned record
+    with the kept heads, retained channels and provenance the calibration data
+    decided filled in, plus the weighted errors of the factor pairs (None where
+    not factored) and the FFN PruneDecision (None when factored)."""
+    manifest = copy.deepcopy({"layer": i, **planned})
+    mha, ffn = manifest["mha"], manifest["ffn"]
     before, after = source.projections(), compressed.projections()
-    records = {name: _projection_record(proj) for name, proj in after.items()}
-    kept_heads = None if compressed.kept_heads is None else list(compressed.kept_heads)
-    mha_manifest = {**mha_plan, "schemes": {p: records[p] for p in store.ATTN_PROJS}, "kept_heads": kept_heads}
     mha_report = {
-        p: {**records[p], "dense_params": before[p].n_params, "weighted_error": errors.get(p)}
+        p: {**mha["schemes"][p], "dense_params": before[p].n_params,
+            "weighted_error": getattr(pairs[p], "weighted_error", None)}
         for p in store.ATTN_PROJS
     }
-    if kept_heads is not None:
-        mha_report["kept_heads"] = list(kept_heads)
-        mha_report["head_params"] = sum(records[p]["params"] for p in store.ATTN_PROJS)
-
+    if compressed.kept_heads is not None:
+        mha["kept_heads"], mha_report["kept_heads"] = list(compressed.kept_heads), list(compressed.kept_heads)
+        mha_report["head_params"] = sum(scheme["params"] for scheme in mha["schemes"].values())
     if decision is None:
-        ffn_manifest = {"kind": "factored", "ranks": {p: records[p]["rank"] for p in store.FFN_PROJS}}
-        ffn_report = {"kind": "factored", "ranks": dict(ffn_manifest["ranks"])}
+        ffn_report = {"kind": "factored", "ranks": dict(ffn["ranks"])}
     else:
-        ffn_manifest = {
-            "kind": "pruned",
-            "retained_count": decision.n_retained,
-            "retained_channels": [int(c) for c in decision.retained],
-            "provenance": list(decision.provenance),
-        }
+        ffn["retained_channels"] = [int(c) for c in decision.retained]
+        ffn["provenance"] = list(decision.provenance)
         ffn_report = {"kind": "pruned", "retained_count": decision.n_retained, "bottom_count": decision.n_bottom}
     ffn_report["params"] = sum(after[p].n_params for p in store.FFN_PROJS)
     ffn_report["dense_params"] = sum(before[p].n_params for p in store.FFN_PROJS)
 
-    manifest = {"layer": i, "keep_ratio": plan.keep_ratio, "mha": mha_manifest, "ffn": ffn_manifest}
     report = {
         "layer": i,
         "mha": mha_report,
-        "mha_slack": mha_plan["slack"],
+        "mha_slack": mha["slack"],
         "ffn": ffn_report,
         "layer_params_before": _layer_param_count(source),
         "layer_params_after": _layer_param_count(compressed),
     }
     return manifest, report
-
-
-def _factor_attention(weights, x_by_proj, plan):
-    """awsvd/svd: factor q/k/v/o under the allocated budget, svd being awsvd at
-    unit weights; a matrix the allocation keeps dense is left out of the returned maps."""
-    attn = {p: weights[p] for p in store.ATTN_PROJS}
-    if plan.mha_method == "svd":
-        x_by_proj = {p: np.ones(w.shape[1]) for p, w in attn.items()}
-    alloc = allocate_mha({p: w.shape for p, w in attn.items()}, plan.keep_ratio, plan.alloc_ratio)
-    pairs = compress_mha(attn, x_by_proj, alloc)
-    factored = {p: pair for p, pair in pairs.items() if pair is not None}
-    errors = {p: pair.weighted_error for p, pair in factored.items()}
-    return {p: Factored(pair.l, pair.r) for p, pair in factored.items()}, None, errors
 
 
 def _prune_heads(cfg, layer, weights, x_by_proj, plan):
@@ -336,7 +309,7 @@ def _prune_heads(cfg, layer, weights, x_by_proj, plan):
     )
     kept = pruning.decide_head_pruning(scores, plan.keep_ratio)
     pruned = pruning.apply_head_pruning(*qkvo, kept, cfg.head_dim)
-    return {p: Dense(w) for p, w in zip(store.ATTN_PROJS, pruned)}, kept, {}
+    return {p: Dense(w) for p, w in zip(store.ATTN_PROJS, pruned)}, kept
 
 
 def _prune_ffn(weights, x_by_proj, plan):
@@ -345,15 +318,6 @@ def _prune_ffn(weights, x_by_proj, plan):
     decision = pruning.decide_pruning(scores, plan.keep_ratio, plan.retain_least)
     up, gate, down = pruning.apply_pruning(up, gate, down, decision)
     return {"up_proj": Dense(up), "gate_proj": Dense(gate), "down_proj": Dense(down)}, decision
-
-
-def _factor_ffn(weights, ranks):
-    maps = {}
-    for proj, rank in ranks.items():
-        w = weights[proj]
-        pair = awsvd_factor(w, np.ones(w.shape[1]), rank, name=proj)
-        maps[proj] = Factored(pair.l, pair.r)
-    return maps
 
 
 # ---------------------------------------------------------------------------

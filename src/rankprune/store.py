@@ -18,7 +18,8 @@ exactly those tensors at exactly those shapes.  `validate_manifest` holds
 a manifest to one rule: every field the plan fixes must equal what
 `global` implies.  Only what the calibration data decides - kept heads,
 retained channels and their provenance, window starts - and the totals
-and `global` fields no layer record follows from are checked beside it.
+are checked beside it.  `check_plan` is the one check of the plan fields,
+for a `pipeline.CompressionPlan` and a manifest's `global` alike.
 """
 
 from __future__ import annotations
@@ -169,8 +170,7 @@ def expected_shapes(config: ModelConfig, manifest: dict | None = None) -> dict[s
     ranks, n_heads, n_channels = dict.fromkeys(PROJECTION), None, None
     if manifest is not None:
         plan = layer_plan(config, manifest["global"])
-        ranks.update({p: scheme["rank"] for p, scheme in plan["mha"]["schemes"].items()})
-        ranks.update(plan["ffn"].get("ranks", {}))
+        ranks = planned_ranks(plan)
         if plan["mha"]["kept_heads"] is not None:
             n_heads = len(plan["mha"]["kept_heads"])
         n_channels = plan["ffn"].get("retained_count")
@@ -193,19 +193,13 @@ def expected_shapes(config: ModelConfig, manifest: dict | None = None) -> dict[s
     return shapes
 
 
-def layer_plan(config: ModelConfig, global_plan: dict) -> dict:
-    """The layer record a manifest's `global` implies, decided as compress
-    decides it: awsvd/svd attention by `lowrank.allocate_mha`, whole heads
-    and pruned channels by the `pruning` counts, FFN factor ranks by
-    max(1, floor(keep_ratio * size / (d_out + d_in))).  Every layer has this
-    record but for its "layer" index and the list entries its calibration
-    data decides (kept heads, retained channels, provenance), which stand
-    here as DATA.  A global no plan has is a ValueError or AllocationError.
-    """
-    from .lowrank import allocate_mha  # lowrank imports this module's projection table
-
+def check_plan(global_plan: dict) -> None:
+    """The one check of a plan's fields, as `CompressionPlan.global_fields`
+    gives them and a manifest's `global` records them: a value compress
+    cannot plan with, or would never write, is a ValueError."""
     keep, alloc_ratio = global_plan["layer_keep_ratio"], global_plan["alloc_ratio"]
     mha_method, ffn_method = global_plan["mha_method"], global_plan["ffn_method"]
+    seed, retain_least, target = global_plan["seed"], global_plan["retain_least"], global_plan["target_ratio_s"]
     if not (_is_real(keep) and 0.0 < keep <= 1.0):
         raise ValueError(f"layer_keep_ratio must be a number in (0, 1], got {keep!r}")
     pair = type(alloc_ratio) is list and len(alloc_ratio) == 2
@@ -213,6 +207,31 @@ def layer_plan(config: ModelConfig, global_plan: dict) -> dict:
         raise ValueError(f"alloc_ratio must be a list of two positive finite numbers, got {alloc_ratio!r}")
     if mha_method not in MHA_METHODS or ffn_method not in FFN_METHODS:
         raise ValueError(f"unknown methods {mha_method!r}/{ffn_method!r}: MHA {MHA_METHODS}, FFN {FFN_METHODS}")
+    if global_plan["aggregation"] not in AGGREGATIONS:
+        raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {global_plan['aggregation']!r}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if not (_is_real(retain_least) and 0.0 <= retain_least < keep):
+        raise ValueError(f"retain_least must be a number in [0, layer_keep_ratio), got {retain_least!r}")
+    if target is not None and not _is_real(target):
+        raise ValueError(f"target_ratio_s must be null or a number, got {target!r}")
+
+
+def layer_plan(config: ModelConfig, global_plan: dict) -> dict:
+    """The layer record a plan implies, decided once per run: awsvd/svd
+    attention by `lowrank.allocate_mha`, whole heads and pruned channels by
+    the `pruning` counts, FFN factor ranks by
+    max(1, floor(keep_ratio * size / (d_out + d_in))).  Compress writes this
+    record for every layer but for its "layer" index and the list entries
+    its calibration data decides (kept heads, retained channels, provenance),
+    which stand here as DATA.  A global no plan has is a ValueError
+    (`check_plan`) or AllocationError.
+    """
+    from .lowrank import allocate_mha  # lowrank imports this module's projection table
+
+    check_plan(global_plan)
+    keep, alloc_ratio = global_plan["layer_keep_ratio"], global_plan["alloc_ratio"]
+    mha_method, ffn_method = global_plan["mha_method"], global_plan["ffn_method"]
     dense = {p.name: p.shape(widths(config)) for p in PROJECTIONS}
     if mha_method == "head_prune":
         n_heads = kept_head_count(config.n_heads, keep)
@@ -244,6 +263,12 @@ def layer_plan(config: ModelConfig, global_plan: dict) -> dict:
         ranks = {p: max(1, int(keep * math.prod(dense[p]) / sum(dense[p]))) for p in FFN_PROJS}
         ffn = {"kind": "factored", "ranks": ranks}
     return {"keep_ratio": keep, "mha": mha, "ffn": ffn}
+
+
+def planned_ranks(plan: dict) -> dict[str, int | None]:
+    """{projection: rank} of a `layer_plan` record; None where it stays dense, kept whole or pruned."""
+    ranks = {p: scheme["rank"] for p, scheme in plan["mha"]["schemes"].items()}
+    return {**ranks, **dict.fromkeys(FFN_PROJS), **plan["ffn"].get("ranks", {})}
 
 
 def load_model(path: str | Path, config: ModelConfig) -> dict[str, np.ndarray]:
@@ -335,16 +360,16 @@ def validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: Mo
     """Cross-check a manifest against the tensors it describes.
 
     The one rule: every field the plan fixes must equal what `global`
-    implies.  Each layer record is `layer_plan(config, global)` with its
-    index, JSON type for JSON type (8.0 and true are not 8), and the
-    container must hold exactly the tensors `expected_shapes` lays out
-    from that plan, weights float and index tensors integer.  Beside it
-    only what the data decides is checked: kept heads and retained
-    channels strictly ascending in range and equal to their index tensors,
-    each provenance "top" or "bottom" with the retain-least quota of
-    "bottom", and the `global` fields no record follows from (aggregation,
-    seed, retain_least, target_ratio_s, the calibration windows), and the
-    parameter totals the config and the layout give.
+    implies.  `global` must pass `check_plan`, as a `CompressionPlan` does;
+    each layer record is `layer_plan(config, global)` with its index, JSON
+    type for JSON type (8.0 and true are not 8), and the container must
+    hold exactly the tensors `expected_shapes` lays out from that plan,
+    weights float and index tensors integer.  Beside it only what the data
+    decides is checked: kept heads and retained channels strictly
+    ascending in range and equal to their index tensors, each provenance
+    "top" or "bottom" with the retain-least quota of "bottom", the
+    calibration windows, and the parameter totals the config and the
+    layout give.
     """
     try:
         _validate_manifest(manifest, tensors, config)
@@ -357,7 +382,7 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
     if type(version) is not int or version != MANIFEST_VERSION:
         raise ManifestError(f"unsupported manifest format_version {version!r}")
     plan, recs = layer_plan(config, manifest["global"]), manifest["layers"]
-    _check_global(manifest["global"])
+    _check_calibration(manifest["global"]["calibration"])
     if type(recs) is not list or len(recs) != config.n_layers:
         raise ManifestError("manifest layer records do not cover every layer exactly once")
     for i, rec in enumerate(recs):
@@ -414,18 +439,8 @@ def _require_planned(where: str, want, got, path: str = "") -> None:
             _require_planned(where, want[key], got[key], f"{path}.{key}" if path else str(key))
 
 
-def _check_global(glob: dict) -> None:
-    """The global fields no layer record follows from must be values compress writes."""
-    seed, retain_least, target = glob["seed"], glob["retain_least"], glob["target_ratio_s"]
-    if glob["aggregation"] not in AGGREGATIONS:
-        raise ManifestError(f"aggregation must be one of {AGGREGATIONS}, got {glob['aggregation']!r}")
-    if type(seed) is not int or seed < 0:
-        raise ManifestError(f"seed must be a non-negative integer, got {seed!r}")
-    if not (_is_real(retain_least) and 0.0 <= retain_least < glob["layer_keep_ratio"]):
-        raise ManifestError(f"retain_least must be a number in [0, layer_keep_ratio), got {retain_least!r}")
-    if target is not None and not _is_real(target):
-        raise ManifestError(f"target_ratio_s must be null or a number, got {target!r}")
-    calibration = glob["calibration"]
+def _check_calibration(calibration: dict) -> None:
+    """The calibration windows must be ones compress draws."""
     samples, tokens, starts = calibration["samples"], calibration["tokens_per_sample"], calibration["window_starts"]
     if type(calibration["sha256"]) is not str or calibration["resampled_per_layer"] is not False:
         raise ManifestError("calibration sha256 must be a string and resampled_per_layer false")

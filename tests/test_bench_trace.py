@@ -30,6 +30,8 @@ def _traced_cycle(bench, workload, tmp_path):
     assert [(o.kind, o.problems) for o in b.ops] == [("compress", []), ("eval", []), ("eval", [])]
     layer = b.layer_samples[0]
     assert {name: layer[f"{name}.errors"] for name in bench.SCOPE} == dict.fromkeys(bench.SCOPE, 0)
+    # One factoring call per layer, whatever the plan leaves to factor.
+    assert layer["lowrank.compress_mha.calls"] == workload.n_layers
     # Neither compress nor eval calls transformer.forward: perfbench's count hook for it
     # reads stop_after_layer, which forward no longer takes, and would raise KeyError.
     assert [s["name"] for cycle in b.spans for s in cycle if s["name"] == "transformer.forward"] == []

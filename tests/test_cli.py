@@ -421,6 +421,8 @@ def test_usage_errors_exit_1(fixture_dir, tmp_path, capsys):
                 capsys.readouterr()
                 assert main([*command, flag, value]) == 1, (command[0], flag, value)
                 assert "usage error" in capsys.readouterr().err
+    assert main([*compress, "--seed", "-5"]) == 1  # the plan refuses it, before calibration
+    assert "usage error: seed must be a non-negative integer, got -5" in capsys.readouterr().err
     for value in ("0", "-5"):  # a window without positions has no MACs to count
         assert main(["stats", *model, "--seqlen", value]) == 1
         assert "seq_len must be >= 1" in capsys.readouterr().err
@@ -563,6 +565,44 @@ def test_malformed_stats_file_exits_2(fixture_dir, tmp_path, capsys, command, x_
         args += ["--matrix", "model.layers.0.self_attn.q_proj.weight", "--out", str(tmp_path / "mask.pgm")]
     assert main(args) == 2
     assert "x_din" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "mask"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [(True, "not a vector of numbers"), ("1.5", "not a vector of numbers"), (-1.5, "negative"),
+     (10**400, "NaN or infinite")],
+    ids=["bool", "string", "negative", "int-beyond-float"],
+)
+def test_stats_entries_must_be_non_negative_numbers(fixture_dir, stats_file, tmp_path, capsys, command, entry, message):
+    # All-negative weights would make `mask` keep the least important weights.
+    name = "model.layers.0.self_attn.q_proj.weight"
+    payload = json.loads(stats_file.read_text())
+    payload["x_din"][name] = [entry] * len(payload["x_din"][name])
+    stats = tmp_path / "stats.json"
+    stats.write_text(json.dumps(payload))
+    args = [command, "--model", str(fixture_dir / "model.safetensors"), "--stats", str(stats)]
+    if command == "mask":
+        args += ["--matrix", name, "--out", str(tmp_path / "mask.pgm")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert name in err and message in err
+
+
+def test_main_calls_share_one_parser(tmp_path, monkeypatch, capsys):
+    from rankprune import cli
+
+    parsers = []
+    parse = cli._Parser.parse_args
+
+    def recording_parse(self, *args, **kwargs):
+        parsers.append(self)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording_parse)
+    for _ in range(2):
+        assert main(["stats", "--model", str(tmp_path / "missing.safetensors")]) == 1
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_analyze_rejects_stats_of_another_shape(fixture_dir, stats_file, tmp_path, capsys):

@@ -185,7 +185,7 @@ def _stats(weights, seed=10):
 def test_compress_mha_all_dense_passthrough():
     weights = _layer_weights()
     alloc = allocate_mha({m: w.shape for m, w in weights.items()}, 1.0)
-    out = compress_mha(weights, _stats(weights), alloc)
+    out = compress_mha(weights, _stats(weights), {m: s.rank for m, s in alloc.schemes.items()})
     assert all(pair is None for pair in out.values())
 
 
@@ -193,8 +193,9 @@ def test_compress_mha_weighted_beats_plain_on_weighted_objective():
     weights = _layer_weights(d=24)
     stats = _stats(weights)
     alloc = allocate_mha({m: w.shape for m, w in weights.items()}, 0.5)
-    weighted = compress_mha(weights, stats, alloc)
-    plain = compress_mha(weights, {m: np.ones(w.shape[1]) for m, w in weights.items()}, alloc)
+    ranks = {m: s.rank for m, s in alloc.schemes.items()}
+    weighted = compress_mha(weights, stats, ranks)
+    plain = compress_mha(weights, {m: np.ones(w.shape[1]) for m, w in weights.items()}, ranks)
     for m in weights:
         if weighted[m] is None:
             continue
@@ -209,7 +210,7 @@ def test_compress_mha_missing_stats():
     del stats["v_proj"]
     alloc = allocate_mha({m: w.shape for m, w in weights.items()}, 0.5)
     with pytest.raises(CalibrationError):
-        compress_mha(weights, stats, alloc)
+        compress_mha(weights, stats, {m: s.rank for m, s in alloc.schemes.items()})
 
 
 def test_plain_factor_is_truncated_svd():

@@ -1,4 +1,6 @@
+import copy
 import json
+import re
 import tempfile
 import weakref
 from pathlib import Path
@@ -376,6 +378,79 @@ def test_plan_validation():
         CompressionPlan(keep_ratio=0.5, aggregation="l7")
     with pytest.raises(ValueError):
         CompressionPlan(keep_ratio=0.5, mha_method="magic")
+    # Each of these once passed the plan and failed only later: in the calibration
+    # RNG, at allocation, or when the written manifest was validated.
+    for fields in (
+        dict(keep_ratio=True),
+        dict(seed=-5),
+        dict(seed=2.5),
+        dict(seed="x"),
+        dict(alloc_ratio=(0.0, 1.0)),
+        dict(alloc_ratio=(float("inf"), 1.0)),
+        dict(target_ratio_s="x"),
+    ):
+        with pytest.raises(ValueError):
+            CompressionPlan(**{"keep_ratio": 0.5, **fields})
+
+
+def test_allocation_runs_once_per_compress(setup, monkeypatch):
+    from rankprune import lowrank
+
+    cfg, model, calib, _ = setup
+    # Every allocate_mha, however it was imported, builds its result from lowrank's MhaAllocation.
+    made = []
+    allocation = lowrank.MhaAllocation
+    monkeypatch.setattr(lowrank, "MhaAllocation", lambda **fields: made.append(fields) or allocation(**fields))
+    compress_model(model, _plan(0.5), calib)
+    assert cfg.n_layers > 1 and len(made) == 1
+
+
+def test_a_compress_that_strays_from_its_plan_is_refused(setup, tmp_path, monkeypatch):
+    cfg, model, calib, _ = setup
+    compress_mha = pipeline.compress_mha
+
+    def short_q(weights, x_din, ranks):
+        return compress_mha(weights, x_din, {**ranks, "q_proj": ranks["q_proj"] - 1})
+
+    monkeypatch.setattr(pipeline, "compress_mha", short_q)
+    compressed, manifest, report = compress_model(model, _plan(0.5), calib)
+    r = manifest["layers"][0]["mha"]["schemes"]["q_proj"]["rank"]
+    name = store.factor_names(store.weight_name(0, "q_proj"))[0]
+    shapes = f"tensor '{name}' has shape ({cfg.dim}, {r - 1}), manifest implies ({cfg.dim}, {r})"
+    with pytest.raises(ManifestError, match=re.escape(shapes)):
+        pipeline.write_outputs(tmp_path / "out", compressed, manifest, report)
+    assert not (tmp_path / "out").exists()
+
+
+def _edit_every_container(node):
+    """Add an entry to every dict and list inside node."""
+    children = list(node.values()) if isinstance(node, dict) else list(node)
+    for child in children:
+        if isinstance(child, (dict, list)):
+            _edit_every_container(child)
+    if isinstance(node, dict):
+        node["edited"] = True
+    else:
+        node.append("edited")
+
+
+@pytest.mark.parametrize("mha, ffn", [("awsvd", "svd"), ("head_prune", "prune")])
+def test_layer_records_share_nothing_with_each_other_or_the_plan(setup, monkeypatch, mha, ffn):
+    cfg, model, calib, _ = setup
+    plans = []
+    layer_plan = store.layer_plan
+
+    def recording_plan(*args):
+        plans.append(layer_plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(store, "layer_plan", recording_plan)
+    _, manifest, _ = compress_model(model, _plan(0.5, mha_method=mha, ffn_method=ffn), calib)
+    (planned,) = plans
+    plan_before, others_before = copy.deepcopy(planned), copy.deepcopy(manifest["layers"][1:])
+    _edit_every_container(manifest["layers"][0])
+    assert planned == plan_before
+    assert manifest["layers"][1:] == others_before
 
 
 def test_awsvd_at_width_512_makes_no_full_svd(monkeypatch):

@@ -664,8 +664,6 @@ PROVENANCE_EDITS = {
 
 @pytest.mark.parametrize("mha, ffn", METHOD_PAIRS)
 def test_every_manifest_leaf_edit_exits_2(tmp_path, capsys, monkeypatch, mha, ffn):
-    import functools
-
     from rankprune import cli
 
     out = _compressed_toy(tmp_path, mha_method=mha, ffn_method=ffn)[3]
@@ -686,7 +684,6 @@ def test_every_manifest_leaf_edit_exits_2(tmp_path, capsys, monkeypatch, mha, ff
             raise
 
     monkeypatch.setattr(store, "load_compressed", recording_load)
-    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser))  # one parser serves every call
     results = {}
     for path, label, edit in edits:
         manifest = json.loads(json.dumps(written))
