@@ -85,8 +85,8 @@ class CompressionPlan:
 
     def __post_init__(self):
         store.check_plan(self.global_fields())
-        if self.calib_samples < 1 or self.calib_tokens < 1:
-            raise ValueError("calibration sample and token counts must be >= 1")
+        if not all(type(n) is int and n >= 1 for n in (self.calib_samples, self.calib_tokens)):
+            raise ValueError("calibration sample and token counts must be integers >= 1")
 
     def global_fields(self) -> dict:
         """The plan as a manifest's `global` records it."""

@@ -161,6 +161,11 @@ def expected_shapes(config: ModelConfig, manifest: dict | None = None) -> dict[s
     Projections follow the y = Wx orientation: axis 0 is the output
     feature axis, axis 1 the input feature axis.
     """
+    return _layout(config, None if manifest is None else layer_plan(config, manifest["global"]))
+
+
+def _layout(config: ModelConfig, plan: dict | None) -> dict[str, tuple[int, ...]]:
+    """The layout `expected_shapes` gives, from a `layer_plan` record (None: a dense checkpoint)."""
     d, v = config.dim, config.vocab_size
     shapes: dict[str, tuple[int, ...]] = {
         EMBED_NAME: (v, d),
@@ -168,8 +173,7 @@ def expected_shapes(config: ModelConfig, manifest: dict | None = None) -> dict[s
         FINAL_NORM_NAME: (d,),
     }
     ranks, n_heads, n_channels = dict.fromkeys(PROJECTION), None, None
-    if manifest is not None:
-        plan = layer_plan(config, manifest["global"])
+    if plan is not None:
         ranks = planned_ranks(plan)
         if plan["mha"]["kept_heads"] is not None:
             n_heads = len(plan["mha"]["kept_heads"])
@@ -387,7 +391,7 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
         raise ManifestError("manifest layer records do not cover every layer exactly once")
     for i, rec in enumerate(recs):
         _require_planned(f"layer {i}", {"layer": i, **plan}, rec)
-    layout = expected_shapes(config, manifest)
+    layout = _layout(config, plan)
     missing, unexpected = sorted(set(layout) - set(tensors)), sorted(set(tensors) - set(layout))
     if missing or unexpected:
         raise ManifestError(

@@ -15,7 +15,10 @@ gives every layer's map of the model as it is in one pass per layer per
 window.  Both reduce through the same per-window sums of squares.
 Factored matrices participate in the forward as two
 sequential products (R then L), pruned FFNs at their reduced width,
-head-pruned attention with its reduced head count.
+head-pruned attention with its reduced head count.  `perplexity` scores
+its windows concurrently on every CPU of the process's affinity set and
+sums their NLLs in window order, so its result has the same bits for any
+CPU count.
 
 Precision follows the model: the layer step runs in the dtype of the
 model's arrays and never upcasts.  A model loaded from disk is float32,
@@ -53,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import store
+from . import store, util
 from .config import ModelConfig
 from .errors import CalibrationError, DataError, ShapeMismatchError
 from .store import ALL_SITES, SITE_ATTN_INPUT, SITE_ATTN_O_INPUT, SITE_FFN_DOWN_INPUT, SITE_FFN_INPUT
@@ -448,7 +451,9 @@ def perplexity(model: TransformerModel, stream: np.ndarray, seq_len: int) -> flo
     predicted exactly once; the final partial window is discarded.  The
     targets' log-probabilities and the NLL are taken in float64; a
     non-finite log-probability (the model overflowed its float range) is a
-    DataError.
+    DataError naming the first such window.  Windows are scored
+    concurrently, one per CPU (`util.parallel_map`), and their NLLs summed
+    in window order, so the result is the same bits for any CPU count.
     """
     stream = np.asarray(stream)
     if seq_len < 1:
@@ -456,12 +461,11 @@ def perplexity(model: TransformerModel, stream: np.ndarray, seq_len: int) -> flo
     if stream.size < seq_len + 1:
         raise DataError(f"evaluation stream too short: {stream.size} tokens < seq_len + 1 = {seq_len + 1}")
     n_windows = (stream.size - 1) // seq_len
-    total_nll = 0.0
-    total_tokens = 0
-    for w in range(n_windows):
+
+    def window_nll(w: int) -> float:
         ctx = stream[w * seq_len : (w + 1) * seq_len]
         targets = stream[w * seq_len + 1 : (w + 1) * seq_len + 1]
-        # Not `forward`: perfbench traces it, and its count hook's a["stop_after_layer"] would raise KeyError.
+        # Not `forward`: perfbench traces it, and its span recorder keeps one thread's stack.
         logits = _forward_logits(model, ctx)
         with np.errstate(invalid="ignore"):  # inf - inf below is caught as a non-finite log-probability
             # A new float64 array, the logits left as they are; log-probabilities are formed at the targets only.
@@ -469,9 +473,12 @@ def perplexity(model: TransformerModel, stream: np.ndarray, seq_len: int) -> flo
             logp = z[np.arange(seq_len), targets] - np.log(np.exp(z).sum(axis=-1))
         if not np.isfinite(logp).all():
             raise DataError(f"window {w}: non-finite log-probabilities; the model overflows its float range")
-        total_nll -= float(logp.sum())
-        total_tokens += seq_len
-    return float(np.exp(total_nll / total_tokens))
+        return -float(logp.sum())
+
+    total_nll = 0.0
+    for nll in util.parallel_map(window_nll, range(n_windows)):  # a plain loop: sum() may compensate
+        total_nll += nll
+    return float(np.exp(total_nll / (n_windows * seq_len)))
 
 
 def count_params_macs(model: TransformerModel, seq_len: int) -> tuple[int, int]:

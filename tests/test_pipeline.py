@@ -393,6 +393,14 @@ def test_plan_validation():
             CompressionPlan(**{"keep_ratio": 0.5, **fields})
 
 
+@pytest.mark.parametrize("field", ["calib_samples", "calib_tokens"])
+@pytest.mark.parametrize("value", [2.5, 8.0, True, 0, -1, "8"])
+def test_calibration_counts_must_be_positive_ints(field, value):
+    # A float or bool count once passed and failed only inside the calibration RNG.
+    with pytest.raises(ValueError, match="calibration sample and token counts"):
+        CompressionPlan(keep_ratio=0.5, **{field: value})
+
+
 def test_allocation_runs_once_per_compress(setup, monkeypatch):
     from rankprune import lowrank
 

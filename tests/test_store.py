@@ -533,6 +533,20 @@ def test_load_compressed_rebuilds_the_written_model(tmp_path, mha_method, ffn_me
                 np.testing.assert_array_equal(a, _f32(b), err_msg=name)
 
 
+def test_one_layer_plan_per_manifest_validation(tmp_path, monkeypatch):
+    # The validator lays out the tensors from the plan it already built.
+    from rankprune import pipeline
+
+    config, compressed, manifest, out = _compressed_toy(tmp_path)
+    report = json.loads((out / "report.json").read_text())
+    calls, layer_plan = [], store.layer_plan
+    monkeypatch.setattr(store, "layer_plan", lambda *args: calls.append(args) or layer_plan(*args))
+    store.load_compressed(out)
+    assert len(calls) == 1
+    pipeline.write_outputs(tmp_path / "again", compressed, manifest, report)
+    assert len(calls) == 2
+
+
 def test_load_compressed_rejects_non_finite_factor(tmp_path):
     _, _, _, out = _compressed_toy(tmp_path)
     tensors, meta = read_container(out / "model.safetensors")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 from scipy.special import expit
 
 from helpers import captured_sites, grabbing_layer_forward, kernel_note, make_random_model, random_token_stream
-from rankprune import synth, transformer
+from rankprune import synth, transformer, util
 from rankprune.config import ModelConfig
 from rankprune.errors import CalibrationError, DataError
 from rankprune.lowrank import awsvd_factor
@@ -794,6 +795,39 @@ def test_perplexity_equals_full_log_softmax_bit_for_bit(random_model, dtype, mon
     assert perplexity(model, stream, seq_len) == float(np.exp(total / (3 * seq_len)))
     assert len(logits_seen) == 3 and all(np.array_equal(got, kept) for got, kept in logits_seen)
     assert all(np.array_equal(a, b) for a, b in zip(_model_arrays(model), arrays))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 9])
+@pytest.mark.parametrize("n_windows, seq_len", [(1, 64), (4, 128), (3, 200)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_perplexity_is_the_same_bits_for_any_worker_count(random_model, dtype, n_windows, seq_len, workers, monkeypatch):
+    # Windows run concurrently but their NLLs are summed in window order; 200 tokens run blocked attention.
+    model = _as_dtype(random_model, dtype)
+    stream = random_token_stream(n_windows * seq_len + 1, 13)
+    monkeypatch.setattr(util, "_workers", lambda: 0)
+    sequential = perplexity(model, stream, seq_len)
+    monkeypatch.setattr(util, "_workers", lambda: workers)
+    assert perplexity(model, stream, seq_len) == sequential
+
+
+@pytest.mark.parametrize("workers", [0, 1, 3])
+def test_perplexity_names_the_first_non_finite_window(random_model, workers, monkeypatch):
+    seq_len = 64
+    stream = random_token_stream(4 * seq_len + 1, 14)
+    stream[::seq_len] = np.arange(5)  # each window's first token is its index
+    forward_logits = transformer._forward_logits
+
+    def overflowing(model, ctx):
+        logits = forward_logits(model, ctx)
+        if ctx[0] in (1, 3):
+            time.sleep(0.05 if ctx[0] == 1 else 0.0)  # window 3 fails first
+            logits[5, 0] = np.nan
+        return logits
+
+    monkeypatch.setattr(transformer, "_forward_logits", overflowing)
+    monkeypatch.setattr(util, "_workers", lambda: workers)
+    with pytest.raises(DataError, match="^window 1: non-finite"):
+        perplexity(random_model, stream, seq_len)
 
 
 def test_perplexity_discards_partial_window(toy_cfg):
