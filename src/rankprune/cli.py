@@ -18,7 +18,7 @@ from . import pipeline, pruning, store
 from .config import ModelConfig
 from .errors import CompressionError, DataError
 from .lowrank import parse_alloc_ratio
-from .transformer import collect_stats, count_params_macs, load_dense_model, read_token_file
+from .transformer import check_tokens, collect_stats, count_params_macs, load_dense_model, read_token_file
 from .util import canonical_json, sha256_file
 
 
@@ -225,6 +225,7 @@ def cmd_calibrate(args) -> int:
     model, _ = _load_model(args.model, args.config)
     stream = read_token_file(args.data, args.data_format)
     calib, _starts = pipeline.sample_calibration_windows(stream, args.samples, args.seqlen, args.seed)
+    check_tokens(model, stream)  # the whole stream, as compress checks it
     # Matrices fed from the same site get the same vector.
     x_din = {
         store.weight_name(i, p.name): [float(v) for v in by_site[p.site]]

@@ -52,11 +52,6 @@ class ModelConfig:
             if not (real and math.isfinite(value) and value > 0):
                 raise ValueError(f"config field {key} must be a positive finite number, got {value!r}")
 
-    @property
-    def layer_params(self) -> int:
-        """Compressible parameters in one transformer layer: 4d^2 + 3*d*d_m."""
-        return 4 * self.dim * self.dim + 3 * self.dim * self.ffn_dim
-
     def to_dict(self) -> dict:
         return asdict(self)
 

@@ -19,7 +19,12 @@ every layer's attention ranks and FFN channel counts once per run; each
 layer is factored at those ranks in one `compress_mha` call, and its
 manifest record is the plan with what the calibration data decided
 (kept heads, retained channels, provenance) filled in by
-`_layer_records`.
+`_layer_record`.  Every parameter total, in the manifest and the report,
+is `store.param_counts` of the plan's layout; the MAC totals come from
+`transformer.count_params_macs`.  The report holds measurements only:
+per layer, the weighted error of each factored projection, beside the
+parameter and MAC totals and, once `eval --update-report` has run, the
+evaluations and their timing.
 
 `compress_model` never changes the model it is given.  Once the windows
 are embedded it refers to the model only through the one it is building,
@@ -50,6 +55,7 @@ from .transformer import (
     TransformerLayer,
     TransformerModel,
     advance,
+    check_tokens,
     count_params_macs,
     embed,
     layer_stats,
@@ -155,16 +161,18 @@ def compress_model(
     """Run the full pipeline; returns (compressed model, manifest, report).
 
     `model` is left unchanged; pass its only reference to let each dense
-    layer go once it is compressed (see the module docstring).
+    layer go once it is compressed (see the module docstring).  Every id of
+    `calib_stream`, sampled or not, must be inside the vocabulary (DataError).
     """
     cfg = model.config
     calib, starts = sample_calibration_windows(
         calib_stream, plan.calib_samples, plan.calib_tokens, plan.seed
     )
+    check_tokens(model, calib_stream)  # the whole stream, not only the sampled windows
     global_plan = plan.global_fields()
     planned = store.layer_plan(cfg, global_plan)
-    params_before, macs_before = count_params_macs(model, plan.calib_tokens)
-    layer_params_before = sum(_layer_param_count(layer) for layer in model.layers)
+    params = store.param_counts(cfg, planned)
+    macs_before = count_params_macs(model, plan.calib_tokens)[1]
 
     states = [embed(model, window) for window in calib]
     # Only `work` refers to the model from here on (see the module docstring).
@@ -184,9 +192,7 @@ def compress_model(
         layer_manifests.append(layer_manifest)
         layer_reports.append(layer_report)
 
-    params_after, macs_after = count_params_macs(work, plan.calib_tokens)
-    layer_params_after = sum(_layer_param_count(layer) for layer in work.layers)
-
+    macs_after = count_params_macs(work, plan.calib_tokens)[1]
     manifest = {
         "format_version": MANIFEST_VERSION,
         "config": cfg.to_dict(),
@@ -199,38 +205,32 @@ def compress_model(
                 "window_starts": starts,
                 "resampled_per_layer": False,
             },
-            "params": {
-                "source_total": params_before,
-                "compressed_total": params_after,
-                "layer_source": layer_params_before,
-                "layer_retained": layer_params_after,
-                "realized_ratio_s": (params_before - params_after) / params_before,
-            },
+            "params": params,
         },
         "layers": layer_manifests,
     }
     report = {
-        "format_version": 1,
+        "format_version": 2,
         "layers": layer_reports,
-        "params_before": params_before,
-        "params_after": params_after,
-        "layer_params_before": layer_params_before,
-        "layer_params_after": layer_params_after,
-        "layer_params_target": plan.keep_ratio * layer_params_before,
+        "params_before": params["source_total"],
+        "params_after": params["compressed_total"],
+        "layer_params_before": params["layer_source"],
+        "layer_params_after": params["layer_retained"],
+        "layer_params_target": plan.keep_ratio * params["layer_source"],
         "macs_before": macs_before,
         "macs_after": macs_after,
         "macs_seq_len": plan.calib_tokens,
         "evaluations": {},
         "timing": {},
     }
-    _cross_check(report)
     return work, manifest, report
 
 
 def _compress_layer(cfg, i, source, x_din, plan, planned):
     """Compress dense layer i from its {site: x_din} map as the planned record
-    says; returns (compressed layer, manifest entry, report entry).  Nothing
-    here outlives the call, so the source layer is held only by the model."""
+    says; returns (compressed layer, manifest entry, report entry).  The report
+    entry is the weighted error of every factored projection.  Nothing here
+    outlives the call, so the source layer is held only by the model."""
     weights = _dense_weights(source)
     x_by_proj = {p.name: x_din[p.site] for p in store.PROJECTIONS}
     # svd attention and the factored FFN are awsvd at unit weights.
@@ -249,57 +249,21 @@ def _compress_layer(cfg, i, source, x_din, plan, planned):
     # Factors and pruned slices come back in float64; store them in the source's dtype.
     maps = {name: proj.astype(weights[name].dtype) for name, proj in {**factored, **head_maps, **ffn_maps}.items()}
     compressed = source.with_projections(maps, kept_heads=kept_heads, retained_channels=retained)
-    return (compressed, *_layer_records(i, planned, source, compressed, pairs, decision))
+    errors = {p: {"weighted_error": pair.weighted_error} for p, pair in pairs.items() if pair is not None}
+    return compressed, _layer_record(i, planned, kept_heads, decision), {"layer": i, **errors}
 
 
-def _layer_param_count(layer: TransformerLayer) -> int:
-    return sum(p.n_params for p in layer.projections().values())
-
-
-def _cross_check(report: dict) -> None:
-    from_layers = sum(r["layer_params_after"] for r in report["layers"])
-    if from_layers != report["layer_params_after"]:
-        raise ManifestError("per-layer parameter records disagree with the global total")
-    delta = report["params_before"] - report["params_after"]
-    layer_delta = report["layer_params_before"] - report["layer_params_after"]
-    if delta != layer_delta:
-        raise ManifestError("parameter savings outside the transformer layers detected")
-
-
-def _layer_records(i, planned, source, compressed, pairs, decision):
-    """Layer i's manifest and report entries: its own copy of the planned record
-    with the kept heads, retained channels and provenance the calibration data
-    decided filled in, plus the weighted errors of the factor pairs (None where
-    not factored) and the FFN PruneDecision (None when factored)."""
-    manifest = copy.deepcopy({"layer": i, **planned})
-    mha, ffn = manifest["mha"], manifest["ffn"]
-    before, after = source.projections(), compressed.projections()
-    mha_report = {
-        p: {**mha["schemes"][p], "dense_params": before[p].n_params,
-            "weighted_error": getattr(pairs[p], "weighted_error", None)}
-        for p in store.ATTN_PROJS
-    }
-    if compressed.kept_heads is not None:
-        mha["kept_heads"], mha_report["kept_heads"] = list(compressed.kept_heads), list(compressed.kept_heads)
-        mha_report["head_params"] = sum(scheme["params"] for scheme in mha["schemes"].values())
-    if decision is None:
-        ffn_report = {"kind": "factored", "ranks": dict(ffn["ranks"])}
-    else:
-        ffn["retained_channels"] = [int(c) for c in decision.retained]
-        ffn["provenance"] = list(decision.provenance)
-        ffn_report = {"kind": "pruned", "retained_count": decision.n_retained, "bottom_count": decision.n_bottom}
-    ffn_report["params"] = sum(after[p].n_params for p in store.FFN_PROJS)
-    ffn_report["dense_params"] = sum(before[p].n_params for p in store.FFN_PROJS)
-
-    report = {
-        "layer": i,
-        "mha": mha_report,
-        "mha_slack": mha["slack"],
-        "ffn": ffn_report,
-        "layer_params_before": _layer_param_count(source),
-        "layer_params_after": _layer_param_count(compressed),
-    }
-    return manifest, report
+def _layer_record(i, planned, kept_heads, decision):
+    """Layer i's manifest entry: its own copy of the planned record with the kept
+    heads (None unless head-pruned), retained channels and provenance (the FFN
+    PruneDecision, None when factored) the calibration data decided filled in."""
+    record = copy.deepcopy({"layer": i, **planned})
+    if kept_heads is not None:
+        record["mha"]["kept_heads"] = list(kept_heads)
+    if decision is not None:
+        record["ffn"]["retained_channels"] = [int(c) for c in decision.retained]
+        record["ffn"]["provenance"] = list(decision.provenance)
+    return record
 
 
 def _prune_heads(cfg, layer, weights, x_by_proj, plan):

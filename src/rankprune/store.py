@@ -17,9 +17,15 @@ from the config and its manifest's `global` (`layer_plan`); it must hold
 exactly those tensors at exactly those shapes.  `validate_manifest` holds
 a manifest to one rule: every field the plan fixes must equal what
 `global` implies.  Only what the calibration data decides - kept heads,
-retained channels and their provenance, window starts - and the totals
-are checked beside it.  `check_plan` is the one check of the plan fields,
-for a `pipeline.CompressionPlan` and a manifest's `global` alike.
+retained channels and their provenance, window starts - is checked
+beside it.  `check_plan` is the one check of the plan fields, for a
+`pipeline.CompressionPlan` and a manifest's `global` alike.
+
+`param_counts(config, plan)` is the one parameter count of a layout:
+every tensor of `_layout(config, plan)` but the index tensors.  It is the
+manifest's `global.params`, the dense total of the ratio arithmetic and
+the report's parameter totals; `transformer.count_params_macs` counts a
+model in memory.
 """
 
 from __future__ import annotations
@@ -197,6 +203,31 @@ def _layout(config: ModelConfig, plan: dict | None) -> dict[str, tuple[int, ...]
     return shapes
 
 
+def _is_index(name: str) -> bool:
+    """True for a kept-head or retained-channel index tensor: integer, and not a parameter."""
+    return name.endswith((".kept_heads", ".retained_channels"))
+
+
+def param_counts(config: ModelConfig, plan: dict | None = None) -> dict:
+    """The parameter totals of the dense layout and of a `layer_plan` record's
+    layout (None: the dense one again), as a manifest's `global.params`
+    records them.  Every layout tensor but the index tensors is a parameter;
+    the layer totals count the projections alone."""
+
+    def count(layout_plan: dict | None) -> tuple[int, int]:
+        params = {name: math.prod(shape) for name, shape in _layout(config, layout_plan).items() if not _is_index(name)}
+        return sum(params.values()), sum(n for name, n in params.items() if split_projection_name(name))
+
+    (source_total, layer_source), (compressed_total, layer_retained) = count(None), count(plan)
+    return {
+        "source_total": source_total,
+        "compressed_total": compressed_total,
+        "layer_source": layer_source,
+        "layer_retained": layer_retained,
+        "realized_ratio_s": (source_total - compressed_total) / source_total,
+    }
+
+
 def check_plan(global_plan: dict) -> None:
     """The one check of a plan's fields, as `CompressionPlan.global_fields`
     gives them and a manifest's `global` records them: a value compress
@@ -317,7 +348,8 @@ class RatioPlan:
 
     ratio_s is the fraction of all parameters to remove; because the
     embedding and LM head stay untouched, the layers must absorb the
-    larger fraction ratio_l = param_total * ratio_s / (n_layers * layer_params).
+    larger fraction ratio_l = param_total * ratio_s / layer_source, the
+    dense layers' parameters (`param_counts`).
     layer_keep = 1 - ratio_l is what the per-layer compressors receive.
     """
 
@@ -331,7 +363,7 @@ class RatioPlan:
 def plan_ratio(config: ModelConfig, param_total: int, ratio_s: float) -> RatioPlan:
     if not 0.0 < ratio_s < 1.0:
         raise ValueError(f"ratio_s must lie in (0, 1), got {ratio_s}")
-    ratio_l = (param_total * ratio_s) / (config.n_layers * config.layer_params)
+    ratio_l = (param_total * ratio_s) / param_counts(config)["layer_source"]
     if ratio_l > 1.0:
         raise InfeasibleRatioError(
             f"model ratio {ratio_s} needs layer ratio {ratio_l:.4f} > 1; "
@@ -342,9 +374,7 @@ def plan_ratio(config: ModelConfig, param_total: int, ratio_s: float) -> RatioPl
 
 def dense_param_total(config: ModelConfig) -> int:
     """Parameter count of a dense checkpoint with these shapes."""
-    d, v = config.dim, config.vocab_size
-    norms = (2 * config.n_layers + 1) * d
-    return config.n_layers * config.layer_params + 2 * v * d + norms
+    return param_counts(config)["source_total"]
 
 
 # Published shape constants, handy for checking the ratio arithmetic
@@ -371,9 +401,9 @@ def validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: Mo
     weights float and index tensors integer.  Beside it only what the data
     decides is checked: kept heads and retained channels strictly
     ascending in range and equal to their index tensors, each provenance
-    "top" or "bottom" with the retain-least quota of "bottom", the
-    calibration windows, and the parameter totals the config and the
-    layout give.
+    "top" or "bottom" with the retain-least quota of "bottom", and the
+    calibration windows.  `global.params` must be `param_counts` of the
+    plan.
     """
     try:
         _validate_manifest(manifest, tensors, config)
@@ -398,12 +428,11 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
             f"tensors disagree with the manifest: missing {', '.join(missing) or 'none'}; "
             f"unexpected {', '.join(unexpected) or 'none'}"
         )
-    index_names = {f(i) for i in range(config.n_layers) for f in (kept_heads_name, retained_channels_name)}
     for name, shape in layout.items():
         arr = tensors[name]
         if arr.shape != shape:
             raise ManifestError(f"tensor {name!r} has shape {arr.shape}, manifest implies {shape}")
-        if arr.dtype.kind != ("i" if name in index_names else "f"):
+        if arr.dtype.kind != ("i" if _is_index(name) else "f"):
             raise ManifestError(f"tensor {name!r} has dtype {arr.dtype}; weights are float, index tensors integer")
     retain_least = manifest["global"]["retain_least"]
     for i, rec in enumerate(recs):
@@ -415,17 +444,7 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
                 raise ManifestError(f"layer {i}: kept-heads tensor disagrees with manifest list")
         if rec["ffn"]["kind"] == "pruned":
             _check_retained(i, rec["ffn"], tensors[retained_channels_name(i)], config.ffn_dim, retain_least)
-    layer_source, source_total = config.n_layers * config.layer_params, dense_param_total(config)
-    layer_retained = sum(math.prod(shape) for name, shape in layout.items() if split_projection_name(name))
-    compressed_total = source_total - layer_source + layer_retained
-    implied = {
-        "layer_source": layer_source,
-        "source_total": source_total,
-        "layer_retained": layer_retained,
-        "compressed_total": compressed_total,
-        "realized_ratio_s": (source_total - compressed_total) / source_total,
-    }
-    _require_planned("global", implied, manifest["global"]["params"], "params")
+    _require_planned("global", param_counts(config, plan), manifest["global"]["params"], "params")
 
 
 def _require_planned(where: str, want, got, path: str = "") -> None:

@@ -266,8 +266,9 @@ def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, start: int) -> np.nd
 # Forward
 
 
-def embed(model: TransformerModel, tokens: np.ndarray) -> np.ndarray:
-    """Validate one token stream and return its initial hidden state, (tokens, dim)."""
+def check_tokens(model: TransformerModel, tokens: np.ndarray) -> np.ndarray:
+    """`tokens` as an array; a DataError unless it is a non-empty 1-D sequence
+    of ids inside the model's vocabulary."""
     tokens = np.asarray(tokens)
     vocab = model.config.vocab_size
     if tokens.ndim != 1 or tokens.size == 0:
@@ -275,7 +276,12 @@ def embed(model: TransformerModel, tokens: np.ndarray) -> np.ndarray:
     if tokens.min() < 0 or tokens.max() >= vocab:
         bad = int(tokens[(tokens < 0) | (tokens >= vocab)][0])
         raise DataError(f"token id {bad} outside vocabulary [0, {vocab})")
-    return model.embed[tokens]
+    return tokens
+
+
+def embed(model: TransformerModel, tokens: np.ndarray) -> np.ndarray:
+    """Validate one token stream (`check_tokens`) and return its initial hidden state, (tokens, dim)."""
+    return model.embed[check_tokens(model, tokens)]
 
 
 def forward(model: TransformerModel, tokens: np.ndarray) -> np.ndarray:
@@ -449,17 +455,20 @@ def perplexity(model: TransformerModel, stream: np.ndarray, seq_len: int) -> flo
     Window w feeds tokens [w*S, w*S + S) and is scored against targets
     [w*S + 1, w*S + S], so every token after the first of each window is
     predicted exactly once; the final partial window is discarded.  The
-    targets' log-probabilities and the NLL are taken in float64; a
-    non-finite log-probability (the model overflowed its float range) is a
-    DataError naming the first such window.  Windows are scored
-    concurrently, one per CPU (`util.parallel_map`), and their NLLs summed
-    in window order, so the result is the same bits for any CPU count.
+    whole stream, discarded tail included, is checked once (`check_tokens`)
+    before any window is scored.  The targets' log-probabilities and the
+    NLL are taken in float64; a non-finite log-probability (the model
+    overflowed its float range) is a DataError naming the first such
+    window.  Windows are scored concurrently, one per CPU
+    (`util.parallel_map`), and their NLLs summed in window order, so the
+    result is the same bits for any CPU count.
     """
     stream = np.asarray(stream)
     if seq_len < 1:
         raise ValueError("seq_len must be >= 1")
     if stream.size < seq_len + 1:
         raise DataError(f"evaluation stream too short: {stream.size} tokens < seq_len + 1 = {seq_len + 1}")
+    check_tokens(model, stream)
     n_windows = (stream.size - 1) // seq_len
 
     def window_nll(w: int) -> float:

@@ -54,9 +54,10 @@ def captured_sites(model: TransformerModel, tokens, n_layers: int | None = None)
     return caps
 
 
-# The OpenBLAS core every golden hash and pinned ppl was measured on; float
-# summation order, and so the last bits of a float output, differ between cores.
-PINNED_CORE = "SkylakeX"
+# The OpenBLAS cores the golden hashes and pinned ppl were measured on, each
+# on its own core; float summation order, and so the last bits of a float
+# output, differ between cores.
+PINNED_CORES = ("SkylakeX", "Haswell", "Sandybridge")
 
 
 def openblas_core() -> str:
@@ -72,5 +73,5 @@ def openblas_core() -> str:
 
 
 def kernel_note() -> str:
-    """The message of a failed golden pin: which kernel it was pinned on and which runs now."""
-    return f"pinned on OpenBLAS core {PINNED_CORE}, running on {openblas_core()}"
+    """The message of a failed golden pin: which kernels it was pinned on and which runs now."""
+    return f"pinned on OpenBLAS cores {', '.join(PINNED_CORES)}, running on {openblas_core()}"

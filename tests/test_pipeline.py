@@ -360,11 +360,35 @@ def test_record_evaluation_updates_report(setup, tmp_path):
 
 def test_report_weighted_errors_recorded(setup):
     cfg, model, calib, _ = setup
-    _, _, report = compress_model(model, _plan(0.5), calib)
-    q = report["layers"][0]["mha"]["q_proj"]
-    assert q["kind"] == "factored"
-    assert q["weighted_error"] > 0.0
-    assert report["layers"][0]["ffn"]["retained_count"] == 86  # round(0.5 * 172)
+    _, manifest, report = compress_model(model, _plan(0.5), calib)
+    assert manifest["layers"][0]["mha"]["schemes"]["q_proj"]["kind"] == "factored"
+    assert report["layers"][0]["q_proj"]["weighted_error"] > 0.0
+    assert manifest["layers"][0]["ffn"]["retained_count"] == 86  # round(0.5 * 172)
+
+
+@pytest.mark.parametrize("ffn", store.FFN_METHODS)
+@pytest.mark.parametrize("mha", store.MHA_METHODS)
+def test_params_and_report_entries_follow_the_plan(setup, mha, ffn):
+    cfg, model, calib, _ = setup
+    compressed, manifest, report = compress_model(model, _plan(0.5, mha_method=mha, ffn_method=ffn), calib)
+    params = manifest["global"]["params"]
+    # The layout count agrees with a walk of each model in memory.
+    assert params["source_total"] == count_params_macs(model, 1)[0]
+    assert params["compressed_total"] == count_params_macs(compressed, 1)[0]
+    for total, m in (("layer_source", model), ("layer_retained", compressed)):
+        assert params[total] == sum(p.n_params for layer in m.layers for p in layer.projections().values())
+    assert [report[k] for k in ("params_before", "params_after", "layer_params_before", "layer_params_after")] == [
+        params[k] for k in ("source_total", "compressed_total", "layer_source", "layer_retained")
+    ]
+    # A report entry is one measurement per factored projection and nothing the plan says.
+    ranks = store.planned_ranks(store.layer_plan(cfg, manifest["global"]))
+    factored = {p for p, rank in ranks.items() if rank is not None}
+    assert [set(entry) for entry in report["layers"]] == [{"layer", *factored}] * cfg.n_layers
+    for i, entry in enumerate(report["layers"]):
+        assert entry["layer"] == i
+        for p in factored:
+            assert entry[p].keys() == {"weighted_error"}
+            assert np.isfinite(entry[p]["weighted_error"]) and entry[p]["weighted_error"] > 0.0
 
 
 def test_plan_validation():
