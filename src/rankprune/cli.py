@@ -143,7 +143,9 @@ def _load_stats_file(path: str) -> dict[str, np.ndarray]:
 
 def _projection_matrices(model_path: str) -> list[tuple[str, np.ndarray]]:
     """All projection matrices from a checkpoint or compressed directory,
-    reconstructing L @ R for factored entries; no model config needed."""
+    reconstructing L @ R for factored entries; no model config needed.  A
+    projection tensor that is not a matrix with rows and columns, or a factor
+    without its partner or of another inner width, is a DataError."""
     from .container import read_container
 
     p = Path(model_path)
@@ -152,22 +154,28 @@ def _projection_matrices(model_path: str) -> list[tuple[str, np.ndarray]]:
         tensors = store.load_compressed(path)[1]
     else:
         tensors, _ = read_container(path)
-    out = []
+    projections = {name: store.split_projection_name(name) for name in tensors}
     for name, arr in tensors.items():
         store.require_finite(path, name, arr)
-        parsed = store.split_projection_name(name)
+        if projections[name] is not None and (arr.ndim != 2 or 0 in arr.shape):
+            raise DataError(f"{path}: projection tensor {name!r} has shape {arr.shape}; expected a non-empty matrix")
+    out = []
+    for name, parsed in projections.items():
         if parsed is None:
             continue
         layer, proj, suffix = parsed
+        wname = store.weight_name(layer, proj.name)
+        lname, rname = store.factor_names(wname)
+        if suffix != "weight" and not (lname in tensors and rname in tensors):
+            raise DataError(f"{path}: factor {name!r} has no partner; {lname!r} and {rname!r} come as a pair")
         if suffix == "R":
             continue
-        wname = store.weight_name(layer, proj.name)
-        w = arr.astype(np.float64)
+        w = tensors[name].astype(np.float64)
         if suffix == "L":
-            rname = store.factor_names(wname)[1]
-            if rname not in tensors:
-                continue
-            w = w @ tensors[rname].astype(np.float64)
+            r = tensors[rname]
+            if r.shape[0] != w.shape[1]:
+                raise DataError(f"{path}: factors {name!r} {w.shape} and {rname!r} {r.shape} differ in inner width")
+            w = w @ r.astype(np.float64)
         out.append((layer, store.PROJECTIONS.index(proj), wname, w))
     out.sort(key=lambda entry: entry[:2])
     return [(name, w) for _, _, name, w in out]

@@ -92,10 +92,6 @@ class MhaAllocation:
     schemes: dict[str, MatrixScheme]
     slack: int
 
-    @property
-    def n_params(self) -> int:
-        return sum(s.n_params for s in self.schemes.values())
-
 
 def parse_alloc_ratio(text: str) -> tuple[float, float]:
     """Parse "1:3" style qk:vo ratios."""
@@ -183,7 +179,12 @@ def compress_mha(
 ) -> dict[str, FactorPair | None]:
     """Factor each matrix of {name: rank}: a FactorPair at its rank, None for a dense
     passthrough (rank None).  x_din entries must be present for every matrix that
-    gets factored; unit weights give plain truncated SVD."""
+    gets factored; unit weights give plain truncated SVD.
+
+    It factors any projection, not only attention: `pipeline` passes a layer's
+    seven at their planned ranks, the FFN's too under `--ffn-method svd`.  The
+    name stays because the benchmark's call trace (`perfbench/run.py`) times it
+    under this name."""
     out: dict[str, FactorPair | None] = {}
     for m, rank in ranks.items():
         if rank is None:

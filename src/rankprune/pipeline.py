@@ -16,15 +16,15 @@ advance through it, so they advance through exactly the factors that
 are written.  The run is bit-deterministic given (model bytes,
 calibration bytes, seed, plan).  The plan (`store.layer_plan`) fixes
 every layer's attention ranks and FFN channel counts once per run; each
-layer is factored at those ranks in one `compress_mha` call, and its
-manifest record is the plan with what the calibration data decided
-(kept heads, retained channels, provenance) filled in by
-`_layer_record`.  Every parameter total, in the manifest and the report,
-is `store.param_counts` of the plan's layout; the MAC totals come from
-`transformer.count_params_macs`.  The report holds measurements only:
-per layer, the weighted error of each factored projection, beside the
-parameter and MAC totals and, once `eval --update-report` has run, the
-evaluations and their timing.
+layer is factored at those ranks in one `compress_mha` call.  The
+manifest records the plan once, as `global.plan`, and per layer only
+what the calibration data decided (kept heads, retained channels,
+provenance; `_layer_record`).  Every parameter total, in the manifest
+and the report, is `store.param_counts` of the plan's layout; the MAC
+totals come from `transformer.count_params_macs`.  The report holds
+measurements only: per layer, the weighted error of each factored
+projection, beside the parameter and MAC totals and, once
+`eval --update-report` has run, the evaluations and their timing.
 
 `compress_model` never changes the model it is given.  Once the windows
 are embedded it refers to the model only through the one it is building,
@@ -36,7 +36,6 @@ caller that keeps its model keeps all of it.
 
 from __future__ import annotations
 
-import copy
 import json
 import time
 from dataclasses import dataclass
@@ -206,6 +205,7 @@ def compress_model(
                 "resampled_per_layer": False,
             },
             "params": params,
+            "plan": planned,
         },
         "layers": layer_manifests,
     }
@@ -250,19 +250,19 @@ def _compress_layer(cfg, i, source, x_din, plan, planned):
     maps = {name: proj.astype(weights[name].dtype) for name, proj in {**factored, **head_maps, **ffn_maps}.items()}
     compressed = source.with_projections(maps, kept_heads=kept_heads, retained_channels=retained)
     errors = {p: {"weighted_error": pair.weighted_error} for p, pair in pairs.items() if pair is not None}
-    return compressed, _layer_record(i, planned, kept_heads, decision), {"layer": i, **errors}
+    return compressed, _layer_record(i, kept_heads, decision), {"layer": i, **errors}
 
 
-def _layer_record(i, planned, kept_heads, decision):
-    """Layer i's manifest entry: its own copy of the planned record with the kept
-    heads (None unless head-pruned), retained channels and provenance (the FFN
-    PruneDecision, None when factored) the calibration data decided filled in."""
-    record = copy.deepcopy({"layer": i, **planned})
+def _layer_record(i, kept_heads, decision):
+    """Layer i's manifest entry: what its calibration data decided, the kept heads
+    (None unless head-pruned) and the retained channels and their provenance (the
+    FFN PruneDecision, None when factored)."""
+    record = {"layer": i}
     if kept_heads is not None:
-        record["mha"]["kept_heads"] = list(kept_heads)
+        record["kept_heads"] = list(kept_heads)
     if decision is not None:
-        record["ffn"]["retained_channels"] = [int(c) for c in decision.retained]
-        record["ffn"]["provenance"] = list(decision.provenance)
+        record["retained_channels"] = [int(c) for c in decision.retained]
+        record["provenance"] = list(decision.provenance)
     return record
 
 

@@ -76,14 +76,6 @@ class PruneDecision:
     retained: np.ndarray
     provenance: tuple[str, ...]
 
-    @property
-    def n_retained(self) -> int:
-        return int(self.retained.size)
-
-    @property
-    def n_bottom(self) -> int:
-        return sum(1 for p in self.provenance if p == "bottom")
-
 
 def _order(scores: np.ndarray, descending: bool) -> np.ndarray:
     # lexsort: last key is primary; ties always resolve to the lower index.

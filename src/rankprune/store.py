@@ -14,12 +14,12 @@ and calibration naming all iterate over it.
 of both container kinds.  Compression touches only the layer projections,
 and every layer under one plan, so a compressed output's layout follows
 from the config and its manifest's `global` (`layer_plan`); it must hold
-exactly those tensors at exactly those shapes.  `validate_manifest` holds
-a manifest to one rule: every field the plan fixes must equal what
-`global` implies.  Only what the calibration data decides - kept heads,
-retained channels and their provenance, window starts - is checked
-beside it.  `check_plan` is the one check of the plan fields, for a
-`pipeline.CompressionPlan` and a manifest's `global` alike.
+exactly those tensors at exactly those shapes.  A manifest records that
+plan once, as `global.plan`, which `validate_manifest` holds to one rule:
+it must equal what the rest of `global` implies.  Per layer it records only
+what the calibration data decided, kept heads, retained channels and their
+provenance, which are checked beside it.  `check_plan` is the one check of
+the plan fields, for a `pipeline.CompressionPlan` and a manifest's `global`.
 
 `param_counts(config, plan)` is the one parameter count of a layout:
 every tensor of `_layout(config, plan)` but the index tensors.  It is the
@@ -51,12 +51,9 @@ from .errors import (
 from .pruning import AGGREGATIONS, bottom_quota, kept_head_count, retained_count
 from .util import canonical_json, round_half_up
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 MHA_METHODS = ("awsvd", "svd", "head_prune")
 FFN_METHODS = ("prune", "svd")
-
-# An entry of a manifest list the calibration data decides; see `layer_plan`.
-DATA = ...
 
 EMBED_NAME = "model.embed_tokens.weight"
 HEAD_NAME = "lm_head.weight"
@@ -180,9 +177,7 @@ def _layout(config: ModelConfig, plan: dict | None) -> dict[str, tuple[int, ...]
     }
     ranks, n_heads, n_channels = dict.fromkeys(PROJECTION), None, None
     if plan is not None:
-        ranks = planned_ranks(plan)
-        if plan["mha"]["kept_heads"] is not None:
-            n_heads = len(plan["mha"]["kept_heads"])
+        ranks, n_heads = planned_ranks(plan), plan["mha"]["kept_head_count"]
         n_channels = plan["ffn"].get("retained_count")
     layer_widths = widths(config, n_heads, n_channels)
     for i in range(config.n_layers):
@@ -253,14 +248,13 @@ def check_plan(global_plan: dict) -> None:
 
 
 def layer_plan(config: ModelConfig, global_plan: dict) -> dict:
-    """The layer record a plan implies, decided once per run: awsvd/svd
-    attention by `lowrank.allocate_mha`, whole heads and pruned channels by
-    the `pruning` counts, FFN factor ranks by
-    max(1, floor(keep_ratio * size / (d_out + d_in))).  Compress writes this
-    record for every layer but for its "layer" index and the list entries
-    its calibration data decides (kept heads, retained channels, provenance),
-    which stand here as DATA.  A global no plan has is a ValueError
-    (`check_plan`) or AllocationError.
+    """The plan record a `global` implies, decided once per run and the same
+    for every layer: awsvd/svd attention by `lowrank.allocate_mha`, the
+    kept-head and retained-channel counts by `pruning`, FFN factor ranks by
+    max(1, floor(keep_ratio * size / (d_out + d_in))).  Compress records it
+    once, as the manifest's `global.plan`; a layer record holds only the
+    lists its calibration data decided.  A global no plan has is a
+    ValueError (`check_plan`) or AllocationError.
     """
     from .lowrank import allocate_mha  # lowrank imports this module's projection table
 
@@ -273,8 +267,7 @@ def layer_plan(config: ModelConfig, global_plan: dict) -> dict:
         kept = {p: PROJECTION[p].shape(widths(config, n_heads)) for p in ATTN_PROJS}
         mha = {
             "schemes": {p: {"kind": "dense", "rank": None, "params": math.prod(shape)} for p, shape in kept.items()},
-            "kept_heads": [DATA] * n_heads,
-            "alloc_ratio": None,
+            "kept_head_count": n_heads,
             "budget": round_half_up(keep * sum(math.prod(dense[p]) for p in ATTN_PROJS)),
             "qk_budget": None,
             "vo_budget": None,
@@ -284,20 +277,17 @@ def layer_plan(config: ModelConfig, global_plan: dict) -> dict:
         alloc = allocate_mha({p: dense[p] for p in ATTN_PROJS}, keep, alloc_ratio)
         mha = {
             "schemes": {p: {"kind": s.kind, "rank": s.rank, "params": s.n_params} for p, s in alloc.schemes.items()},
-            "kept_heads": None,
-            "alloc_ratio": list(alloc_ratio),
+            "kept_head_count": None,
             "budget": alloc.budget,
             "qk_budget": alloc.qk_budget,
             "vo_budget": alloc.vo_budget,
             "slack": alloc.slack,
         }
     if ffn_method == "prune":
-        n = retained_count(config.ffn_dim, keep)
-        ffn = {"kind": "pruned", "retained_count": n, "retained_channels": [DATA] * n, "provenance": [DATA] * n}
+        ffn = {"retained_count": retained_count(config.ffn_dim, keep)}
     else:
-        ranks = {p: max(1, int(keep * math.prod(dense[p]) / sum(dense[p]))) for p in FFN_PROJS}
-        ffn = {"kind": "factored", "ranks": ranks}
-    return {"keep_ratio": keep, "mha": mha, "ffn": ffn}
+        ffn = {"ranks": {p: max(1, int(keep * math.prod(dense[p]) / sum(dense[p]))) for p in FFN_PROJS}}
+    return {"mha": mha, "ffn": ffn}
 
 
 def planned_ranks(plan: dict) -> dict[str, int | None]:
@@ -393,17 +383,18 @@ LLAMA_SHAPES = {
 def validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: ModelConfig) -> None:
     """Cross-check a manifest against the tensors it describes.
 
-    The one rule: every field the plan fixes must equal what `global`
-    implies.  `global` must pass `check_plan`, as a `CompressionPlan` does;
-    each layer record is `layer_plan(config, global)` with its index, JSON
-    type for JSON type (8.0 and true are not 8), and the container must
+    The one rule: the plan recorded once, `global.plan`, must equal what
+    the rest of `global` implies.  `global` must pass `check_plan`, as a
+    `CompressionPlan` does; `global.plan` is `layer_plan(config, global)`
+    JSON type for JSON type (8.0 and true are not 8), and the container must
     hold exactly the tensors `expected_shapes` lays out from that plan,
     weights float and index tensors integer.  Beside it only what the data
-    decides is checked: kept heads and retained channels strictly
-    ascending in range and equal to their index tensors, each provenance
-    "top" or "bottom" with the retain-least quota of "bottom", and the
-    calibration windows.  `global.params` must be `param_counts` of the
-    plan.
+    decides is checked: layer i's record holds "layer": i and exactly the
+    lists the plan leaves to the data, kept heads and retained channels strictly
+    ascending in range and equal to their index tensors, one provenance
+    "top" or "bottom" per retained channel with the retain-least quota of
+    "bottom", and the calibration windows.  `global.params` must be
+    `param_counts` of the plan.
     """
     try:
         _validate_manifest(manifest, tensors, config)
@@ -414,13 +405,13 @@ def validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: Mo
 def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: ModelConfig) -> None:
     version = manifest.get("format_version")
     if type(version) is not int or version != MANIFEST_VERSION:
-        raise ManifestError(f"unsupported manifest format_version {version!r}")
+        hint = f"this release reads {MANIFEST_VERSION}: re-run compress to write the output again"
+        raise ManifestError(f"unsupported manifest format_version {version!r}; {hint}")
     plan, recs = layer_plan(config, manifest["global"]), manifest["layers"]
+    _require_planned("global", plan, manifest["global"]["plan"], "plan")
     _check_calibration(manifest["global"]["calibration"])
     if type(recs) is not list or len(recs) != config.n_layers:
         raise ManifestError("manifest layer records do not cover every layer exactly once")
-    for i, rec in enumerate(recs):
-        _require_planned(f"layer {i}", {"layer": i, **plan}, rec)
     layout = _layout(config, plan)
     missing, unexpected = sorted(set(layout) - set(tensors)), sorted(set(tensors) - set(layout))
     if missing or unexpected:
@@ -435,20 +426,26 @@ def _validate_manifest(manifest: dict, tensors: dict[str, np.ndarray], config: M
         if arr.dtype.kind != ("i" if _is_index(name) else "f"):
             raise ManifestError(f"tensor {name!r} has dtype {arr.dtype}; weights are float, index tensors integer")
     retain_least = manifest["global"]["retain_least"]
+    # A layer record holds its index and the lists its calibration data decided.
+    keys = {"layer", *(["kept_heads"] if plan["mha"]["kept_head_count"] is not None else [])}
+    keys |= {"retained_channels", "provenance"} if "retained_count" in plan["ffn"] else set()
     for i, rec in enumerate(recs):
-        kept_heads = rec["mha"]["kept_heads"]
-        if kept_heads is not None:
+        if type(rec) is not dict or rec.keys() != keys:
+            raise ManifestError(f"layer {i}: record is {reprlib.repr(rec)}; expected exactly the keys {sorted(keys)}")
+        _require_planned(f"layer {i}", i, rec["layer"], "layer")
+        if "kept_heads" in rec:
+            kept_heads = rec["kept_heads"]
             if not _ascending_within(kept_heads, config.n_heads):
                 raise ManifestError(f"layer {i}: kept_heads must be strictly ascending inside [0, {config.n_heads})")
             if tensors[kept_heads_name(i)].tolist() != kept_heads:
                 raise ManifestError(f"layer {i}: kept-heads tensor disagrees with manifest list")
-        if rec["ffn"]["kind"] == "pruned":
-            _check_retained(i, rec["ffn"], tensors[retained_channels_name(i)], config.ffn_dim, retain_least)
+        if "retained_channels" in rec:
+            _check_retained(i, rec, tensors[retained_channels_name(i)], config.ffn_dim, retain_least)
     _require_planned("global", param_counts(config, plan), manifest["global"]["params"], "params")
 
 
 def _require_planned(where: str, want, got, path: str = "") -> None:
-    """got must be want exactly, JSON type for JSON type (8.0 and true are not 8), but for DATA entries."""
+    """got must be want exactly, JSON type for JSON type (8.0 and true are not 8)."""
     if isinstance(want, dict):
         keys, same = want.keys(), type(got) is dict and got.keys() == want.keys()
     elif isinstance(want, list):
@@ -458,8 +455,7 @@ def _require_planned(where: str, want, got, path: str = "") -> None:
     if not same:
         raise ManifestError(f"{where}: {path or 'record'} is {reprlib.repr(got)}; expected {reprlib.repr(want)}")
     for key in keys:
-        if want[key] is not DATA:
-            _require_planned(where, want[key], got[key], f"{path}.{key}" if path else str(key))
+        _require_planned(where, want[key], got[key], f"{path}.{key}" if path else str(key))
 
 
 def _check_calibration(calibration: dict) -> None:
@@ -485,12 +481,13 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_retained(i: int, ffn: dict, index: np.ndarray, d_m: int, retain_least: float) -> None:
-    idx, provenance = ffn["retained_channels"], ffn["provenance"]
+def _check_retained(i: int, rec: dict, index: np.ndarray, d_m: int, retain_least: float) -> None:
+    idx, provenance = rec["retained_channels"], rec["provenance"]
     if not _ascending_within(idx, d_m):
         raise ManifestError(f"layer {i}: retained channels must be strictly ascending inside [0, {d_m})")
-    if not set(provenance) <= {"top", "bottom"}:
-        raise ManifestError(f"layer {i}: provenance values must be 'top' or 'bottom'")
+    top_or_bottom = type(provenance) is list and all(p in ("top", "bottom") for p in provenance)
+    if not (top_or_bottom and len(provenance) == len(idx)):
+        raise ManifestError(f"layer {i}: provenance must hold one 'top' or 'bottom' per retained channel")
     n_bottom = provenance.count("bottom")
     quota = bottom_quota(d_m, len(provenance), retain_least)
     if n_bottom != quota:

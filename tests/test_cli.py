@@ -96,15 +96,19 @@ def test_compress_determinism_at_cli_level(fixture_dir, tmp_path):
 # per-layer report entry came to hold measurements only ({"layer": i, proj:
 # {"weighted_error": e}} for each factored projection, format_version 2):
 # every model.safetensors and manifest.json, every top-level report value
-# and every attention weighted_error kept its bytes.  Re-pin only with a
-# recorded reason.
+# and every attention weighted_error kept its bytes.  Every manifest.json
+# was re-pinned once when the manifest moved to format_version 2, which
+# records the plan once, as global.plan, and per layer only the kept heads,
+# retained channels and provenance the calibration data decided; every
+# model.safetensors and report.json kept its bytes on every core.  Re-pin
+# only with a recorded reason.
 GOLDEN_MANIFESTS = {
-    ("awsvd", "prune"): "562e9bf04a2baecb9b7dec6abc1450cfefbc74e471015fc229b834c4a4320ba0",
-    ("awsvd", "svd"): "f0975a9473b309c241d96f4f09e8b4d67d09179f898ae2ff1e47b7a5e7581634",
-    ("svd", "prune"): "47871b90ddc53c8f248f1d15a82d9e7c1d4498ce8bcaaaec1cad78828ff30515",
-    ("svd", "svd"): "7a64ae71c05388b68937d257964e1bd664040be270f6d4d7f26dc5cd867023c6",
-    ("head_prune", "prune"): "606be14024441ec050a10fc479137713524d56dcde09e7442107279ac18f3d20",
-    ("head_prune", "svd"): "f4af517d2981f9c12bacad49a929ea9a34c30f182abef49bb6298a58ef4f0d09",
+    ("awsvd", "prune"): "6190db415000752865d1f1f279212910aeeb199d80bce203772d1149e31d012f",
+    ("awsvd", "svd"): "418c0dd001f0217e1b50e6baafccfe8432221ffa616892c7d6d4f41b267b1ef3",
+    ("svd", "prune"): "4939ca39d62afd0a43746d830e66f05e0cba9ff0f2c3d4b7ae32fed92f35897d",
+    ("svd", "svd"): "4151b50167c1a15a4a9529233abf59fd9c208b5edef55cbad41112ac7517a9d3",
+    ("head_prune", "prune"): "70e364317f5d202f27f23f2c0cd726ddb4aaff24583271cd7f6ffa6f9196ec99",
+    ("head_prune", "svd"): "03d9e788df71a9e304fe059bc9c97127c44513a086ddbddfbd901d019062a600",
 }
 GOLDEN_COMPRESS = {
     "SkylakeX": {
@@ -667,13 +671,67 @@ def test_analysis_of_corrupt_manifest_exits_2(fixture_dir, tmp_path, capsys, com
     out = tmp_path / "z"
     assert main(_compress_args(fixture_dir, out)) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["layers"][0]["ffn"]["provenance"][0] = "bogus"
+    manifest["layers"][0]["provenance"][0] = "bogus"
     (out / "manifest.json").write_text(json.dumps(manifest))
     args = [command, "--model", str(out)]
     if command == "mask":
         args += ["--matrix", "model.layers.0.mlp.up_proj.weight", "--out", str(tmp_path / "mask.pgm")]
     assert main(args) == 2
     assert "provenance" in capsys.readouterr().err
+
+
+Q_PROJ = "model.layers.0.self_attn.q_proj.weight"
+Q_L, Q_R = "model.layers.0.self_attn.q_proj.L", "model.layers.0.self_attn.q_proj.R"
+
+
+def _one_dimensional(tensors):
+    tensors[Q_PROJ] = tensors[Q_PROJ][0].copy()
+    return Q_PROJ
+
+
+def _no_columns(tensors):
+    tensors[Q_PROJ] = np.zeros((4, 0), dtype=np.float32)
+    return Q_PROJ
+
+
+def _factor_without_partner(tensors):
+    del tensors[Q_PROJ]
+    tensors[Q_L] = np.ones((64, 8), dtype=np.float32)
+    return Q_L
+
+
+def _right_factor_without_partner(tensors):
+    del tensors[Q_PROJ]
+    tensors[Q_R] = np.ones((8, 64), dtype=np.float32)
+    return Q_R
+
+
+def _factors_of_different_inner_widths(tensors):
+    del tensors[Q_PROJ]
+    tensors[Q_L], tensors[Q_R] = np.ones((64, 8), dtype=np.float32), np.ones((4, 64), dtype=np.float32)
+    return Q_L
+
+
+# A bare checkpoint is read without a config, so analyze and mask check each
+# projection tensor themselves: a matrix with rows and columns, or an L/R pair
+# that multiplies.
+@pytest.mark.parametrize("command", ["analyze", "mask"])
+@pytest.mark.parametrize(
+    "corrupt",
+    [_one_dimensional, _no_columns, _factor_without_partner, _right_factor_without_partner,
+     _factors_of_different_inner_widths],
+)
+def test_malformed_projection_in_a_bare_checkpoint_exits_2(fixture_dir, tmp_path, capsys, command, corrupt):
+    from rankprune.container import read_container, write_container
+
+    tensors, _ = read_container(fixture_dir / "model.safetensors")
+    name = corrupt(tensors)
+    write_container(tmp_path / "bad.safetensors", tensors)
+    args = [command, "--model", str(tmp_path / "bad.safetensors")]
+    if command == "mask":
+        args += ["--matrix", "model.layers.1.mlp.up_proj.weight", "--out", str(tmp_path / "mask.pgm")]
+    assert main(args) == 2
+    assert name in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["analyze", "mask"])
@@ -786,6 +844,47 @@ def test_corrupt_non_layer_tensors_exit_2(fixture_dir, compressed_out, tmp_path,
     for args in (["stats"], ["eval", "--data", str(fixture_dir / "eval.bin"), "--seqlen", "64"]):
         assert main([*args, "--model", str(out)]) == 2
         assert name in capsys.readouterr().err
+
+
+def _as_format_1(manifest):
+    """An awsvd/prune manifest as format 1 wrote it: no global.plan, and every
+    layer record the plan with its data filled in."""
+    glob = manifest["global"]
+    plan = glob.pop("plan")
+    mha = {**plan["mha"], "kept_heads": None, "alloc_ratio": glob["alloc_ratio"]}
+    del mha["kept_head_count"]
+    manifest["layers"] = [
+        {"layer": rec["layer"], "keep_ratio": glob["layer_keep_ratio"], "mha": mha,
+         "ffn": {"kind": "pruned", **plan["ffn"], "retained_channels": rec["retained_channels"],
+                 "provenance": rec["provenance"]}}
+        for rec in manifest["layers"]
+    ]
+    manifest["format_version"] = 1
+    return manifest
+
+
+# The format 1 manifest of the awsvd/prune fixture run, pinned before
+# format 2: _as_format_1 rebuilds it byte for byte, so format 2 dropped no fact.
+FORMAT_1_MANIFEST = "562e9bf04a2baecb9b7dec6abc1450cfefbc74e471015fc229b834c4a4320ba0"
+
+
+@pytest.mark.parametrize("command", ["stats", "eval", "analyze", "mask"])
+def test_format_1_manifest_exits_2_naming_its_version(fixture_dir, compressed_out, tmp_path, capsys, command):
+    from rankprune.util import canonical_json
+
+    out = tmp_path / "z"
+    shutil.copytree(compressed_out, out)
+    manifest = canonical_json(_as_format_1(json.loads((out / "manifest.json").read_text())))
+    assert hashlib.sha256(manifest.encode()).hexdigest() == FORMAT_1_MANIFEST
+    (out / "manifest.json").write_text(manifest)
+    args = [command, "--model", str(out)]
+    if command == "eval":
+        args += ["--data", str(fixture_dir / "eval.bin"), "--seqlen", "64"]
+    if command == "mask":
+        args += ["--matrix", "model.layers.0.mlp.up_proj.weight", "--out", str(tmp_path / "mask.pgm")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "unsupported manifest format_version 1" in err and "re-run compress" in err
 
 
 @pytest.mark.parametrize("config", ["absent", "no_dim", "not_an_object"])

@@ -116,7 +116,7 @@ def test_allocate_half_budget_toy():
     assert alloc.schemes["q_proj"].rank == 8
     assert alloc.schemes["k_proj"].rank == 8
     assert alloc.slack == 0
-    assert alloc.n_params == 8192
+    assert sum(s.n_params for s in alloc.schemes.values()) == 8192
 
 
 def test_allocate_overflow_moves_surplus_to_qk():
@@ -134,7 +134,7 @@ def test_allocate_overflow_moves_surplus_to_qk():
 def test_allocate_full_ratio_all_dense():
     alloc = allocate_mha(_square_dims(), 1.0)
     assert all(s.kind == "dense" for s in alloc.schemes.values())
-    assert alloc.n_params == 4 * 64 * 64
+    assert sum(s.n_params for s in alloc.schemes.values()) == 4 * 64 * 64
 
 
 def test_allocate_infeasible_budget():
@@ -153,7 +153,7 @@ def test_allocate_respects_budget_and_slack_bound():
             alloc = allocate_mha(_square_dims(d), ratio, (qk, vo))
         except AllocationError:
             continue
-        assert alloc.n_params <= alloc.budget
+        assert sum(s.n_params for s in alloc.schemes.values()) <= alloc.budget
         assert alloc.slack < 4 * (d + d)
         assert alloc.qk_budget + alloc.vo_budget == alloc.budget
 

@@ -40,8 +40,8 @@ def test_noop_compression_preserves_model(setup):
     ppl_before = perplexity(model, evalset, 64)
     ppl_after = perplexity(compressed, evalset, 64)
     assert abs(ppl_after - ppl_before) < 1e-4
-    assert all(s["kind"] == "dense" for s in manifest["layers"][0]["mha"]["schemes"].values())
-    assert manifest["layers"][0]["ffn"]["retained_count"] == cfg.ffn_dim
+    assert all(s["kind"] == "dense" for s in manifest["global"]["plan"]["mha"]["schemes"].values())
+    assert manifest["global"]["plan"]["ffn"]["retained_count"] == cfg.ffn_dim
 
 
 def test_half_ratio_parameter_accounting(setup):
@@ -322,9 +322,9 @@ def test_compress_model_frees_a_dense_layer_it_holds_alone(setup, monkeypatch):
 
     monkeypatch.setattr(pipeline, "layer_stats", checking_layer_stats)
     _, manifest, _ = compress_model(handed_over_model(), _plan(0.5), calib)
-    layer0 = manifest["layers"][0]
-    assert {s["kind"] for s in layer0["mha"]["schemes"].values()} == {"factored"}
-    assert layer0["ffn"]["kind"] == "pruned"
+    plan = manifest["global"]["plan"]
+    assert {s["kind"] for s in plan["mha"]["schemes"].values()} == {"factored"}
+    assert plan["ffn"]["retained_count"] < cfg.ffn_dim
     assert alive_at == {0: [True] * 7, 1: [False] * 7}
 
 
@@ -361,9 +361,9 @@ def test_record_evaluation_updates_report(setup, tmp_path):
 def test_report_weighted_errors_recorded(setup):
     cfg, model, calib, _ = setup
     _, manifest, report = compress_model(model, _plan(0.5), calib)
-    assert manifest["layers"][0]["mha"]["schemes"]["q_proj"]["kind"] == "factored"
+    assert manifest["global"]["plan"]["mha"]["schemes"]["q_proj"]["kind"] == "factored"
     assert report["layers"][0]["q_proj"]["weighted_error"] > 0.0
-    assert manifest["layers"][0]["ffn"]["retained_count"] == 86  # round(0.5 * 172)
+    assert manifest["global"]["plan"]["ffn"]["retained_count"] == 86  # round(0.5 * 172)
 
 
 @pytest.mark.parametrize("ffn", store.FFN_METHODS)
@@ -446,7 +446,7 @@ def test_a_compress_that_strays_from_its_plan_is_refused(setup, tmp_path, monkey
 
     monkeypatch.setattr(pipeline, "compress_mha", short_q)
     compressed, manifest, report = compress_model(model, _plan(0.5), calib)
-    r = manifest["layers"][0]["mha"]["schemes"]["q_proj"]["rank"]
+    r = manifest["global"]["plan"]["mha"]["schemes"]["q_proj"]["rank"]
     name = store.factor_names(store.weight_name(0, "q_proj"))[0]
     shapes = f"tensor '{name}' has shape ({cfg.dim}, {r - 1}), manifest implies ({cfg.dim}, {r})"
     with pytest.raises(ManifestError, match=re.escape(shapes)):
@@ -500,6 +500,6 @@ def test_awsvd_at_width_512_makes_no_full_svd(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     _, manifest, _ = compress_model(model, _plan(0.5, calib_samples=4, calib_tokens=64), calib)
-    ranks = {p: s["rank"] for p, s in manifest["layers"][0]["mha"]["schemes"].items()}
+    ranks = {p: s["rank"] for p, s in manifest["global"]["plan"]["mha"]["schemes"].items()}
     assert ranks == {"q_proj": 64, "k_proj": 64, "v_proj": 192, "o_proj": 192}
     assert calls == []

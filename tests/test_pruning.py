@@ -137,8 +137,8 @@ def test_decide_pruning_counts_example():
     rng = np.random.default_rng(4)
     scores = rng.uniform(size=128)
     dec = decide_pruning(scores, 0.8, 0.01)
-    assert dec.n_retained == 102
-    assert dec.n_bottom == 1
+    assert dec.retained.size == 102
+    assert dec.provenance.count("bottom") == 1
     assert sum(1 for p in dec.provenance if p == "top") == 101
 
 
@@ -151,13 +151,13 @@ def test_decide_pruning_pure_topk():
     scores = np.array([5.0, 1.0, 4.0, 2.0, 3.0])
     dec = decide_pruning(scores, 0.6, 0.0)
     assert dec.retained.tolist() == [0, 2, 4]
-    assert dec.n_bottom == 0
+    assert dec.provenance.count("bottom") == 0
 
 
 def test_decide_pruning_bottom_is_least():
     scores = np.array([5.0, 1.0, 4.0, 2.0, 3.0] * 20)
     dec = decide_pruning(scores, 0.5, 0.02)
-    assert dec.n_bottom == 2
+    assert dec.provenance.count("bottom") == 2
     bottoms = [i for i, p in zip(dec.retained, dec.provenance) if p == "bottom"]
     assert all(scores[b] == 1.0 for b in bottoms)
 

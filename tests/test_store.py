@@ -201,7 +201,7 @@ def test_factored_tensor_shapes(tmp_path):
     # at keep 0.5 on the all-square toy MHA, q resolves to rank 8
     _, _, manifest, out = _compressed_toy(tmp_path, keep=0.5)
     tensors, _ = read_container(out / "model.safetensors")
-    assert manifest["layers"][0]["mha"]["schemes"]["q_proj"] == {"kind": "factored", "rank": 8, "params": 1024}
+    assert manifest["global"]["plan"]["mha"]["schemes"]["q_proj"] == {"kind": "factored", "rank": 8, "params": 1024}
     assert tensors["model.layers.0.self_attn.q_proj.L"].shape == (64, 8)
     assert tensors["model.layers.0.self_attn.q_proj.R"].shape == (8, 64)
 
@@ -210,7 +210,7 @@ def test_pruned_ffn_shapes(tmp_path):
     # keep 0.8 of 128 channels -> round(102.4) = 102 retained
     _, _, manifest, out = _compressed_toy(tmp_path, keep=0.8, d_m=128)
     tensors, _ = read_container(out / "model.safetensors")
-    assert manifest["layers"][0]["ffn"]["retained_count"] == 102
+    assert manifest["global"]["plan"]["ffn"]["retained_count"] == 102
     assert tensors["model.layers.0.mlp.up_proj.weight"].shape == (102, 64)
     assert tensors["model.layers.0.mlp.gate_proj.weight"].shape == (102, 64)
     assert tensors["model.layers.0.mlp.down_proj.weight"].shape == (64, 102)
@@ -231,7 +231,7 @@ def test_manifest_param_accounting(tmp_path, toy_cfg):
 def test_manifest_tamper_detected(tmp_path):
     config, _, manifest, out = _compressed_toy(tmp_path)
     tampered = json.loads((out / "manifest.json").read_text())
-    tampered["layers"][0]["mha"]["schemes"]["q_proj"]["rank"] = 9
+    tampered["global"]["plan"]["mha"]["schemes"]["q_proj"]["rank"] = 9
     (out / "manifest.json").write_text(json.dumps(tampered))
     with pytest.raises(ManifestError):
         store.load_compressed(out)
@@ -244,46 +244,50 @@ def head_pruned_out(tmp_path_factory):
 
 
 def _duplicate_channel(rec, tensors):
-    idx = rec["ffn"]["retained_channels"]
+    idx = rec["retained_channels"]
     idx[1] = idx[0]
     tensors[store.retained_channels_name(0)][1] = idx[0]
 
 
 def _channel_out_of_range(rec, tensors):
-    idx = rec["ffn"]["retained_channels"]
+    idx = rec["retained_channels"]
     idx[-1] = 172
     tensors[store.retained_channels_name(0)][-1] = 172
 
 
 def _bogus_provenance(rec, tensors):
-    rec["ffn"]["provenance"][0] = "bogus"
+    rec["provenance"][0] = "bogus"
+
+
+def _provenance_one_short(rec, tensors):
+    assert rec["provenance"].pop() == "top"  # the bottom quota still holds
 
 
 def _all_bottom(rec, tensors):
-    provenance = rec["ffn"]["provenance"]
+    provenance = rec["provenance"]
     provenance[:] = ["bottom"] * len(provenance)
 
 
 def _kept_heads_tensor_mismatch(rec, tensors):
     name = store.kept_heads_name(0)
-    others = sorted(set(range(4)) - set(rec["mha"]["kept_heads"]))
+    others = sorted(set(range(4)) - set(rec["kept_heads"]))
     tensors[name] = np.asarray(others[: len(tensors[name])], dtype=np.int32)
 
 
 def _kept_heads_descending(rec, tensors):
-    rec["mha"]["kept_heads"].reverse()
+    rec["kept_heads"].reverse()
     name = store.kept_heads_name(0)
     tensors[name] = tensors[name][::-1].copy()
 
 
 def _float_rank(manifest, tensors):
-    manifest["layers"][0]["mha"]["schemes"]["q_proj"]["rank"] = 8.0
+    manifest["global"]["plan"]["mha"]["schemes"]["q_proj"]["rank"] = 8.0
 
 
 def _bool_rank(manifest, tensors):
     # True == 1, so the factor tensors and the parameter total are cut to
     # rank 1 to leave the type as the only fault.
-    manifest["layers"][0]["mha"]["schemes"]["q_proj"]["rank"] = True
+    manifest["global"]["plan"]["mha"]["schemes"]["q_proj"]["rank"] = True
     for side, cut in (("L", np.s_[:, :1]), ("R", np.s_[:1, :])):
         name = f"model.layers.0.self_attn.q_proj.{side}"
         tensors[name] = np.ascontiguousarray(tensors[name][cut])
@@ -291,7 +295,7 @@ def _bool_rank(manifest, tensors):
 
 
 def _float_count(manifest, tensors):
-    manifest["layers"][0]["ffn"]["retained_count"] = 102.0
+    manifest["global"]["plan"]["ffn"]["retained_count"] = 102.0
 
 
 # A rank or count that is a float or bool compares equal to the int it
@@ -301,9 +305,9 @@ def _float_count(manifest, tensors):
     [
         pytest.param(corrupt, keep, d_m, message, id=corrupt.__name__.lstrip("_"))
         for corrupt, keep, d_m, message in (
-            (_float_rank, 0.5, 172, "layer 0: mha.schemes.q_proj.rank is 8.0; expected 8"),
-            (_bool_rank, 0.5, 172, "layer 0: mha.schemes.q_proj.rank is True; expected 8"),
-            (_float_count, 0.8, 128, "layer 0: ffn.retained_count is 102.0; expected 102"),
+            (_float_rank, 0.5, 172, "global: plan.mha.schemes.q_proj.rank is 8.0; expected 8"),
+            (_bool_rank, 0.5, 172, "global: plan.mha.schemes.q_proj.rank is True; expected 8"),
+            (_float_count, 0.8, 128, "global: plan.ffn.retained_count is 102.0; expected 102"),
         )
     ],
 )
@@ -335,6 +339,7 @@ def test_float_rank_exits_2_under_stats(tmp_path):
         (_duplicate_channel, "retained channels must be strictly ascending"),
         (_channel_out_of_range, "retained channels must be strictly ascending"),
         (_bogus_provenance, "provenance"),
+        (_provenance_one_short, "provenance must hold one 'top' or 'bottom' per retained channel"),
         (_all_bottom, "marked bottom"),
         (_kept_heads_tensor_mismatch, "kept-heads tensor disagrees"),
         (_kept_heads_descending, "kept_heads must be strictly ascending"),
@@ -368,27 +373,31 @@ def _off_by_one(path, delta, message):
 
 
 PARAM_TOTALS = ("source_total", "compressed_total", "layer_source", "layer_retained", "realized_ratio_s")
+MHA_PLAN_PATHS = (*(("schemes", proj, "params") for proj in store.ATTN_PROJS),
+                  *((key,) for key in ("budget", "qk_budget", "vo_budget", "slack")))
 
 
 # Each record is one off from what the config, the plan in global and the
 # tensors imply.  A wider ffn_dim leaves a pruned output's tensors, channel
-# range and bottom quota valid, but not the retained count it plans.
+# range and bottom quota valid, but not the retained count it plans.  The
+# MHA budget, its group shares, the slack and the scheme sizes follow from
+# the plan, which global.plan records once.  A layer record holds only the
+# calibration data: one that restates a plan field, as a format 1 layer
+# record did (layers.i.mha...), is rejected whatever its value.
 @pytest.mark.parametrize(
     "path, delta, message",
     [
-        _off_by_one(("config", "ffn_dim"), 1, "layer 0: ffn.retained_count is 86; expected 87"),
+        _off_by_one(("config", "ffn_dim"), 1, "global: plan.ffn.retained_count is 86; expected 87"),
         *(_off_by_one(("global", "params", key), d, key) for key in PARAM_TOTALS for d in (1, -1)),
         *(
-            _off_by_one(("layers", i, "mha", "schemes", proj, "params"), d, f"layer {i}: mha.schemes.{proj}.params is")
-            for i in (0, 1)
-            for proj in store.ATTN_PROJS
+            _off_by_one(("global", "plan", "mha", *sub), d, f"global: plan.mha.{'.'.join(sub)} is")
+            for sub in MHA_PLAN_PATHS
             for d in (1, -1)
         ),
-        # The MHA budget, its group shares and the slack follow from the plan.
         *(
-            _off_by_one(("layers", i, "mha", key), d, f"layer {i}: mha.{key} is")
+            _off_by_one(("layers", i, "mha", *sub), d, f"layer {i}: record is")
             for i in (0, 1)
-            for key in ("budget", "qk_budget", "vo_budget", "slack")
+            for sub in MHA_PLAN_PATHS
             for d in (1, -1)
         ),
         *(_off_by_one(("global", "calibration", "samples"), d, "window_starts") for d in (1, -1)),
@@ -403,11 +412,9 @@ def test_parameter_records_off_by_one_are_rejected(factored_out, tmp_path, path,
     out = tmp_path / "corrupt"
     shutil.copytree(factored_out, out)
     manifest = json.loads((out / "manifest.json").read_text())
-    *parents, leaf = path
-    record = manifest
-    for key in parents:
-        record = record[key]
-    record[leaf] += delta
+    # A layer path takes its value from the plan it restates.
+    source = ("global", "plan", *path[2:]) if path[0] == "layers" else path
+    _set_leaf(manifest, path, _get_leaf(manifest, source) + delta)
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ManifestError, match=message):
         store.load_compressed(out)
@@ -415,7 +422,7 @@ def test_parameter_records_off_by_one_are_rejected(factored_out, tmp_path, path,
 
 
 def _keep_ratio_of_layer_0(manifest):
-    manifest["layers"][0]["keep_ratio"] = 0.9
+    manifest["layers"][0]["keep_ratio"] = 0.5  # the keep ratio a format 1 layer record restated
 
 
 def _global_keep_ratio(manifest):
@@ -435,8 +442,8 @@ def _window_starts_descending(manifest):
     [
         pytest.param(corrupt, message, id=corrupt.__name__.lstrip("_"))
         for corrupt, message in (
-            (_keep_ratio_of_layer_0, "layer 0: keep_ratio is 0.9; expected 0.5"),
-            (_global_keep_ratio, "layer 0: keep_ratio is 0.5; expected 0.9"),
+            (_keep_ratio_of_layer_0, "layer 0: record is .*; expected exactly the keys"),
+            (_global_keep_ratio, "global: plan.mha.schemes.q_proj.rank is 8; expected"),
             (_one_window_start, "window_starts must be 8 strictly ascending"),
             (_window_starts_descending, "window_starts must be 8 strictly ascending"),
         )
@@ -457,32 +464,41 @@ def test_plan_records_are_checked(factored_out, tmp_path, corrupt, message):
     assert main(["stats", "--model", str(out)]) == 2
 
 
+def _get_leaf(tree, path):
+    for key in path:
+        tree = tree[key]
+    return tree
+
+
 def _set_leaf(tree, path, value):
+    """Set the leaf at path, adding the objects on the way that are missing."""
     *parents, leaf = path
     for key in parents:
-        tree = tree[key]
+        tree = tree[key] if isinstance(tree, list) else tree.setdefault(key, {})
     tree[leaf] = value
 
 
 # Edits that used to load, or to end in a traceback: the methods, aggregation,
-# seed and alloc_ratio in global, and a layer's alloc_ratio, budgets and schemes.
+# seed and alloc_ratio in global, the budgets and schemes of the recorded
+# plan, and a layer record that restates alloc_ratio as format 1 did.
 @pytest.mark.parametrize(
     "edits, message",
     [
-        pytest.param({("global", "mha_method"): "head_prune"}, "layer 0: mha.schemes.q_proj.kind is 'factored'",
+        pytest.param({("global", "mha_method"): "head_prune"}, "global: plan.mha.schemes.q_proj.kind is 'factored'",
                      id="mha_method"),
         pytest.param({("global", "mha_method"): "bogus"}, "unknown methods 'bogus'/'prune'", id="mha_method-bogus"),
-        pytest.param({("global", "ffn_method"): "svd"}, "layer 0: ffn is {'kind': 'pruned'", id="ffn_method"),
+        pytest.param({("global", "ffn_method"): "svd"}, "global: plan.ffn is {'retained_count': 86}", id="ffn_method"),
         pytest.param({("global", "aggregation"): "l3"}, "aggregation must be one of", id="aggregation"),
-        pytest.param({("global", "alloc_ratio"): [1, 1]}, "layer 0: mha.schemes.q_proj.rank is 8; expected 16",
+        pytest.param({("global", "alloc_ratio"): [1, 1]}, "global: plan.mha.schemes.q_proj.rank is 8; expected 16",
                      id="alloc_ratio"),
         pytest.param({("global", "alloc_ratio"): "1:3"}, "alloc_ratio must be a list", id="alloc_ratio-string"),
-        pytest.param({("layers", 0, "mha", "alloc_ratio"): [1, 1]}, "layer 0: mha.alloc_ratio.0 is 1; expected 1.0",
-                     id="layer-alloc_ratio"),
-        pytest.param({("layers", 0, "mha", "qk_budget"): 6144, ("layers", 0, "mha", "vo_budget"): 2048},
-                     "layer 0: mha.qk_budget is 6144; expected 2048", id="budgets-swapped"),
-        pytest.param({("layers", 0, "mha", "schemes"): list(store.ATTN_PROJS)}, r"layer 0: mha.schemes is \['q_proj'",
-                     id="schemes-list"),
+        pytest.param({("global", "plan", "mha", "alloc_ratio"): [1.0, 3.0]}, "global: plan.mha is",
+                     id="plan-alloc_ratio"),
+        pytest.param({("layers", 0, "mha", "alloc_ratio"): [1.0, 3.0]}, "layer 0: record is", id="layer-alloc_ratio"),
+        pytest.param({("global", "plan", "mha", "qk_budget"): 6144, ("global", "plan", "mha", "vo_budget"): 2048},
+                     "global: plan.mha.qk_budget is 6144; expected 2048", id="budgets-swapped"),
+        pytest.param({("global", "plan", "mha", "schemes"): list(store.ATTN_PROJS)},
+                     r"global: plan.mha.schemes is \['q_proj'", id="schemes-list"),
         *(pytest.param({("global", "seed"): seed}, "seed must be a non-negative integer", id=f"seed-{seed}")
           for seed in ("x", -5, 2.5)),
     ],
@@ -560,9 +576,8 @@ def test_load_compressed_rejects_non_finite_factor(tmp_path):
 def test_write_compressed_rejects_inconsistent_pair(tmp_path):
     config, compressed, manifest, out = _compressed_toy(tmp_path)
     tensors = model_to_tensors(compressed)
-    bad = dict(manifest)
-    bad["layers"] = json.loads(json.dumps(manifest["layers"]))
-    bad["layers"][1]["ffn"]["retained_count"] += 1
+    bad = json.loads(json.dumps(manifest))
+    bad["global"]["plan"]["ffn"]["retained_count"] += 1
     with pytest.raises(ManifestError):
         store.write_compressed(tmp_path / "bad", tensors, bad)
 
@@ -672,6 +687,8 @@ PROVENANCE_EDITS = {
     "global.calibration.sha256 bogus",
     "global.target_ratio_s float",
     "global.mha_method awsvd<->svd",  # one layout: svd is awsvd at unit weights
+    "global.aggregation l2->l1",  # scores are not recorded
+    "global.retain_least same quota",  # 0.005 of 172 channels keeps the one bottom channel of 0.01
     "config.norm_eps x2",
 }
 
@@ -682,8 +699,14 @@ def test_every_manifest_leaf_edit_exits_2(tmp_path, capsys, monkeypatch, mha, ff
 
     out = _compressed_toy(tmp_path, mha_method=mha, ffn_method=ffn)[3]
     written = json.loads((out / "manifest.json").read_text())
+    assert written["format_version"] == 2 and written["global"]["retain_least"] == 0.01
     edits = [(path, label, edit) for path, value in _leaves(written) for label, edit in _leaf_edits(value).items()]
-    edits.append((("config", "norm_eps"), "x2", 2 * written["config"]["norm_eps"]))
+    edits += [
+        (("config", "norm_eps"), "x2", 2 * written["config"]["norm_eps"]),
+        (("global", "aggregation"), "l2->l1", "l1"),
+        (("global", "retain_least"), "same quota", 0.005),
+        (("global", "retain_least"), "new quota", 0.02),  # 3 bottom channels of 172
+    ]
     if mha != "head_prune":
         edits.append((("global", "mha_method"), "awsvd<->svd", {"awsvd": "svd", "svd": "awsvd"}[mha]))
     # Each edit runs `stats` once; what load_compressed raised in it is kept.
@@ -710,4 +733,46 @@ def test_every_manifest_leaf_edit_exits_2(tmp_path, capsys, monkeypatch, mha, ff
     loads, rejected = (0, None), ((2, ManifestError), (2, ContainerFormatError))
     assert {name: r for name, r in results.items() if r != loads and r not in rejected} == {}
     want = PROVENANCE_EDITS - ({"global.mha_method awsvd<->svd"} if mha == "head_prune" else set())
+    if ffn == "svd":  # no channel is pruned, so no quota can be checked
+        want = want | {"global.retain_least new quota"}
     assert {name for name, r in results.items() if r == loads} == want
+
+
+# The keys of a layer record: its index and what the calibration data decided.
+DATA_KEYS = {
+    ("awsvd", "prune"): {"layer", "retained_channels", "provenance"},
+    ("svd", "prune"): {"layer", "retained_channels", "provenance"},
+    ("head_prune", "prune"): {"layer", "kept_heads", "retained_channels", "provenance"},
+    ("awsvd", "svd"): {"layer"},
+    ("svd", "svd"): {"layer"},
+    ("head_prune", "svd"): {"layer", "kept_heads"},
+}
+
+
+@pytest.mark.parametrize("mha, ffn", METHOD_PAIRS)
+def test_manifest_records_the_plan_once(outputs, mha, ffn):
+    config, _, manifest, _ = outputs[mha, ffn]
+    assert manifest["format_version"] == 2
+    assert [set(rec) for rec in manifest["layers"]] == [DATA_KEYS[mha, ffn]] * config.n_layers
+    assert [rec["layer"] for rec in manifest["layers"]] == list(range(config.n_layers))
+    plan = manifest["global"]["plan"]
+    assert plan == store.layer_plan(config, manifest["global"])
+    # The plan keeps what the allocation and counts decided, and none of the
+    # global fields it is derived from.
+    mha_keys = {"schemes", "kept_head_count", "budget", "qk_budget", "vo_budget", "slack"}
+    assert set(plan) == {"mha", "ffn"} and set(plan["mha"]) == mha_keys
+    assert set(plan["ffn"]) == ({"retained_count"} if ffn == "prune" else {"ranks"})
+    assert not (mha_keys | set(plan["ffn"])) & set(manifest["global"])
+
+
+@pytest.mark.parametrize("version", [1, 3, "2", None])
+def test_manifest_of_another_format_version_is_rejected(factored_out, tmp_path, version):
+    import shutil
+
+    out = tmp_path / "other"
+    shutil.copytree(factored_out, out)
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["format_version"] = version
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match=f"format_version {version!r}; .* re-run compress"):
+        store.load_compressed(out)
