@@ -144,8 +144,9 @@ def _load_stats_file(path: str) -> dict[str, np.ndarray]:
 def _projection_matrices(model_path: str) -> list[tuple[str, np.ndarray]]:
     """All projection matrices from a checkpoint or compressed directory,
     reconstructing L @ R for factored entries; no model config needed.  A
-    projection tensor that is not a matrix with rows and columns, or a factor
-    without its partner or of another inner width, is a DataError."""
+    projection tensor that is not a matrix with rows and columns, a factor
+    without its partner or of another inner width, or a weight stored beside
+    a factor of the same projection, is a DataError."""
     from .container import read_container
 
     p = Path(model_path)
@@ -168,6 +169,9 @@ def _projection_matrices(model_path: str) -> list[tuple[str, np.ndarray]]:
         lname, rname = store.factor_names(wname)
         if suffix != "weight" and not (lname in tensors and rname in tensors):
             raise DataError(f"{path}: factor {name!r} has no partner; {lname!r} and {rname!r} come as a pair")
+        if suffix == "weight" and (lname in tensors or rname in tensors):
+            factor = lname if lname in tensors else rname
+            raise DataError(f"{path}: {name!r} and {factor!r} both hold projection {wname!r}; keep one form")
         if suffix == "R":
             continue
         w = tensors[name].astype(np.float64)

@@ -32,9 +32,16 @@ XDIN_EPS = 1e-8
 GRAM_MIN_SIGMA_RATIO = 1e-4
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert to a 2-D float64 array with finite entries."""
-    arr = np.asarray(a, dtype=np.float64)
+def checked_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate a 2-D array with finite entries, without widening it: float32
+    and float64 arrays come back as they are, anything else as float64.
+
+    Widening float32 to float64 is exact, so a float32 matrix passes exactly
+    when its float64 copy would, and arithmetic that promotes it to float64
+    gets the same bits as from that copy."""
+    arr = np.asarray(a)
+    if arr.dtype not in (np.float32, np.float64):
+        arr = arr.astype(np.float64)
     if arr.ndim != 2:
         raise ValueError(f"{name}: expected a 2-D array, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -42,6 +49,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: contains non-finite entries")
     return arr
+
+
+def as_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Validate and convert to a 2-D float64 array with finite entries."""
+    return checked_matrix(a, name).astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -69,6 +81,13 @@ def svd(m, name: str = "matrix") -> SvdResult:
     runs byte-stable.  Falls back to the slower gesvd driver if the
     default divide-and-conquer driver fails to converge.
     """
+    return _svd(m, name)
+
+
+def _svd(m, name: str) -> SvdResult:
+    # svd's body.  top_factors falls back to this name, not to `svd`, which
+    # perfbench's call trace rebinds and which then assumes one thread: a
+    # fallback inside a `parallel_map` task must not open a traced span.
     a = as_matrix(m, name)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
@@ -119,11 +138,11 @@ def top_factors(m, rank: int, name: str = "matrix") -> tuple[np.ndarray, np.ndar
     try:
         lam, vec = np.linalg.eigh(a @ a.T if wide else a.T @ a)
     except np.linalg.LinAlgError:
-        return truncate(svd(a, name=name), rank)
+        return truncate(_svd(a, name), rank)
     # eigh sorts ascending; take the top `rank` in descending order.
     lam, vec = lam[::-1][:rank], vec[:, ::-1][:, :rank]
     if not lam[-1] > 0.0 or lam[-1] < GRAM_MIN_SIGMA_RATIO**2 * lam[0]:
-        return truncate(svd(a, name=name), rank)
+        return truncate(_svd(a, name), rank)
     sigma = np.sqrt(lam)
     if wide:
         u, right = _canonical_signs(vec, (vec.T @ a) / sigma[:, None])

@@ -9,6 +9,11 @@ from its full SVD when that is ill-conditioned (linalg.top_factors).
 The MHA budget is split between the (q, k) and (v, o) groups (default
 1:3, v/o getting more because they are less low-rank), with a dense
 passthrough whenever a group's share would exceed its dense size.
+
+A layer's factorings are independent; `compress_mha` runs them on every CPU
+when its matrices are wide enough (CONCURRENT_MIN_SIDE) for threads to pay.
+They pay only because the Gram products and `eigh`, most of a wide
+factoring's time, release the GIL; narrow matrices run one after another.
 """
 
 from __future__ import annotations
@@ -21,7 +26,15 @@ import numpy as np
 from .errors import AllocationError, CalibrationError, ShapeMismatchError
 from .linalg import XDIN_EPS, as_matrix, top_factors, weighted_frobenius_error
 from .store import ATTN_PROJS
-from .util import round_half_up
+from .util import parallel_map, round_half_up
+
+# The smallest side at which compress_mha factors a layer's matrices on threads.
+# Four float32 d x d factorings at ranks d/8, d/8, 3d/8, 3d/8 (2-vCPU x86 VM, one
+# BLAS thread, medians of 25) took, on one thread against two: 2.08 against
+# 2.77 ms at d = 64, 4.63 / 4.35 ms at 96, 9.65 / 8.64 ms at 128, 42.5 / 25.1 ms
+# at 256 and 216 / 148 ms at 512.  Below about 96 the many small numpy calls,
+# which hold the GIL for most of their time, queue on it.
+CONCURRENT_MIN_SIDE = 128
 
 
 @dataclass(frozen=True)
@@ -181,16 +194,24 @@ def compress_mha(
     passthrough (rank None).  x_din entries must be present for every matrix that
     gets factored; unit weights give plain truncated SVD.
 
+    The factorings share no data, so when every matrix to factor has at least
+    CONCURRENT_MIN_SIDE rows and columns they run on every CPU
+    (`util.parallel_map`); otherwise one after another.  Either way each pair
+    has the same bits, and a failure raises the error of the first failing
+    matrix in `ranks` order.  Threads gain only because LAPACK's `eigh` and the
+    BLAS Gram products, most of a wide factoring's time, release the GIL.
+
     It factors any projection, not only attention: `pipeline` passes a layer's
     seven at their planned ranks, the FFN's too under `--ffn-method svd`.  The
     name stays because the benchmark's call trace (`perfbench/run.py`) times it
     under this name."""
-    out: dict[str, FactorPair | None] = {}
-    for m, rank in ranks.items():
-        if rank is None:
-            out[m] = None
-            continue
+
+    def factor(m):
         if m not in x_din_by_matrix:
             raise CalibrationError(f"no activation statistics for {m}")
-        out[m] = awsvd_factor(weights[m], x_din_by_matrix[m], rank, name=m)
-    return out
+        return awsvd_factor(weights[m], x_din_by_matrix[m], ranks[m], name=m)
+
+    todo = [m for m, rank in ranks.items() if rank is not None]
+    wide = all(min(np.shape(weights.get(m)), default=0) >= CONCURRENT_MIN_SIDE for m in todo)
+    pairs = dict(zip(todo, parallel_map(factor, todo) if wide else map(factor, todo)))
+    return {m: pairs.get(m) for m in ranks}

@@ -17,15 +17,18 @@ from math import floor
 import numpy as np
 
 from .errors import AllocationError, ShapeMismatchError
-from .linalg import XDIN_EPS, as_matrix, svd
+from .linalg import XDIN_EPS, as_matrix, checked_matrix, svd
 from .util import round_half_up
 
 AGGREGATIONS = ("l1", "l2", "linf")
 
 
 def weight_importance(w, x_din) -> np.ndarray:
-    """|W_ij| * x_din[j], the per-weight importance matrix."""
-    w = as_matrix(w, "w")
+    """|W_ij| * x_din[j], the per-weight importance matrix, in float64.
+
+    A float32 W is not widened first: |W| stays float32 and the product
+    widens it, which gives the same bits as widening first."""
+    w = checked_matrix(w, "w")
     x = np.asarray(x_din, dtype=np.float64)
     if x.shape != (w.shape[1],):
         raise ShapeMismatchError(f"x_din has shape {x.shape}, expected ({w.shape[1]},)")
@@ -50,11 +53,10 @@ def group_scores(up, gate, down, x_ffn_input, x_down_input, agg: str = "l2") -> 
     that multiply intermediate feature i), computed against the norms of
     its own input site, i.e. the gated intermediate activations.
     """
-    up = as_matrix(up, "up")
-    gate = as_matrix(gate, "gate")
-    down = as_matrix(down, "down")
-    d_m = up.shape[0]
-    if gate.shape != up.shape or down.shape[1] != d_m:
+    # Checked in their stored dtype, and scored one matrix at a time: each
+    # importance matrix and its square are freed before the next is made.
+    up, gate, down = checked_matrix(up, "up"), checked_matrix(gate, "gate"), checked_matrix(down, "down")
+    if gate.shape != up.shape or down.shape[1] != up.shape[0]:
         raise ShapeMismatchError(
             f"inconsistent FFN shapes: up {up.shape}, gate {gate.shape}, down {down.shape}"
         )
@@ -136,10 +138,10 @@ def decide_pruning(scores, keep_ratio: float, retain_least: float = 0.01) -> Pru
 
 
 def apply_pruning(up, gate, down, decision: PruneDecision) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slice the group: up/gate keep retained rows, down keeps retained columns."""
-    up = as_matrix(up, "up")
-    gate = as_matrix(gate, "gate")
-    down = as_matrix(down, "down")
+    """Slice the group: up/gate keep retained rows, down keeps retained columns.
+    The slices keep the dtype of the arrays given (float32 and float64 as they
+    are, anything else as float64)."""
+    up, gate, down = checked_matrix(up, "up"), checked_matrix(gate, "gate"), checked_matrix(down, "down")
     d_m = up.shape[0]
     idx = decision.retained
     if idx.size and (idx.min() < 0 or idx.max() >= d_m):

@@ -67,6 +67,10 @@ def parallel_map(fn, items) -> list:
     exception is raised: the one of the lowest-index failing item.  fn must
     not call a function that assumes one thread, such as perfbench's traced
     entry points.
+
+    Threads gain only where fn releases the GIL for most of its time, as
+    BLAS and LAPACK calls on large arrays do; many small numpy calls queue
+    on the GIL and run slower than in one thread.
     """
     items, workers = list(items), _workers()
     shares = min(len(items), workers + 1)

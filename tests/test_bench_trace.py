@@ -52,3 +52,26 @@ def test_traced_benchmark_cycle_at_a_blocked_attention_window(tmp_path, monkeypa
                           calib_samples=3, calib_seqlen=16, eval_tokens=512, eval_seqlen=256)
     b = _traced_cycle(bench, long, tmp_path)
     assert b.layer_samples[0]["transformer.perplexity.tokens"] == 512
+
+
+def test_traced_cycle_with_every_factoring_on_the_svd_fallback(tmp_path, monkeypatch):
+    # 128-wide matrices are factored on pool threads.  There a fallback to the full
+    # SVD must not reach the traced `linalg.svd`: the recorder keeps one thread's spans.
+    from rankprune import linalg, util
+
+    bench = _load_bench(monkeypatch)
+    monkeypatch.setattr(util, "_workers", lambda: 3)
+    monkeypatch.setattr(linalg, "GRAM_MIN_SIGMA_RATIO", 2.0)  # sigma_r / sigma_1 is never above 1
+    fallbacks = []
+    full_svd = linalg._svd
+
+    def counting(*args):
+        fallbacks.append(args[1])
+        return full_svd(*args)
+
+    monkeypatch.setattr(linalg, "_svd", counting)
+    wide = bench.Workload("wide", dim=128, n_heads=2, n_layers=2, ffn_dim=344,
+                          calib_samples=2, calib_seqlen=16, eval_tokens=64, eval_seqlen=16)
+    b = _traced_cycle(bench, wide, tmp_path)
+    assert sorted(fallbacks) == sorted(["q_proj", "k_proj", "v_proj", "o_proj"] * wide.n_layers)
+    assert b.layer_samples[0]["linalg.svd.calls"] == 0

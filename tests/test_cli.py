@@ -735,6 +735,24 @@ def test_malformed_projection_in_a_bare_checkpoint_exits_2(fixture_dir, tmp_path
 
 
 @pytest.mark.parametrize("command", ["analyze", "mask"])
+def test_weight_beside_its_factor_pair_in_a_bare_checkpoint_exits_2(fixture_dir, tmp_path, capsys, command):
+    # One projection held twice, dense and factored: analyze would print two rows
+    # for it and mask would keep whichever form came last.
+    from rankprune.container import read_container, write_container
+
+    tensors, _ = read_container(fixture_dir / "model.safetensors")
+    tensors[Q_L], tensors[Q_R] = np.ones((64, 8), dtype=np.float32), np.ones((8, 64), dtype=np.float32)
+    write_container(tmp_path / "twice.safetensors", tensors)
+    args = [command, "--model", str(tmp_path / "twice.safetensors")]
+    if command == "mask":
+        args += ["--matrix", Q_PROJ, "--out", str(tmp_path / "mask.pgm")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert Q_PROJ in err and Q_L in err
+    assert not (tmp_path / "mask.pgm").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "mask"])
 @pytest.mark.parametrize("x_din", [None, ["not", "a", "map"], {"model.layers.0.self_attn.q_proj.weight": ["a", "b"]}])
 def test_malformed_stats_file_exits_2(fixture_dir, tmp_path, capsys, command, x_din):
     stats = tmp_path / "stats.json"

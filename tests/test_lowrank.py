@@ -1,7 +1,11 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from rankprune.errors import AllocationError, CalibrationError
+from rankprune import lowrank, util
+from rankprune.errors import AllocationError, CalibrationError, DecompositionError
 from rankprune.linalg import svd, top_factors, truncate, weighted_frobenius_error
 from rankprune.lowrank import (
     allocate_mha,
@@ -237,3 +241,47 @@ def test_awsvd_optimality_against_random_pairs():
             cl = rng.normal(size=(m, rank))
             cr = rng.normal(size=(rank, n))
             assert pair.weighted_error <= weighted_frobenius_error(w, cl, cr, d) + 1e-9
+
+
+def _wide_layer(d, seed=21):
+    weights = _layer_weights(d=d, seed=seed)
+    ranks = {m: rank for m, rank in zip(weights, (8, 8, 24, 24))}
+    return weights, _stats(weights), ranks
+
+
+@pytest.mark.parametrize("d, concurrent", [(127, False), (128, True)])
+def test_compress_mha_uses_threads_only_when_every_side_is_wide(d, concurrent, monkeypatch):
+    weights, stats, ranks = _wide_layer(d)
+    threads = []
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return awsvd_factor(*args, **kwargs)
+
+    monkeypatch.setattr(util, "_workers", lambda: 3)
+    monkeypatch.setattr(lowrank, "awsvd_factor", recording)
+    compress_mha(weights, stats, ranks)
+    assert len(threads) == 4
+    assert (set(threads) != {threading.get_ident()}) == concurrent
+
+
+@pytest.mark.parametrize("workers", [0, 1, 3])
+@pytest.mark.parametrize(
+    "failing, missing, error, first",
+    [("q_proj", "v_proj", DecompositionError, "q_proj"), ("o_proj", "k_proj", CalibrationError, "k_proj")],
+)
+def test_compress_mha_raises_the_error_of_the_first_failing_matrix(workers, failing, missing, error, first, monkeypatch):
+    # The first failure in table order is the slower one, so it is not the first to happen.
+    weights, stats, ranks = _wide_layer(128)
+    del stats[missing]
+
+    def failing_factor(w, x_din, rank, name):
+        if name == failing:
+            time.sleep(0.05 if failing == first else 0.0)
+            raise DecompositionError(f"SVD failed to converge for {name}")
+        return awsvd_factor(w, x_din, rank, name=name)
+
+    monkeypatch.setattr(util, "_workers", lambda: workers)
+    monkeypatch.setattr(lowrank, "awsvd_factor", failing_factor)
+    with pytest.raises(error, match=first):
+        compress_mha(weights, stats, ranks)

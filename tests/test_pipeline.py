@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from rankprune import pipeline, store, synth, transformer
+from rankprune import pipeline, store, synth, transformer, util
 from rankprune.config import ModelConfig
 from rankprune.errors import AllocationError, CalibrationError, InfeasibleRatioError, ManifestError
 from rankprune.pipeline import CompressionPlan, compress_model, sample_calibration_windows
@@ -483,6 +483,43 @@ def test_layer_records_share_nothing_with_each_other_or_the_plan(setup, monkeypa
     _edit_every_container(manifest["layers"][0])
     assert planned == plan_before
     assert manifest["layers"][1:] == others_before
+
+
+@pytest.fixture(scope="module")
+def wide_setup():
+    # 128 wide, the narrowest layer whose matrices compress_mha factors on threads.
+    cfg = ModelConfig(dim=128, n_heads=2, head_dim=64, n_layers=2, ffn_dim=344, vocab_size=256)
+    model = model_from_tensors(cfg, model_to_tensors(helpers.make_random_model(cfg, seed=5)))
+    return model, helpers.random_token_stream(1024, seed=6)
+
+
+@pytest.mark.parametrize("mha, ffn", [(mha, ffn) for mha in store.MHA_METHODS for ffn in store.FFN_METHODS])
+def test_outputs_are_the_same_bytes_for_any_worker_count(wide_setup, tmp_path, monkeypatch, mha, ffn):
+    model, calib = wide_setup
+    plan = _plan(0.5, calib_samples=4, calib_tokens=32, mha_method=mha, ffn_method=ffn)
+    outputs = []
+    for workers in (0, 1, 2, 9):
+        monkeypatch.setattr(util, "_workers", lambda: workers)
+        out = tmp_path / f"{workers}-workers"
+        pipeline.write_outputs(out, *compress_model(model, plan, calib))
+        outputs.append({name: (out / name).read_bytes() for name in ("model.safetensors", "manifest.json", "report.json")})
+    assert all(got == outputs[0] for got in outputs[1:])
+
+
+def test_ffn_pruning_holds_about_two_float64_copies_of_one_matrix(heap_peak):
+    # The scores are taken one matrix at a time and the float32 arrays are sliced
+    # as they are, so no matrix is widened beside another.  Widening all three
+    # together, as before, held 3.2 times the whole float32 FFN.
+    rng = np.random.default_rng(41)
+    d, d_m = 512, 1376
+    weights = {"up_proj": rng.normal(size=(d_m, d)).astype(np.float32),
+               "gate_proj": rng.normal(size=(d_m, d)).astype(np.float32),
+               "down_proj": rng.normal(size=(d, d_m)).astype(np.float32)}
+    x_by_proj = {"up_proj": rng.uniform(0.1, 2.0, d), "down_proj": rng.uniform(0.1, 2.0, d_m)}
+    (maps, decision), peak = heap_peak(pipeline._prune_ffn, weights, x_by_proj, _plan(0.5))
+    assert len(decision.retained) == d_m // 2
+    assert all(proj.w.dtype == np.float32 for proj in maps.values())
+    assert peak < 2.5 * d_m * d * 8
 
 
 def test_awsvd_at_width_512_makes_no_full_svd(monkeypatch):

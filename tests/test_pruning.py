@@ -401,3 +401,42 @@ def test_apply_head_pruning_matches_zeroed_value_oracle(random_model):
     lp = forward(pruned_model, toks)
     lo = forward(oracle_model, toks)
     assert np.max(np.abs(lp - lo)) < 1e-10
+
+
+def _ffn(dtype, d=12, d_m=20, seed=31):
+    rng = np.random.default_rng(seed)
+    up, gate, down = rng.normal(size=(d_m, d)), rng.normal(size=(d_m, d)), rng.normal(size=(d, d_m))
+    return [a.astype(dtype) for a in (up, gate, down)], rng.uniform(0.1, 2.0, d), rng.uniform(0.1, 2.0, d_m)
+
+
+@pytest.mark.parametrize("agg", ["l1", "l2", "linf"])
+def test_float32_ffn_scores_and_slices_are_the_bits_of_its_float64_copy(agg):
+    # Widening float32 is exact, so scoring and slicing need not widen first.
+    (up, gate, down), x_in, x_mid = _ffn(np.float32)
+    wide = [a.astype(np.float64) for a in (up, gate, down)]
+    scores = group_scores(up, gate, down, x_in, x_mid, agg)
+    assert scores.tobytes() == group_scores(*wide, x_in, x_mid, agg).tobytes()
+    decision = decide_pruning(scores, 0.5)
+    sliced = apply_pruning(up, gate, down, decision)
+    assert [a.dtype for a in sliced] == [np.float32] * 3
+    for got, want in zip(sliced, apply_pruning(*wide, decision)):
+        assert got.tobytes() == want.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda up: np.where(np.arange(up.size).reshape(up.shape) == 7, np.inf, up).astype(up.dtype),
+         "up: contains non-finite entries"),
+        (lambda up: up[0], "up: expected a 2-D array, got ndim=1"),
+        (lambda up: np.zeros((4, 0), up.dtype), r"up: empty dimension in shape \(4, 0\)"),
+    ],
+)
+def test_ffn_scoring_and_slicing_reject_a_malformed_matrix(dtype, bad, message):
+    (up, gate, down), x_in, x_mid = _ffn(dtype)
+    with pytest.raises(ValueError, match=message):
+        group_scores(bad(up), gate, down, x_in, x_mid)
+    decision = decide_pruning(group_scores(up, gate, down, x_in, x_mid), 0.5)
+    with pytest.raises(ValueError, match=message):
+        apply_pruning(bad(up), gate, down, decision)
