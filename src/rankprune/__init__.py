@@ -21,7 +21,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .linalg import SvdResult, svd, truncate, weighted_frobenius_error
-from .lowrank import FactorPair, MhaAllocation, allocate_mha, awsvd_factor, compress_mha
+from .lowrank import FactorPair, allocate_mha, awsvd_factor, compress_mha
 from .pipeline import CompressionPlan, compress_model, plan_from_ratio_s, write_outputs
 from .pruning import (
     PruneDecision,
@@ -33,7 +33,7 @@ from .pruning import (
     wanda_mask,
     weight_importance,
 )
-from .store import RatioPlan, load_compressed, load_model, plan_ratio, write_compressed
+from .store import load_compressed, load_model, plan_ratio, write_compressed
 from .transformer import (
     TransformerModel,
     collect_stats,
@@ -56,11 +56,9 @@ __all__ = [
     "FactorPair",
     "InfeasibleRatioError",
     "ManifestError",
-    "MhaAllocation",
     "MissingTensorError",
     "ModelConfig",
     "PruneDecision",
-    "RatioPlan",
     "ShapeMismatchError",
     "SvdResult",
     "TransformerModel",

@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -141,23 +142,25 @@ def _load_stats_file(path: str) -> dict[str, np.ndarray]:
     return x_din
 
 
-def _projection_matrices(model_path: str) -> list[tuple[str, np.ndarray]]:
-    """All projection matrices from a checkpoint or compressed directory,
-    reconstructing L @ R for factored entries; no model config needed.  A
-    projection tensor that is not a matrix with rows and columns, a factor
-    without its partner or of another inner width, or a weight stored beside
-    a factor of the same projection, is a DataError."""
+def _projection_matrices(model_path: str) -> dict[str, Callable[[], np.ndarray]]:
+    """The projection matrices of a checkpoint or compressed directory, in layer
+    and table order, as {weight name: build}: build() returns the matrix in
+    float64, L @ R for a factored entry, so a caller holds one at a time.  No
+    model config is needed.  Every tensor is checked before any matrix is built:
+    a projection tensor that is not a matrix with rows and columns, a factor
+    without its partner or of another inner width, or a weight stored beside a
+    factor of the same projection, is a DataError."""
     from .container import read_container
 
     p = Path(model_path)
     path = p / "model.safetensors" if p.is_dir() else p
-    if (path.parent / "manifest.json").exists():  # a compressed output, validated like `eval` loads it
-        tensors = store.load_compressed(path)[1]
-    else:
-        tensors, _ = read_container(path)
+    compressed = (path.parent / "manifest.json").exists()
+    # A compressed output is validated like `eval` loads it, finite values included.
+    tensors = store.load_compressed(path)[1] if compressed else read_container(path)[0]
     projections = {name: store.split_projection_name(name) for name in tensors}
     for name, arr in tensors.items():
-        store.require_finite(path, name, arr)
+        if not compressed:
+            store.require_finite(path, name, arr)
         if projections[name] is not None and (arr.ndim != 2 or 0 in arr.shape):
             raise DataError(f"{path}: projection tensor {name!r} has shape {arr.shape}; expected a non-empty matrix")
     out = []
@@ -174,15 +177,18 @@ def _projection_matrices(model_path: str) -> list[tuple[str, np.ndarray]]:
             raise DataError(f"{path}: {name!r} and {factor!r} both hold projection {wname!r}; keep one form")
         if suffix == "R":
             continue
-        w = tensors[name].astype(np.float64)
-        if suffix == "L":
-            r = tensors[rname]
-            if r.shape[0] != w.shape[1]:
-                raise DataError(f"{path}: factors {name!r} {w.shape} and {rname!r} {r.shape} differ in inner width")
-            w = w @ r.astype(np.float64)
-        out.append((layer, store.PROJECTIONS.index(proj), wname, w))
+        w, r = tensors[name], tensors[rname] if suffix == "L" else None
+        if r is not None and r.shape[0] != w.shape[1]:
+            raise DataError(f"{path}: factors {name!r} {w.shape} and {rname!r} {r.shape} differ in inner width")
+        out.append((layer, store.PROJECTIONS.index(proj), wname, functools.partial(_float64_matrix, w, r)))
     out.sort(key=lambda entry: entry[:2])
-    return [(name, w) for _, _, name, w in out]
+    return {name: build for _, _, name, build in out}
+
+
+def _float64_matrix(w: np.ndarray, r: np.ndarray | None) -> np.ndarray:
+    """w in float64, or the product w @ r of a factor pair."""
+    w = w.astype(np.float64)
+    return w if r is None else w @ r.astype(np.float64)
 
 
 def cmd_analyze(args) -> int:
@@ -191,7 +197,8 @@ def cmd_analyze(args) -> int:
         raise CompressionError(f"no projection matrices found in {args.model}")
     x_din = _load_stats_file(args.stats) if args.stats else None
     rows = []
-    for name, w in matrices:
+    for name, build in matrices.items():
+        w = build()
         row = {
             "matrix": name,
             "rank_pct": pruning.energy_rank_ratio(w, args.energy, use_singular_values=args.sigma),
@@ -217,10 +224,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_mask(args) -> int:
-    by_name = dict(_projection_matrices(args.model))
-    if args.matrix not in by_name:
+    matrices = _projection_matrices(args.model)
+    if args.matrix not in matrices:
         raise CompressionError(f"matrix {args.matrix!r} not found in the model")
-    w = by_name[args.matrix]
+    w = matrices[args.matrix]()
     if args.stats:
         x_din = _load_stats_file(args.stats).get(args.matrix)
         if x_din is None or len(x_din) != w.shape[1]:

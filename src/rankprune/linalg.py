@@ -166,5 +166,15 @@ def weighted_frobenius_error(w, l, r, d) -> float:
         raise ShapeMismatchError(f"weight vector has shape {d.shape}, expected ({w.shape[1]},)")
     if np.any(d <= 0.0):
         raise ValueError("weight vector entries must be positive")
-    return float(np.linalg.norm((w - l @ r) * d[None, :]))
+    return _weighted_error(w, l, r, d)
+
+
+def _weighted_error(w: np.ndarray, l: np.ndarray, r: np.ndarray, d: np.ndarray) -> float:
+    """weighted_frobenius_error of operands already checked, in one buffer the
+    size of W: L @ R is overwritten by W - L @ R, then by its weighted copy.  A
+    float32 W is widened element by element, the bits of its float64 copy."""
+    e = l @ r
+    np.subtract(w, e, out=e)
+    e *= d[None, :]
+    return float(np.linalg.norm(e))
 

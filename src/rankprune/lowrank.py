@@ -9,6 +9,8 @@ from its full SVD when that is ill-conditioned (linalg.top_factors).
 The MHA budget is split between the (q, k) and (v, o) groups (default
 1:3, v/o getting more because they are less low-rank), with a dense
 passthrough whenever a group's share would exceed its dense size.
+`allocate_mha` returns that decision in the one form it has, the MHA
+record of a manifest's `global.plan` (`store.layer_plan`).
 
 A layer's factorings are independent; `compress_mha` runs them on every CPU
 when its matrices are wide enough (CONCURRENT_MIN_SIDE) for threads to pay.
@@ -24,7 +26,7 @@ from math import floor, isfinite
 import numpy as np
 
 from .errors import AllocationError, CalibrationError, ShapeMismatchError
-from .linalg import XDIN_EPS, as_matrix, top_factors, weighted_frobenius_error
+from .linalg import XDIN_EPS, _weighted_error, checked_matrix, top_factors
 from .store import ATTN_PROJS
 from .util import parallel_map, round_half_up
 
@@ -68,42 +70,20 @@ def awsvd_factor(w, x_din, rank: int, name: str = "matrix") -> FactorPair:
     weighting then degenerates toward plain truncated SVD for those
     columns.  Unit weights give plain truncated SVD exactly, since
     multiplying and dividing by 1.0 are exact.
+
+    A float32 W is never copied whole: W D and the error widen it as they
+    read it, the same bits as from its float64 copy.  Beside W the call
+    holds W D during the factoring and one error buffer after it.
     """
-    w = as_matrix(w, name)
+    w = checked_matrix(w, name)
     d = floored_weights(x_din, w.shape[1])
     left, right = top_factors(w * d[None, :], rank, name=name)
     r_mat = right / d[None, :]
-    err = weighted_frobenius_error(w, left, r_mat, d)
-    return FactorPair(l=left, r=r_mat, rank=rank, weighted_error=err)
+    return FactorPair(l=left, r=r_mat, rank=rank, weighted_error=_weighted_error(w, left, r_mat, d))
 
 
 # ---------------------------------------------------------------------------
 # Budget allocation
-
-
-@dataclass(frozen=True)
-class MatrixScheme:
-    kind: str            # "dense" | "factored"
-    rank: int | None
-    n_params: int
-
-
-@dataclass(frozen=True)
-class MhaAllocation:
-    """Resolved parameter budget for the four attention matrices.
-
-    qk_budget/vo_budget are the post-overflow group shares: when a
-    group's share exceeds its dense size the group stays dense and the
-    surplus moves to the other group.  slack is the budget left over by
-    flooring ranks (always < d_out + d_in per factored matrix, never
-    redistributed).
-    """
-
-    budget: int
-    qk_budget: int
-    vo_budget: int
-    schemes: dict[str, MatrixScheme]
-    slack: int
 
 
 def parse_alloc_ratio(text: str) -> tuple[float, float]:
@@ -121,13 +101,19 @@ def allocate_mha(
     dims: dict[str, tuple[int, int]],
     layer_ratio: float,
     alloc_ratio: tuple[float, float] = (1.0, 3.0),
-) -> MhaAllocation:
+) -> dict:
     """Split round(total * layer_ratio) parameters across q/k/v/o.
 
     The group split follows alloc_ratio; inside a group the two matrices
     split equally and each gets rank floor(share / (d_out + d_in)),
     minimum 1.  Groups whose share covers their dense size pass through
     dense and push the surplus to the other group.
+
+    Returns the MHA record of a manifest's `global.plan` less its
+    kept_head_count: {"schemes": {proj: {"kind", "rank", "params"}},
+    "budget", "qk_budget", "vo_budget", "slack"}.  The budgets are the
+    post-overflow shares; slack, what flooring ranks leaves over, stays
+    below d_out + d_in per factored matrix and is never redistributed.
     """
     if not 0.0 < layer_ratio <= 1.0:
         raise ValueError(f"layer_ratio must lie in (0, 1], got {layer_ratio}")
@@ -158,31 +144,26 @@ def allocate_mha(
                 vo_dense = True
                 vo_budget = dense_vo
 
-    schemes: dict[str, MatrixScheme] = {}
+    schemes: dict[str, dict] = {}
     for group, group_budget, is_dense in (
         (("q_proj", "k_proj"), qk_budget, qk_dense),
         (("v_proj", "o_proj"), vo_budget, vo_dense),
     ):
         for m in group:
             if is_dense:
-                schemes[m] = MatrixScheme(kind="dense", rank=None, n_params=size[m])
+                schemes[m] = {"kind": "dense", "rank": None, "params": size[m]}
             else:
                 d_out, d_in = dims[m]
                 rank = max(1, floor((group_budget / 2.0) / (d_out + d_in)))
-                schemes[m] = MatrixScheme(kind="factored", rank=rank, n_params=rank * (d_out + d_in))
+                schemes[m] = {"kind": "factored", "rank": rank, "params": rank * (d_out + d_in)}
 
-    realized = sum(s.n_params for s in schemes.values())
+    realized = sum(s["params"] for s in schemes.values())
     if realized > budget:
         raise AllocationError(
             f"MHA budget {budget} is too small: even rank-1 factors need {realized} parameters"
         )
-    return MhaAllocation(
-        budget=budget,
-        qk_budget=qk_budget,
-        vo_budget=vo_budget,
-        schemes=schemes,
-        slack=budget - realized,
-    )
+    return {"schemes": schemes, "budget": budget, "qk_budget": qk_budget, "vo_budget": vo_budget,
+            "slack": budget - realized}
 
 
 def compress_mha(

@@ -47,7 +47,7 @@ from . import pruning, store
 from .config import ModelConfig
 from .errors import CalibrationError, DataError, DecompositionError, ManifestError
 from .lowrank import compress_mha
-from .store import FFN_METHODS, MANIFEST_VERSION, MHA_METHODS, RatioPlan  # noqa: F401 - the methods are re-exported
+from .store import FFN_METHODS, MANIFEST_VERSION, MHA_METHODS  # noqa: F401 - the methods are re-exported
 from .transformer import (
     Dense,
     Factored,
@@ -113,8 +113,8 @@ def plan_from_ratio_s(config: ModelConfig, ratio_s: float, **knobs) -> Compressi
     The parameter total is that of a dense checkpoint with config's shapes
     (store.dense_param_total), the only kind `compress` reads.
     """
-    ratio_plan: RatioPlan = store.plan_ratio(config, store.dense_param_total(config), ratio_s)
-    return CompressionPlan(keep_ratio=ratio_plan.layer_keep, target_ratio_s=ratio_s, **knobs)
+    ratio_l = store.plan_ratio(config, store.dense_param_total(config), ratio_s)
+    return CompressionPlan(keep_ratio=1.0 - ratio_l, target_ratio_s=ratio_s, **knobs)
 
 
 def sample_calibration_windows(

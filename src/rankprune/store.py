@@ -20,6 +20,9 @@ it must equal what the rest of `global` implies.  Per layer it records only
 what the calibration data decided, kept heads, retained channels and their
 provenance, which are checked beside it.  `check_plan` is the one check of
 the plan fields, for a `pipeline.CompressionPlan` and a manifest's `global`.
+The plan's attention record is `lowrank.allocate_mha`'s result as it is,
+and `plan_ratio` returns the layer ratio ratio_l that a whole-model
+removal target asks of the transformer layers.
 
 `param_counts(config, plan)` is the one parameter count of a layout:
 every tensor of `_layout(config, plan)` but the index tensors.  It is the
@@ -274,15 +277,7 @@ def layer_plan(config: ModelConfig, global_plan: dict) -> dict:
             "slack": 0,  # heads are kept whole: no q/k vs v/o split and no rank-flooring slack
         }
     else:
-        alloc = allocate_mha({p: dense[p] for p in ATTN_PROJS}, keep, alloc_ratio)
-        mha = {
-            "schemes": {p: {"kind": s.kind, "rank": s.rank, "params": s.n_params} for p, s in alloc.schemes.items()},
-            "kept_head_count": None,
-            "budget": alloc.budget,
-            "qk_budget": alloc.qk_budget,
-            "vo_budget": alloc.vo_budget,
-            "slack": alloc.slack,
-        }
+        mha = {**allocate_mha({p: dense[p] for p in ATTN_PROJS}, keep, alloc_ratio), "kept_head_count": None}
     if ffn_method == "prune":
         ffn = {"retained_count": retained_count(config.ffn_dim, keep)}
     else:
@@ -332,25 +327,12 @@ def require_finite(path: str | Path, name: str, arr: np.ndarray) -> None:
 # Ratio arithmetic
 
 
-@dataclass(frozen=True)
-class RatioPlan:
-    """Translation of a whole-model compression target to the layer level.
-
-    ratio_s is the fraction of all parameters to remove; because the
-    embedding and LM head stay untouched, the layers must absorb the
-    larger fraction ratio_l = param_total * ratio_s / layer_source, the
-    dense layers' parameters (`param_counts`).
-    layer_keep = 1 - ratio_l is what the per-layer compressors receive.
-    """
-
-    ratio_l: float
-
-    @property
-    def layer_keep(self) -> float:
-        return 1.0 - self.ratio_l
-
-
-def plan_ratio(config: ModelConfig, param_total: int, ratio_s: float) -> RatioPlan:
+def plan_ratio(config: ModelConfig, param_total: int, ratio_s: float) -> float:
+    """The fraction ratio_l of the layers' parameters to remove for a
+    whole-model ratio_s: the embedding and LM head stay untouched, so
+    ratio_l = param_total * ratio_s / layer_source (`param_counts`) is the
+    larger; the layers keep 1 - ratio_l, and ratio_l > 1 is an
+    InfeasibleRatioError."""
     if not 0.0 < ratio_s < 1.0:
         raise ValueError(f"ratio_s must lie in (0, 1), got {ratio_s}")
     ratio_l = (param_total * ratio_s) / param_counts(config)["layer_source"]
@@ -359,7 +341,7 @@ def plan_ratio(config: ModelConfig, param_total: int, ratio_s: float) -> RatioPl
             f"model ratio {ratio_s} needs layer ratio {ratio_l:.4f} > 1; "
             "the transformer layers cannot absorb it"
         )
-    return RatioPlan(ratio_l=ratio_l)
+    return ratio_l
 
 
 def dense_param_total(config: ModelConfig) -> int:

@@ -1,6 +1,7 @@
 """Helpers that only the tests call: a random-init model, random byte
-streams, the layer step with its input sites captured, and the name of
-the BLAS kernel the golden pins were measured on."""
+streams, the layer step with its input sites captured, the name of the
+BLAS kernel the golden pins were measured on, and the leaf edits of the
+JSON mutation sweeps."""
 
 import ctypes
 import glob
@@ -75,3 +76,38 @@ def openblas_core() -> str:
 def kernel_note() -> str:
     """The message of a failed golden pin: which kernels it was pinned on and which runs now."""
     return f"pinned on OpenBLAS cores {', '.join(PINNED_CORES)}, running on {openblas_core()}"
+
+
+def json_leaves(node, path=()):
+    """(path, value) of each leaf of a JSON tree.  Of a list only the first and
+    last entries are taken: the checks treat a list's entries alike."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from json_leaves(value, (*path, key))
+    elif isinstance(node, list) and node:
+        for j in sorted({0, len(node) - 1}):
+            yield from json_leaves(node[j], (*path, j))
+    else:
+        yield path, node
+
+
+def leaf_edits(value):
+    """{label: edited value}: ints +-1, strings "bogus", and flips to each other JSON type."""
+    flips = {"float": float(value) if type(value) in (int, bool) else 0.5, "bool": True,
+             "null": None, "list": [value], "dict": {"value": value}}
+    edits = {label: flip for label, flip in flips.items() if type(flip) is not type(value)}
+    if type(value) is bool:
+        edits["bool"] = not value
+    if type(value) is int:
+        edits.update({"+1": value + 1, "-1": value - 1})
+    if type(value) is str:
+        edits["bogus"] = "bogus"
+    return edits
+
+
+def set_leaf(tree, path, value):
+    """Set the leaf at path, adding the objects on the way that are missing."""
+    *parents, leaf = path
+    for key in parents:
+        tree = tree[key] if isinstance(tree, list) else tree.setdefault(key, {})
+    tree[leaf] = value

@@ -136,14 +136,14 @@ def test_criterion_4_ratio_arithmetic():
     published = [0.104, 0.208, 0.312, 0.416, 0.520, 0.624, 0.728, 0.832]
     worst = 0.0
     for ratio_s, expected in zip(np.arange(1, 9) / 10.0, published):
-        got = store.plan_ratio(config, total, float(ratio_s)).ratio_l
+        got = store.plan_ratio(config, total, float(ratio_s))
         worst = max(worst, abs(got - expected))
         assert abs(got - expected) <= 1e-3, (ratio_s, got, expected)
     # nominal 20% compression on the square-MHA toy shape: v/o dense,
     # q/k budget at 60% of their dense size
     alloc = allocate_mha({m: (64, 64) for m in ("q_proj", "k_proj", "v_proj", "o_proj")}, 0.8, (1.0, 3.0))
-    assert alloc.schemes["v_proj"].kind == "dense" and alloc.schemes["o_proj"].kind == "dense"
-    qk_frac = alloc.qk_budget / (2 * 64 * 64)
+    assert alloc["schemes"]["v_proj"]["kind"] == "dense" and alloc["schemes"]["o_proj"]["kind"] == "dense"
+    qk_frac = alloc["qk_budget"] / (2 * 64 * 64)
     assert abs(qk_frac - 0.60) <= 1e-3
     _report(
         4,

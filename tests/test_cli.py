@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import PINNED_CORES, kernel_note, openblas_core
+from helpers import PINNED_CORES, json_leaves, kernel_note, leaf_edits, openblas_core, set_leaf
 from rankprune import pipeline, synth
 from rankprune.cli import main
 from rankprune.pruning import energy_rank_ratio
@@ -507,6 +507,25 @@ def test_analyze_compressed_directory(fixture_dir, tmp_path, capsys):
     assert stdout.count("%") == 14
 
 
+def test_analyze_holds_the_checkpoint_and_two_float64_copies_of_one_matrix(tmp_path, heap_peak):
+    # Each projection is widened to float64 when its row is computed, so beside
+    # the float32 checkpoint analyze holds one matrix and the spectrum's copy of it.
+    from rankprune import store
+    from rankprune.config import ModelConfig
+    from rankprune.container import write_container
+
+    config = ModelConfig(dim=512, n_heads=8, head_dim=64, n_layers=1, ffn_dim=1376, vocab_size=256)
+    rng = np.random.default_rng(45)
+    tensors = {name: rng.normal(size=shape).astype(np.float32) for name, shape in store.expected_shapes(config).items()}
+    write_container(tmp_path / "model.safetensors", tensors)
+    checkpoint = sum(arr.nbytes for arr in tensors.values())
+    largest = max(arr.size for name, arr in tensors.items() if store.split_projection_name(name))
+    del tensors
+    code, peak = heap_peak(main, ["analyze", "--model", str(tmp_path / "model.safetensors")])
+    assert code == 0
+    assert peak < checkpoint + 2 * 8 * largest
+
+
 def test_stats_command(fixture_dir, tmp_path, capsys):
     out = tmp_path / "stats_out.json"
     code = main(
@@ -784,6 +803,63 @@ def test_stats_entries_must_be_non_negative_numbers(fixture_dir, stats_file, tmp
     assert main(args) == 2
     err = capsys.readouterr().err
     assert name in err and message in err
+
+
+# The fields of a stats file beside its x_din vectors.  analyze reads only the
+# vectors, so every edit to these loads; each is asserted to load.
+STATS_FIELDS_ANALYZE_IGNORES = {"format_version", "sample_count", "tokens_per_sample", "seed", "source_sha256"}
+
+
+def test_every_stats_leaf_edit_under_analyze(fixture_dir, stats_file, tmp_path, capsys):
+    written = json.loads(stats_file.read_text())
+    assert set(written) == STATS_FIELDS_ANALYZE_IGNORES | {"x_din"}
+    # Every leaf (the first and last entry of each vector), then each vector whole.
+    edits = [(path, label, edit) for path, value in json_leaves(written) for label, edit in leaf_edits(value).items()]
+    for name, vec in written["x_din"].items():
+        whole = {**leaf_edits(vec), "bogus": "bogus", "nested": [vec], "empty": [], "short": vec[:-1], "long": [*vec, 1.0]}
+        edits += [(("x_din", name), label, edit) for label, edit in whole.items()]
+    stats = tmp_path / "stats.json"
+    results = {}
+    for path, label, edit in edits:
+        payload = json.loads(json.dumps(written))
+        set_leaf(payload, path, edit)
+        stats.write_text(json.dumps(payload))
+        code = main(["analyze", "--model", str(fixture_dir / "model.safetensors"), "--stats", str(stats)])
+        results[f"{'.'.join(map(str, path))} {label}"] = code
+    capsys.readouterr()
+    assert len(results) > 14 * 8
+    assert {name: code for name, code in results.items() if code != (2 if name.startswith("x_din.") else 0)} == {}
+
+
+def test_every_report_leaf_edit_under_eval_update_report(fixture_dir, compressed_out, tmp_path, capsys):
+    # eval --update-report reads a report's evaluations and timing objects and
+    # writes the rest back as it found it, so only an edit that makes either of
+    # them something other than an object exits 2, and leaves the file as it is.
+    out = tmp_path / "z"
+    shutil.copytree(compressed_out, out)
+    data = tmp_path / "eval.bin"
+    data.write_bytes((fixture_dir / "eval.bin").read_bytes()[:257])
+    args = ["eval", "--model", str(out), "--data", str(data), "--seqlen", "64", "--update-report"]
+    assert main(args) == 0  # evaluations and timing now hold an entry each
+    written = json.loads((out / "report.json").read_text())
+    containers = {key: leaf_edits(written[key]) for key in ("evaluations", "timing")}
+    edits = [(path, label, edit) for path, value in json_leaves(written) for label, edit in leaf_edits(value).items()]
+    edits += [((key,), label, edit) for key, flips in containers.items() for label, edit in flips.items()]
+    results = {}
+    for path, label, edit in edits:
+        report = json.loads(json.dumps(written))
+        set_leaf(report, path, edit)
+        raw = json.dumps(report).encode()
+        (out / "report.json").write_bytes(raw)
+        code = main(args)
+        results[f"{'.'.join(map(str, path))} {label}"] = code
+        if code != 0:
+            assert (out / "report.json").read_bytes() == raw
+    capsys.readouterr()
+    assert set(results.values()) == {0, 2}
+    assert {name for name, code in results.items() if code == 2} == {
+        f"{key} {label}" for key, flips in containers.items() for label in flips
+    }
 
 
 def test_main_calls_share_one_parser(tmp_path, monkeypatch, capsys):

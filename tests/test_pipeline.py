@@ -221,8 +221,8 @@ def test_plan_from_ratio_s(setup):
     cfg, model, calib, _ = setup
     params_total, _ = count_params_macs(model, 1)
     plan = pipeline.plan_from_ratio_s(cfg, 0.2, calib_samples=16, calib_tokens=32)
-    ratio_plan = store.plan_ratio(cfg, params_total, 0.2)
-    assert plan.keep_ratio == pytest.approx(1.0 - ratio_plan.ratio_l)
+    ratio_l = store.plan_ratio(cfg, params_total, 0.2)
+    assert plan.keep_ratio == pytest.approx(1.0 - ratio_l)
     assert plan.target_ratio_s == 0.2
     with pytest.raises(InfeasibleRatioError):  # layer ratio ~1.20 on the toy shape
         pipeline.plan_from_ratio_s(cfg, 0.9)
@@ -429,10 +429,10 @@ def test_allocation_runs_once_per_compress(setup, monkeypatch):
     from rankprune import lowrank
 
     cfg, model, calib, _ = setup
-    # Every allocate_mha, however it was imported, builds its result from lowrank's MhaAllocation.
+    # store.layer_plan imports allocate_mha from lowrank at call time, so the patch sees every call.
     made = []
-    allocation = lowrank.MhaAllocation
-    monkeypatch.setattr(lowrank, "MhaAllocation", lambda **fields: made.append(fields) or allocation(**fields))
+    allocate = lowrank.allocate_mha
+    monkeypatch.setattr(lowrank, "allocate_mha", lambda *args: made.append(args) or allocate(*args))
     compress_model(model, _plan(0.5), calib)
     assert cfg.n_layers > 1 and len(made) == 1
 

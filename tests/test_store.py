@@ -125,16 +125,15 @@ def test_plan_ratio_reproduces_published_table(size):
     config = store.LLAMA_SHAPES[size]
     total = store.dense_param_total(config)
     for ratio_s, expected in zip(np.arange(1, 9) / 10.0, RATIO_TABLE[size]):
-        plan = store.plan_ratio(config, total, float(ratio_s))
-        assert plan.ratio_l == pytest.approx(expected, abs=1e-3)
-        assert plan.layer_keep == pytest.approx(1.0 - plan.ratio_l)
+        ratio_l = store.plan_ratio(config, total, float(ratio_s))
+        assert ratio_l == pytest.approx(expected, abs=1e-3)
 
 
 def test_plan_ratio_small_ratio_limit():
     config = store.LLAMA_SHAPES["7b"]
     total = store.dense_param_total(config)
-    plan = store.plan_ratio(config, total, 1e-9)
-    assert plan.ratio_l < 1e-8
+    ratio_l = store.plan_ratio(config, total, 1e-9)
+    assert ratio_l < 1e-8
 
 
 def test_plan_ratio_infeasible():
@@ -414,7 +413,7 @@ def test_parameter_records_off_by_one_are_rejected(factored_out, tmp_path, path,
     manifest = json.loads((out / "manifest.json").read_text())
     # A layer path takes its value from the plan it restates.
     source = ("global", "plan", *path[2:]) if path[0] == "layers" else path
-    _set_leaf(manifest, path, _get_leaf(manifest, source) + delta)
+    helpers.set_leaf(manifest, path, _get_leaf(manifest, source) + delta)
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ManifestError, match=message):
         store.load_compressed(out)
@@ -470,14 +469,6 @@ def _get_leaf(tree, path):
     return tree
 
 
-def _set_leaf(tree, path, value):
-    """Set the leaf at path, adding the objects on the way that are missing."""
-    *parents, leaf = path
-    for key in parents:
-        tree = tree[key] if isinstance(tree, list) else tree.setdefault(key, {})
-    tree[leaf] = value
-
-
 # Edits that used to load, or to end in a traceback: the methods, aggregation,
 # seed and alloc_ratio in global, the budgets and schemes of the recorded
 # plan, and a layer record that restates alloc_ratio as format 1 did.
@@ -512,7 +503,7 @@ def test_edits_of_the_plan_are_rejected(factored_out, tmp_path, edits, message):
     shutil.copytree(factored_out, out)
     manifest = json.loads((out / "manifest.json").read_text())
     for path, value in edits.items():
-        _set_leaf(manifest, path, value)
+        helpers.set_leaf(manifest, path, value)
     (out / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ManifestError, match=message):
         store.load_compressed(out)
@@ -652,33 +643,6 @@ def test_tensor_of_the_wrong_kind_is_rejected(outputs, name, dtype):
 # Manifest sweep
 
 
-def _leaves(node, path=()):
-    """(path, value) of each leaf of a JSON tree.  Of a list only the first and
-    last entries are taken: the checks treat a list's entries alike."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            yield from _leaves(value, (*path, key))
-    elif isinstance(node, list) and node:
-        for j in sorted({0, len(node) - 1}):
-            yield from _leaves(node[j], (*path, j))
-    else:
-        yield path, node
-
-
-def _leaf_edits(value):
-    """{label: edited value}: ints +-1, strings "bogus", and flips to each other JSON type."""
-    flips = {"float": float(value) if type(value) in (int, bool) else 0.5, "bool": True,
-             "null": None, "list": [value], "dict": {"value": value}}
-    edits = {label: flip for label, flip in flips.items() if type(flip) is not type(value)}
-    if type(value) is bool:
-        edits["bool"] = not value
-    if type(value) is int:
-        edits.update({"+1": value + 1, "-1": value - 1})
-    if type(value) is str:
-        edits["bogus"] = "bogus"
-    return edits
-
-
 # Edits that must load: they leave every shape and count as written, so no
 # check can tell them from the tensors.  Each is asserted to load, so this
 # list cannot outlive the rule that admits it.
@@ -700,7 +664,8 @@ def test_every_manifest_leaf_edit_exits_2(tmp_path, capsys, monkeypatch, mha, ff
     out = _compressed_toy(tmp_path, mha_method=mha, ffn_method=ffn)[3]
     written = json.loads((out / "manifest.json").read_text())
     assert written["format_version"] == 2 and written["global"]["retain_least"] == 0.01
-    edits = [(path, label, edit) for path, value in _leaves(written) for label, edit in _leaf_edits(value).items()]
+    edits = [(path, label, edit)
+             for path, value in helpers.json_leaves(written) for label, edit in helpers.leaf_edits(value).items()]
     edits += [
         (("config", "norm_eps"), "x2", 2 * written["config"]["norm_eps"]),
         (("global", "aggregation"), "l2->l1", "l1"),
@@ -724,7 +689,7 @@ def test_every_manifest_leaf_edit_exits_2(tmp_path, capsys, monkeypatch, mha, ff
     results = {}
     for path, label, edit in edits:
         manifest = json.loads(json.dumps(written))
-        _set_leaf(manifest, path, edit)
+        helpers.set_leaf(manifest, path, edit)
         (out / "manifest.json").write_text(json.dumps(manifest))
         raised.clear()
         code = cli.main(["stats", "--model", str(out)])
