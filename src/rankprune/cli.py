@@ -22,6 +22,8 @@ from .lowrank import parse_alloc_ratio
 from .transformer import check_tokens, collect_stats, count_params_macs, load_dense_model, read_token_file
 from .util import canonical_json, sha256_file
 
+STATS_VERSION = 1  # the format_version of a `calibrate` stats file
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; usage errors are 1 here
@@ -121,7 +123,8 @@ def _load_model(path: str, config_path: str | None):
 
 def _load_stats_file(path: str) -> dict[str, np.ndarray]:
     """The x_din vectors of a `calibrate` stats file: lists of finite, non-negative
-    JSON numbers (not booleans or strings); anything else in it is a DataError."""
+    JSON numbers (not booleans or strings), then format_version, the JSON integer
+    STATS_VERSION; anything else in it is a DataError."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     vectors = payload.get("x_din") if isinstance(payload, dict) else None
@@ -139,6 +142,10 @@ def _load_stats_file(path: str) -> dict[str, np.ndarray]:
             raise DataError(f"{path}: x_din of {name!r} holds NaN or infinite values")
         if (x_din[name] < 0).any():
             raise DataError(f"{path}: x_din of {name!r} holds negative values; input norms are non-negative")
+    version = payload.get("format_version")
+    if type(version) is not int or version != STATS_VERSION:
+        hint = f"this release reads {STATS_VERSION}: re-run calibrate to write the file again"
+        raise DataError(f"{path}: unsupported stats format_version {version!r}; {hint}")
     return x_din
 
 
@@ -152,9 +159,8 @@ def _projection_matrices(model_path: str) -> dict[str, Callable[[], np.ndarray]]
     factor of the same projection, is a DataError."""
     from .container import read_container
 
-    p = Path(model_path)
-    path = p / "model.safetensors" if p.is_dir() else p
-    compressed = (path.parent / "manifest.json").exists()
+    container = store.compressed_container(model_path)
+    path, compressed = container or Path(model_path), container is not None
     # A compressed output is validated like `eval` loads it, finite values included.
     tensors = store.load_compressed(path)[1] if compressed else read_container(path)[0]
     projections = {name: store.split_projection_name(name) for name in tensors}
@@ -252,7 +258,7 @@ def cmd_calibrate(args) -> int:
         for p in store.PROJECTIONS
     }
     payload = {
-        "format_version": 1,
+        "format_version": STATS_VERSION,
         "sample_count": args.samples,
         "tokens_per_sample": args.seqlen,
         "seed": args.seed,
@@ -300,7 +306,10 @@ def cmd_eval(args) -> int:
     print(f"ppl={ppl}")
     print(f"eval_wall_time_s={wall:.3f}", file=sys.stderr)
     if args.update_report:
-        report_path = Path(args.model) / "report.json" if Path(args.model).is_dir() else Path(args.model).parent / "report.json"
+        container = store.compressed_container(args.model)
+        if container is None:
+            raise CompressionError(f"--update-report: {args.model} is a bare checkpoint, which has no run report")
+        report_path = container.parent / "report.json"
         if not report_path.exists():
             raise CompressionError(f"--update-report: no report.json at {report_path}")
         pipeline.record_evaluation(report_path, Path(args.data).name, ppl, wall)

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ContainerFormatError
 
-# Weight tensors are stored as F32/F16; I32/I64 carry integer metadata
-# such as retained-channel indices.
+# Weight tensors are stored as F32/F16; I32 carries a compressed output's
+# kept-head and retained-channel index tensors, I64 is read as well.
 _DTYPES = {
     "F32": np.dtype("<f4"),
     "F16": np.dtype("<f2"),

@@ -68,10 +68,6 @@ class SvdResult:
     singular_values: np.ndarray
     vt: np.ndarray
 
-    @property
-    def max_rank(self) -> int:
-        return len(self.singular_values)
-
 
 def svd(m, name: str = "matrix") -> SvdResult:
     """Thin SVD with a deterministic sign convention.
@@ -114,8 +110,9 @@ def truncate(s: SvdResult, rank: int) -> tuple[np.ndarray, np.ndarray]:
     Returns (U_r Sigma_r, V_r^T); their product is the Eckart-Young
     optimum among all rank-r matrices.
     """
-    if not 1 <= rank <= s.max_rank:
-        raise ValueError(f"rank {rank} out of range [1, {s.max_rank}]")
+    k = len(s.singular_values)
+    if not 1 <= rank <= k:
+        raise ValueError(f"rank {rank} out of range [1, {k}]")
     left = s.u[:, :rank] * s.singular_values[None, :rank]
     right = s.vt[:rank, :]
     return np.ascontiguousarray(left), np.ascontiguousarray(right)

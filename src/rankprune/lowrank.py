@@ -50,7 +50,6 @@ class FactorPair:
 
     l: np.ndarray       # (d_out, r)
     r: np.ndarray       # (r, d_in)
-    rank: int
     weighted_error: float
 
 
@@ -79,7 +78,7 @@ def awsvd_factor(w, x_din, rank: int, name: str = "matrix") -> FactorPair:
     d = floored_weights(x_din, w.shape[1])
     left, right = top_factors(w * d[None, :], rank, name=name)
     r_mat = right / d[None, :]
-    return FactorPair(l=left, r=r_mat, rank=rank, weighted_error=_weighted_error(w, left, r_mat, d))
+    return FactorPair(l=left, r=r_mat, weighted_error=_weighted_error(w, left, r_mat, d))
 
 
 # ---------------------------------------------------------------------------

@@ -5,26 +5,27 @@ from layer to layer.  For each layer in order: run the dense layer on
 every state to collect input-norm statistics, factor the attention
 matrices under the allocated budget, prune the FFN channel groups, then
 advance every state through the compressed layer - so the statistics of
-layer i+1 always see the output of the compressed layer i.  That is
-2L-1 layer passes per window for L layers.  The layer passes run in the
+layer i+1 always see the output of the compressed layer i.  That is 2L-1
+layer passes per window for L layers.  The layer passes run in the
 model's dtype (see `transformer`): for a model loaded from disk the
 carried states take samples x tokens x dim float32 values, 4 bytes each
 (about 4.3 GB at 128 x 2048 x 4096).  Statistics, factors, errors and
 scores are computed in float64, and each compressed projection is cast
 to the dtype of the dense projection it replaces before the states
-advance through it, so they advance through exactly the factors that
-are written.  The run is bit-deterministic given (model bytes,
-calibration bytes, seed, plan).  The plan (`store.layer_plan`) fixes
-every layer's attention ranks and FFN channel counts once per run; each
-layer is factored at those ranks in one `compress_mha` call.  The
-manifest records the plan once, as `global.plan`, and per layer only
-what the calibration data decided (kept heads, retained channels,
-provenance; `_layer_record`).  Every parameter total, in the manifest
-and the report, is `store.param_counts` of the plan's layout; the MAC
-totals come from `transformer.count_params_macs`.  The report holds
-measurements only: per layer, the weighted error of each factored
-projection, beside the parameter and MAC totals and, once
-`eval --update-report` has run, the evaluations and their timing.
+advance through it, so they advance through exactly the factors that are
+written.  The run is bit-deterministic given (model bytes, calibration
+bytes, seed, plan).  The plan (`store.layer_plan`) fixes every layer's
+attention ranks and FFN channel counts once per run; each layer is
+factored at those ranks in one `compress_mha` call.  The manifest
+records the plan once, as `global.plan`, and per layer only what the
+calibration data decided (kept heads, retained channels, provenance;
+`_layer_record`), the source of the container's index tensors.  Every
+parameter total, in the manifest and the report, is `store.param_counts`
+of the plan's layout; the MAC totals come from
+`transformer.count_params_macs`.  The report holds measurements only:
+per layer, the weighted error of each factored projection, beside the
+parameter and MAC totals and, once `eval --update-report` has run, the
+evaluations and their timing.
 
 `compress_model` never changes the model it is given.  Once the windows
 are embedded it refers to the model only through the one it is building,
@@ -108,12 +109,9 @@ class CompressionPlan:
 
 
 def plan_from_ratio_s(config: ModelConfig, ratio_s: float, **knobs) -> CompressionPlan:
-    """Derive the per-layer keep fraction from a whole-model removal target.
-
-    The parameter total is that of a dense checkpoint with config's shapes
-    (store.dense_param_total), the only kind `compress` reads.
-    """
-    ratio_l = store.plan_ratio(config, store.dense_param_total(config), ratio_s)
+    """Derive the per-layer keep fraction from a whole-model removal target
+    (`store.plan_ratio`, on a dense checkpoint, the only kind `compress` reads)."""
+    ratio_l = store.plan_ratio(config, ratio_s)
     return CompressionPlan(keep_ratio=1.0 - ratio_l, target_ratio_s=ratio_s, **knobs)
 
 
@@ -141,13 +139,12 @@ def sample_calibration_windows(
     return [stream[s : s + window] for s in starts], starts
 
 
-def _dense_weights(layer: TransformerLayer) -> dict[str, np.ndarray]:
-    if layer.kept_heads is not None or layer.retained_channels is not None:
-        raise ManifestError("layer to compress is already head- or channel-pruned; layers are compressed once")
-    projs = layer.projections()
+def _dense_weights(cfg: ModelConfig, layer: TransformerLayer) -> dict[str, np.ndarray]:
+    projs, dense = layer.projections(), store.widths(cfg)
     for name, proj in projs.items():
-        if not isinstance(proj, Dense):
-            raise ManifestError(f"layer to compress has non-dense {name}; layers are compressed once")
+        shape = store.PROJECTION[name].shape(dense)
+        if not (isinstance(proj, Dense) and proj.shape == shape):
+            raise ManifestError(f"layer to compress has {name} not dense at {shape}; layers are compressed once")
     return {name: proj.w for name, proj in projs.items()}
 
 
@@ -231,7 +228,7 @@ def _compress_layer(cfg, i, source, x_din, plan, planned):
     says; returns (compressed layer, manifest entry, report entry).  The report
     entry is the weighted error of every factored projection.  Nothing here
     outlives the call, so the source layer is held only by the model."""
-    weights = _dense_weights(source)
+    weights = _dense_weights(cfg, source)
     x_by_proj = {p.name: x_din[p.site] for p in store.PROJECTIONS}
     # svd attention and the factored FFN are awsvd at unit weights.
     weighted = store.ATTN_PROJS if plan.mha_method == "awsvd" else ()
@@ -241,14 +238,13 @@ def _compress_layer(cfg, i, source, x_din, plan, planned):
     except DecompositionError as exc:
         raise DecompositionError(f"layer {i}: {exc}") from exc
     head_prune, ffn_prune = plan.mha_method == "head_prune", plan.ffn_method == "prune"
-    head_maps, kept_heads = _prune_heads(cfg, source, weights, x_by_proj, plan) if head_prune else ({}, None)
+    head_maps, kept_heads = _prune_heads(cfg, weights, x_by_proj, plan) if head_prune else ({}, None)
     ffn_maps, decision = _prune_ffn(weights, x_by_proj, plan) if ffn_prune else ({}, None)
 
     factored = {p: Factored(pair.l, pair.r) for p, pair in pairs.items() if pair is not None}
-    retained = None if decision is None else decision.retained
     # Factors and pruned slices come back in float64; store them in the source's dtype.
     maps = {name: proj.astype(weights[name].dtype) for name, proj in {**factored, **head_maps, **ffn_maps}.items()}
-    compressed = source.with_projections(maps, kept_heads=kept_heads, retained_channels=retained)
+    compressed = source.with_projections(maps)
     errors = {p: {"weighted_error": pair.weighted_error} for p, pair in pairs.items() if pair is not None}
     return compressed, _layer_record(i, kept_heads, decision), {"layer": i, **errors}
 
@@ -266,10 +262,10 @@ def _layer_record(i, kept_heads, decision):
     return record
 
 
-def _prune_heads(cfg, layer, weights, x_by_proj, plan):
+def _prune_heads(cfg, weights, x_by_proj, plan):
     qkvo = [weights[p] for p in store.ATTN_PROJS]
     scores = pruning.head_scores(
-        *qkvo, x_by_proj["q_proj"], x_by_proj["o_proj"], layer.n_heads(cfg), cfg.head_dim, plan.aggregation,
+        *qkvo, x_by_proj["q_proj"], x_by_proj["o_proj"], cfg.n_heads, cfg.head_dim, plan.aggregation,
     )
     kept = pruning.decide_head_pruning(scores, plan.keep_ratio)
     pruned = pruning.apply_head_pruning(*qkvo, kept, cfg.head_dim)
@@ -297,19 +293,14 @@ def write_outputs(out_dir: str | Path, model: TransformerModel, manifest: dict, 
 
 
 def load_any_model(path: str | Path, config: ModelConfig | None = None) -> tuple[TransformerModel, dict | None]:
-    """Load a compressed output directory or a dense checkpoint file.
-
-    Directories (or files with a manifest.json sibling) are self-described;
-    a bare dense checkpoint needs an explicit config.
-    """
-    p = Path(path)
-    manifest_sibling = (p / "manifest.json") if p.is_dir() else p.parent / "manifest.json"
-    if p.is_dir() or manifest_sibling.exists():
-        cfg, tensors, manifest = store.load_compressed(p)
-        return model_from_tensors(cfg, tensors), manifest
+    """Load a compressed output (`store.compressed_container`), which describes
+    itself, or a bare dense checkpoint, which needs an explicit config."""
+    if store.compressed_container(path) is not None:
+        cfg, weights, manifest = store.load_compressed(path)
+        return model_from_tensors(cfg, weights), manifest
     if config is None:
         raise ValueError(f"{path} is a bare checkpoint; a model config is required to load it")
-    return load_dense_model(p, config), None
+    return load_dense_model(path, config), None
 
 
 def record_evaluation(report_path: str | Path, data_key: str, ppl: float, wall_time_s: float) -> None:

@@ -80,10 +80,8 @@ class PruneDecision:
 
 
 def _order(scores: np.ndarray, descending: bool) -> np.ndarray:
-    # lexsort: last key is primary; ties always resolve to the lower index.
-    idx = np.arange(scores.size)
-    key = -scores if descending else scores
-    return np.lexsort((idx, key))
+    # A stable sort: ties always resolve to the lower index.
+    return np.argsort(-scores if descending else scores, kind="stable")
 
 
 def bottom_quota(d_m: int, n_retained: int, retain_least: float) -> int:
@@ -165,7 +163,7 @@ def wanda_mask(w, x_din, sparsity: float) -> tuple[np.ndarray, bytes]:
     imp = weight_importance(w, x_din)
     flat = imp.ravel()
     keep_n = round_half_up((1.0 - sparsity) * flat.size)
-    order = np.lexsort((np.arange(flat.size), -flat))
+    order = np.argsort(-flat, kind="stable")
     mask = np.zeros(flat.size, dtype=bool)
     mask[order[:keep_n]] = True
     mask = mask.reshape(imp.shape)

@@ -10,25 +10,27 @@ and its shape in terms of the model width, the kept-head width and the
 retained-channel width.  Serialization, loading, validation, accounting
 and calibration naming all iterate over it.
 
-`expected_shapes(config, manifest=None)` is the one {name: shape} layout
-of both container kinds.  Compression touches only the layer projections,
-and every layer under one plan, so a compressed output's layout follows
-from the config and its manifest's `global` (`layer_plan`); it must hold
-exactly those tensors at exactly those shapes.  A manifest records that
-plan once, as `global.plan`, which `validate_manifest` holds to one rule:
-it must equal what the rest of `global` implies.  Per layer it records only
-what the calibration data decided, kept heads, retained channels and their
-provenance, which are checked beside it.  `check_plan` is the one check of
-the plan fields, for a `pipeline.CompressionPlan` and a manifest's `global`.
-The plan's attention record is `lowrank.allocate_mha`'s result as it is,
-and `plan_ratio` returns the layer ratio ratio_l that a whole-model
-removal target asks of the transformer layers.
+`expected_shapes(config, manifest=None)` is the one {name: shape} layout of
+both container kinds.  Compression touches only the layer projections, and
+every layer under one plan, so a compressed output's layout follows from the
+config and its manifest's `global` (`layer_plan`); it must hold exactly
+those tensors at exactly those shapes.  A manifest records that plan once,
+as `global.plan`, which `validate_manifest` holds to one rule: it must equal
+what the rest of `global` implies.  Per layer it records only what the
+calibration data decided, kept heads, retained channels and their
+provenance, which are checked beside it.  The container's index tensors are
+check copies of those lists.  `check_plan` is the one check of the plan
+fields, for a `pipeline.CompressionPlan` and a manifest's `global`.  The
+plan's attention record is `lowrank.allocate_mha`'s result as it is, and
+`plan_ratio` returns the layer ratio ratio_l that a whole-model removal
+target asks of the transformer layers.
 
 `param_counts(config, plan)` is the one parameter count of a layout:
 every tensor of `_layout(config, plan)` but the index tensors.  It is the
-manifest's `global.params`, the dense total of the ratio arithmetic and
+manifest's `global.params`, the dense totals of the ratio arithmetic and
 the report's parameter totals; `transformer.count_params_macs` counts a
-model in memory.
+model in memory.  `compressed_container` is the one rule for which paths
+are compressed outputs.
 """
 
 from __future__ import annotations
@@ -327,26 +329,22 @@ def require_finite(path: str | Path, name: str, arr: np.ndarray) -> None:
 # Ratio arithmetic
 
 
-def plan_ratio(config: ModelConfig, param_total: int, ratio_s: float) -> float:
-    """The fraction ratio_l of the layers' parameters to remove for a
-    whole-model ratio_s: the embedding and LM head stay untouched, so
-    ratio_l = param_total * ratio_s / layer_source (`param_counts`) is the
+def plan_ratio(config: ModelConfig, ratio_s: float) -> float:
+    """The fraction ratio_l of a dense checkpoint's layer parameters to remove
+    for a whole-model ratio_s: the embedding and LM head stay untouched, so
+    ratio_l = source_total * ratio_s / layer_source (`param_counts`) is the
     larger; the layers keep 1 - ratio_l, and ratio_l > 1 is an
     InfeasibleRatioError."""
     if not 0.0 < ratio_s < 1.0:
         raise ValueError(f"ratio_s must lie in (0, 1), got {ratio_s}")
-    ratio_l = (param_total * ratio_s) / param_counts(config)["layer_source"]
+    dense = param_counts(config)
+    ratio_l = (dense["source_total"] * ratio_s) / dense["layer_source"]
     if ratio_l > 1.0:
         raise InfeasibleRatioError(
             f"model ratio {ratio_s} needs layer ratio {ratio_l:.4f} > 1; "
             "the transformer layers cannot absorb it"
         )
     return ratio_l
-
-
-def dense_param_total(config: ModelConfig) -> int:
-    """Parameter count of a dense checkpoint with these shapes."""
-    return param_counts(config)["source_total"]
 
 
 # Published shape constants, handy for checking the ratio arithmetic
@@ -486,10 +484,18 @@ def _ascending_within(values: list[int], upper: int) -> bool:
 def write_compressed(out_dir: str | Path, tensors: dict[str, np.ndarray], manifest: dict) -> Path:
     """Write the compressed container plus its sidecar manifest.
 
-    Returns the container path.  The manifest is validated against the
-    tensors first so an inconsistent pair can never reach disk.
+    Returns the container path.  The index tensors are the manifest's lists
+    as int32, merged under `tensors` (one passed in is compared); the whole
+    is validated first so an inconsistent pair can never reach disk.
     """
     config = ModelConfig.from_dict(manifest["config"])
+    lists = (("kept_heads", kept_heads_name), ("retained_channels", retained_channels_name))
+    try:  # `validate_manifest` checks the lists; here they need only make arrays
+        index = {name(i): np.array(rec[key], np.int32) for i, rec in enumerate(manifest["layers"])
+                 for key, name in lists if key in rec}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ManifestError(f"manifest layer lists do not make index tensors: {exc}") from exc
+    tensors = {**index, **tensors}
     validate_manifest(manifest, tensors, config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -499,18 +505,27 @@ def write_compressed(out_dir: str | Path, tensors: dict[str, np.ndarray], manife
     return model_path
 
 
+def compressed_container(path: str | Path) -> Path | None:
+    """The container of the compressed output at `path`, None for a bare checkpoint.
+    The one rule: a directory (its model.safetensors), or a file with
+    manifest.json beside it, is a compressed output, whatever else it holds."""
+    path = Path(path)
+    if path.is_dir():
+        return path / "model.safetensors"
+    return path if (path.parent / "manifest.json").exists() else None
+
+
 def load_compressed(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray], dict]:
     """Load a compressed model directory (or its container file directly).
 
-    Returns (config, tensor map in float32/int64, manifest).  Float
-    tensors must hold only finite values; a manifest without a valid
-    config object is a ManifestError like any other manifest fault.
+    Returns (config, float32 weights, manifest).  Float tensors must hold
+    only finite values; a manifest without a valid config object is a
+    ManifestError like any other manifest fault.  The index tensors, check
+    copies of the manifest's lists, are compared with them and dropped.
     Like `load_model`, F32 tensors are the arrays the reader filled, so
-    the payload is held once; F16 and I32 tensors are widened one at a
-    time.
+    the payload is held once; F16 tensors are widened one at a time.
     """
-    path = Path(path)
-    model_path = path / "model.safetensors" if path.is_dir() else path
+    model_path = compressed_container(path) or Path(path)
     manifest_path = model_path.parent / "manifest.json"
     if not manifest_path.exists():
         raise ManifestError(f"no manifest.json found next to {model_path}")
@@ -523,8 +538,5 @@ def load_compressed(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     for name, arr in tensors.items():
         require_finite(model_path, name, arr)
     validate_manifest(manifest, tensors, config)
-    widened: dict[str, np.ndarray] = {}
-    for name in list(tensors):
-        arr = tensors.pop(name)
-        widened[name] = arr.astype(np.float32 if arr.dtype.kind == "f" else np.int64, copy=False)
-    return config, widened, manifest
+    weights = {name: tensors.pop(name).astype(np.float32, copy=False) for name in list(tensors) if not _is_index(name)}
+    return config, weights, manifest

@@ -13,12 +13,12 @@ window (`embed`), reduce one layer's sites over the carried states
 it can interleave them with compressing that layer.  `collect_stats`
 gives every layer's map of the model as it is in one pass per layer per
 window.  Both reduce through the same per-window sums of squares.
-Factored matrices participate in the forward as two
-sequential products (R then L), pruned FFNs at their reduced width,
-head-pruned attention with its reduced head count.  `perplexity` scores
-its windows concurrently on every CPU of the process's affinity set and
-sums their NLLs in window order, so its result has the same bits for any
-CPU count.
+Factored matrices participate in the forward as two sequential products
+(R then L), pruned FFNs and head-pruned attention at their stored widths:
+a layer holds only weights, and which heads and channels were kept is the
+manifest's record (`store`).  `perplexity` scores its windows
+concurrently on every CPU of the process's affinity set and sums their
+NLLs in window order, so its result has the same bits for any CPU count.
 
 Precision follows the model: the layer step runs in the dtype of the
 model's arrays and never upcasts.  A model loaded from disk is float32,
@@ -101,10 +101,6 @@ class Factored:
         return Factored(self.l.astype(dtype, copy=False), self.r.astype(dtype, copy=False))
 
     @property
-    def rank(self) -> int:
-        return self.l.shape[1]
-
-    @property
     def shape(self) -> tuple[int, int]:
         return (self.l.shape[0], self.r.shape[1])
 
@@ -131,12 +127,8 @@ class TransformerLayer:
     gate: LinearMap
     up: LinearMap
     down: LinearMap
-    kept_heads: tuple[int, ...] | None = None       # set when heads were pruned
-    retained_channels: np.ndarray | None = None     # set when FFN channels were pruned
 
     def n_heads(self, config: ModelConfig) -> int:
-        if self.kept_heads is not None:
-            return len(self.kept_heads)
         return self.q.shape[0] // config.head_dim
 
     def projections(self) -> dict[str, LinearMap]:
@@ -553,12 +545,12 @@ def load_dense_model(path: str | Path, config: ModelConfig) -> TransformerModel:
 
 
 def model_to_tensors(model: TransformerModel) -> dict[str, np.ndarray]:
-    """Serialize a model to a float32 {name: array} map ready for the container.
+    """Serialize a model's weights to a float32 {name: array} map.
 
-    Factored matrices become name.L / name.R, pruned FFNs are stored at
-    their reduced shapes next to an integer retained-channel tensor, and
-    head-pruned attention records its kept head indices.  A float32
-    model's arrays go in as they are, without a copy.
+    Factored matrices become name.L / name.R; pruned FFNs and head-pruned
+    attention are stored at their reduced shapes (their index tensors come
+    from the manifest, `store.write_compressed`).  A float32 model's
+    arrays go in as they are, without a copy.
     """
 
     def f32(a: np.ndarray) -> np.ndarray:
@@ -583,15 +575,11 @@ def model_to_tensors(model: TransformerModel) -> dict[str, np.ndarray]:
         out[store.ffn_norm_name(i)] = f32(layer.ffn_norm)
         for proj_name, proj in layer.projections().items():
             put(store.weight_name(i, proj_name), proj)
-        if layer.retained_channels is not None:
-            out[store.retained_channels_name(i)] = np.asarray(layer.retained_channels, dtype=np.int32)
-        if layer.kept_heads is not None:
-            out[store.kept_heads_name(i)] = np.asarray(layer.kept_heads, dtype=np.int32)
     return out
 
 
 def model_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> TransformerModel:
-    """Rebuild a (possibly compressed) float32 model from a tensor map.
+    """Rebuild a (possibly compressed) float32 model from a map of its weights.
 
     The scheme of each matrix is inferred from which names are present:
     name.weight means dense, name.L/name.R means factored.  float32
@@ -609,27 +597,18 @@ def model_from_tensors(config: ModelConfig, tensors: dict[str, np.ndarray]) -> T
             return Factored(l=f32(lname), r=f32(rname))
         raise ShapeMismatchError(f"no dense or factored tensors found for {name!r}")
 
-    layers = []
-    for i in range(config.n_layers):
-        kept_heads = None
-        if store.kept_heads_name(i) in tensors:
-            kept_heads = tuple(int(h) for h in tensors[store.kept_heads_name(i)])
-        retained = None
-        if store.retained_channels_name(i) in tensors:
-            retained = np.asarray(tensors[store.retained_channels_name(i)], dtype=np.int64)
-        layers.append(
-            TransformerLayer(
-                attn_norm=f32(store.attn_norm_name(i)),
-                ffn_norm=f32(store.ffn_norm_name(i)),
-                **{p.attr: pick(store.weight_name(i, p.name)) for p in store.PROJECTIONS},
-                kept_heads=kept_heads,
-                retained_channels=retained,
-            )
+    layers = tuple(
+        TransformerLayer(
+            attn_norm=f32(store.attn_norm_name(i)),
+            ffn_norm=f32(store.ffn_norm_name(i)),
+            **{p.attr: pick(store.weight_name(i, p.name)) for p in store.PROJECTIONS},
         )
+        for i in range(config.n_layers)
+    )
     return TransformerModel(
         config=config,
         embed=f32(store.EMBED_NAME),
-        layers=tuple(layers),
+        layers=layers,
         final_norm=f32(store.FINAL_NORM_NAME),
         lm_head=f32(store.HEAD_NAME),
     )

@@ -132,11 +132,10 @@ def test_criterion_3_pruning_oracle_equivalence():
 
 def test_criterion_4_ratio_arithmetic():
     config = store.LLAMA_SHAPES["7b"]
-    total = store.dense_param_total(config)
     published = [0.104, 0.208, 0.312, 0.416, 0.520, 0.624, 0.728, 0.832]
     worst = 0.0
     for ratio_s, expected in zip(np.arange(1, 9) / 10.0, published):
-        got = store.plan_ratio(config, total, float(ratio_s))
+        got = store.plan_ratio(config, float(ratio_s))
         worst = max(worst, abs(got - expected))
         assert abs(got - expected) <= 1e-3, (ratio_s, got, expected)
     # nominal 20% compression on the square-MHA toy shape: v/o dense,

@@ -771,6 +771,33 @@ def test_weight_beside_its_factor_pair_in_a_bare_checkpoint_exits_2(fixture_dir,
     assert not (tmp_path / "mask.pgm").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "mask", "eval", "stats"])
+def test_a_directory_without_a_manifest_exits_2(fixture_dir, tmp_path, capsys, command):
+    # An interrupted compress leaves its container without the manifest.  Every
+    # command reads a directory as a compressed output, so none takes the
+    # container for a bare checkpoint.
+    out = tmp_path / "interrupted"
+    out.mkdir()
+    shutil.copy(fixture_dir / "model.safetensors", out / "model.safetensors")
+    config = ["--config", str(fixture_dir / "config.json")]
+    args = {
+        "analyze": [],
+        "mask": ["--matrix", Q_PROJ, "--out", str(tmp_path / "mask.pgm")],
+        "eval": [*config, "--data", str(fixture_dir / "eval.bin"), "--seqlen", "64"],
+        "stats": config,
+    }[command]
+    assert main([command, "--model", str(out), *args]) == 2
+    assert "no manifest.json" in capsys.readouterr().err
+    assert not (tmp_path / "mask.pgm").exists()
+
+
+def test_eval_update_report_of_a_bare_checkpoint_exits_2(fixture_dir, capsys):
+    args = ["eval", "--model", str(fixture_dir / "model.safetensors"), "--config", str(fixture_dir / "config.json"),
+            "--data", str(fixture_dir / "eval.bin"), "--seqlen", "64", "--update-report"]
+    assert main(args) == 2
+    assert "is a bare checkpoint, which has no run report" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["analyze", "mask"])
 @pytest.mark.parametrize("x_din", [None, ["not", "a", "map"], {"model.layers.0.self_attn.q_proj.weight": ["a", "b"]}])
 def test_malformed_stats_file_exits_2(fixture_dir, tmp_path, capsys, command, x_din):
@@ -805,14 +832,14 @@ def test_stats_entries_must_be_non_negative_numbers(fixture_dir, stats_file, tmp
     assert name in err and message in err
 
 
-# The fields of a stats file beside its x_din vectors.  analyze reads only the
-# vectors, so every edit to these loads; each is asserted to load.
-STATS_FIELDS_ANALYZE_IGNORES = {"format_version", "sample_count", "tokens_per_sample", "seed", "source_sha256"}
+# The fields of a stats file beside its format_version and x_din vectors.
+# analyze reads only those two, so every edit to these loads; each is asserted to load.
+STATS_FIELDS_ANALYZE_IGNORES = {"sample_count", "tokens_per_sample", "seed", "source_sha256"}
 
 
 def test_every_stats_leaf_edit_under_analyze(fixture_dir, stats_file, tmp_path, capsys):
     written = json.loads(stats_file.read_text())
-    assert set(written) == STATS_FIELDS_ANALYZE_IGNORES | {"x_din"}
+    assert set(written) == STATS_FIELDS_ANALYZE_IGNORES | {"format_version", "x_din"}
     # Every leaf (the first and last entry of each vector), then each vector whole.
     edits = [(path, label, edit) for path, value in json_leaves(written) for label, edit in leaf_edits(value).items()]
     for name, vec in written["x_din"].items():
@@ -826,9 +853,12 @@ def test_every_stats_leaf_edit_under_analyze(fixture_dir, stats_file, tmp_path, 
         stats.write_text(json.dumps(payload))
         code = main(["analyze", "--model", str(fixture_dir / "model.safetensors"), "--stats", str(stats)])
         results[f"{'.'.join(map(str, path))} {label}"] = code
+        if path == ("format_version",):  # the message names the version it found
+            assert f"format_version {edit!r}; this release reads 1" in capsys.readouterr().err
     capsys.readouterr()
     assert len(results) > 14 * 8
-    assert {name: code for name, code in results.items() if code != (2 if name.startswith("x_din.") else 0)} == {}
+    checked = ("x_din.", "format_version ")
+    assert {name: code for name, code in results.items() if code != (2 if name.startswith(checked) else 0)} == {}
 
 
 def test_every_report_leaf_edit_under_eval_update_report(fixture_dir, compressed_out, tmp_path, capsys):

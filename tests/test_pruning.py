@@ -295,6 +295,17 @@ def test_wanda_mask_uniform_ties_deterministic():
     assert mask.ravel()[:8].all() and not mask.ravel()[8:].any()
 
 
+@pytest.mark.parametrize("shape", [(1376, 512), (512, 512)])
+def test_wanda_mask_holds_under_three_and_a_half_float64_copies_of_w(shape, heap_peak):
+    # The importance, its negation and one stable order: three float64-sized
+    # copies of W at the peak, beside the one-byte mask and its PGM bytes.
+    rng = np.random.default_rng(12)
+    w = rng.normal(size=shape)
+    x_din = rng.uniform(0.5, 2.0, size=shape[1])
+    _, peak = heap_peak(wanda_mask, w, x_din, 0.5)
+    assert peak < 3.5 * w.size * 8
+
+
 def test_pgm_bytes():
     mask = np.array([[True, False], [False, True], [True, True]])
     pgm = mask_to_pgm(mask)
@@ -385,7 +396,6 @@ def test_apply_head_pruning_matches_zeroed_value_oracle(random_model):
     pruned_layer = TransformerLayer(
         attn_norm=layer.attn_norm, q=Dense(q), k=Dense(k), v=Dense(v), o=Dense(o),
         ffn_norm=layer.ffn_norm, gate=layer.gate, up=layer.up, down=layer.down,
-        kept_heads=kept,
     )
     pruned_model = random_model.replace_layer(0, pruned_layer)
 

@@ -108,7 +108,7 @@ def test_load_model_widens_float16_to_float32(tmp_path, toy_cfg, random_model):
 
 
 def test_llama_7b_param_total_matches_published():
-    assert store.dense_param_total(store.LLAMA_SHAPES["7b"]) == 6_738_415_616
+    assert store.param_counts(store.LLAMA_SHAPES["7b"])["source_total"] == 6_738_415_616
 
 
 # Published layer-ratio table for the 7B/13B/30B shapes at model ratios
@@ -123,32 +123,29 @@ RATIO_TABLE = {
 @pytest.mark.parametrize("size", ["7b", "13b", "30b"])
 def test_plan_ratio_reproduces_published_table(size):
     config = store.LLAMA_SHAPES[size]
-    total = store.dense_param_total(config)
     for ratio_s, expected in zip(np.arange(1, 9) / 10.0, RATIO_TABLE[size]):
-        ratio_l = store.plan_ratio(config, total, float(ratio_s))
+        ratio_l = store.plan_ratio(config, float(ratio_s))
         assert ratio_l == pytest.approx(expected, abs=1e-3)
 
 
 def test_plan_ratio_small_ratio_limit():
     config = store.LLAMA_SHAPES["7b"]
-    total = store.dense_param_total(config)
-    ratio_l = store.plan_ratio(config, total, 1e-9)
+    ratio_l = store.plan_ratio(config, 1e-9)
     assert ratio_l < 1e-8
 
 
 def test_plan_ratio_infeasible():
     config = store.LLAMA_SHAPES["7b"]
-    total = store.dense_param_total(config)
     with pytest.raises(InfeasibleRatioError):
-        store.plan_ratio(config, total, 0.99)
+        store.plan_ratio(config, 0.99)
 
 
 def test_plan_ratio_rejects_out_of_range():
     config = store.LLAMA_SHAPES["7b"]
     with pytest.raises(ValueError):
-        store.plan_ratio(config, 1, 0.0)
+        store.plan_ratio(config, 0.0)
     with pytest.raises(ValueError):
-        store.plan_ratio(config, 1, 1.0)
+        store.plan_ratio(config, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +181,15 @@ def test_write_compressed_roundtrip_bitwise(tmp_path):
 
 def test_load_compressed_holds_one_copy_of_the_payload(tmp_path, heap_peak):
     # Like load_model: the float tensors are the arrays the reader filled;
-    # only the small int32 index tensors are widened, to int64.
+    # the int32 index tensors are checked and not returned.
     config, _, _, out = _compressed_toy(tmp_path)
     on_disk, _ = read_container(out / "model.safetensors")
     disk_bytes = sum(arr.nbytes for arr in on_disk.values())
     (_, tensors, _), peak = heap_peak(store.load_compressed, out)
-    for name, arr in tensors.items():
-        assert arr.dtype == (np.float32 if on_disk[name].dtype.kind == "f" else np.int64), name
+    assert tensors.keys() == {name for name, arr in on_disk.items() if arr.dtype.kind == "f"}
+    assert all(arr.dtype == np.float32 for arr in tensors.values())
     index_bytes = sum(arr.nbytes for arr in on_disk.values() if arr.dtype.kind == "i")
-    assert sum(arr.nbytes for arr in tensors.values()) == disk_bytes + index_bytes
+    assert sum(arr.nbytes for arr in tensors.values()) == disk_bytes - index_bytes
     assert peak <= disk_bytes + 64 * 1024
 
 
@@ -526,11 +523,6 @@ def test_load_compressed_rebuilds_the_written_model(tmp_path, mha_method, ffn_me
     for name in ("embed", "final_norm", "lm_head"):
         np.testing.assert_array_equal(getattr(got, name), _f32(getattr(want, name)))
     for want_layer, got_layer in zip(want.layers, got.layers, strict=True):
-        assert got_layer.kept_heads == want_layer.kept_heads
-        if want_layer.retained_channels is None:
-            assert got_layer.retained_channels is None
-        else:
-            np.testing.assert_array_equal(got_layer.retained_channels, want_layer.retained_channels)
         for name in ("attn_norm", "ffn_norm"):
             np.testing.assert_array_equal(getattr(got_layer, name), _f32(getattr(want_layer, name)))
         got_projs = got_layer.projections()
@@ -573,6 +565,36 @@ def test_write_compressed_rejects_inconsistent_pair(tmp_path):
         store.write_compressed(tmp_path / "bad", tensors, bad)
 
 
+def test_write_compressed_builds_the_index_tensors_from_the_manifest(tmp_path):
+    # Given the weights alone, the container's index tensors are the manifest's
+    # lists; an index tensor the caller passes is checked against its list.
+    _, compressed, manifest, _ = _compressed_toy(tmp_path, mha_method="head_prune")
+    weights = model_to_tensors(compressed)
+    assert all(arr.dtype == np.float32 for arr in weights.values())
+    tensors, _ = read_container(store.write_compressed(tmp_path / "w", weights, manifest))
+    for i, rec in enumerate(manifest["layers"]):
+        for name, key in ((store.kept_heads_name(i), "kept_heads"),
+                          (store.retained_channels_name(i), "retained_channels")):
+            assert tensors[name].dtype == np.int32 and tensors[name].tolist() == rec[key], name
+    for name, message in ((store.kept_heads_name(1), "kept-heads tensor disagrees"),
+                          (store.retained_channels_name(1), "index tensor disagrees")):
+        with pytest.raises(ManifestError, match=message):
+            store.write_compressed(tmp_path / "bad", {**weights, name: tensors[name][::-1].copy()}, manifest)
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("key", ["kept_heads", "retained_channels"])
+@pytest.mark.parametrize("value", [["a"], [2**40], [[0], [1, 2]], None, [0.5, 1.5], [[0, 1]]])
+def test_write_compressed_rejects_a_list_that_is_no_index_list(head_pruned_out, tmp_path, key, value):
+    # The index tensors are built from the manifest before it is validated, so
+    # a list that makes no int32 array is a ManifestError like any other fault.
+    _, weights, manifest = store.load_compressed(head_pruned_out)
+    manifest["layers"][0][key] = value
+    with pytest.raises(ManifestError):
+        store.write_compressed(tmp_path / "bad", weights, manifest)
+    assert not (tmp_path / "bad").exists()
+
+
 # ---------------------------------------------------------------------------
 # Container layout
 
@@ -597,8 +619,8 @@ def test_dense_layout_is_the_serialized_model(toy_cfg, random_model):
 
 @pytest.mark.parametrize("mha, ffn", METHOD_PAIRS)
 def test_compressed_layout_is_the_serialized_model(outputs, mha, ffn):
-    config, compressed, manifest, _ = outputs[mha, ffn]
-    shapes = {name: a.shape for name, a in model_to_tensors(compressed).items()}
+    config, _, manifest, tensors = outputs[mha, ffn]
+    shapes = {name: a.shape for name, a in tensors.items()}
     assert store.expected_shapes(config, manifest) == shapes
 
 

@@ -185,7 +185,7 @@ def oracle_layers(toy_cfg):
         ),
         "head_pruned": TransformerLayer(
             attn_norm=dense.attn_norm, q=Dense(q), k=Dense(k), v=Dense(v), o=Dense(o),
-            ffn_norm=dense.ffn_norm, gate=dense.gate, up=dense.up, down=dense.down, kept_heads=kept,
+            ffn_norm=dense.ffn_norm, gate=dense.gate, up=dense.up, down=dense.down,
         ),
     }
 
