@@ -10,6 +10,7 @@ import argparse
 import functools
 import json
 import sys
+import time
 from collections.abc import Callable
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from . import pipeline, pruning, store
 from .config import ModelConfig
 from .errors import CompressionError, DataError
 from .lowrank import parse_alloc_ratio
-from .transformer import check_tokens, collect_stats, count_params_macs, load_dense_model, read_token_file
+from .transformer import (
+    check_tokens, collect_stats, count_params_macs, load_dense_model, perplexity, read_token_file,
+)
 from .util import canonical_json, sha256_file
 
 STATS_VERSION = 1  # the format_version of a `calibrate` stats file
@@ -154,9 +157,10 @@ def _projection_matrices(model_path: str) -> dict[str, Callable[[], np.ndarray]]
     and table order, as {weight name: build}: build() returns the matrix in
     float64, L @ R for a factored entry, so a caller holds one at a time.  No
     model config is needed.  Every tensor is checked before any matrix is built:
-    a projection tensor that is not a matrix with rows and columns, a factor
-    without its partner or of another inner width, or a weight stored beside a
-    factor of the same projection, is a DataError."""
+    a projection tensor that is not float is a ContainerFormatError, as `eval`
+    finds it; one that is not a matrix with rows and columns, a factor without
+    its partner or of another inner width, or a weight stored beside a factor
+    of the same projection, is a DataError."""
     from .container import read_container
 
     container = store.compressed_container(model_path)
@@ -167,7 +171,10 @@ def _projection_matrices(model_path: str) -> dict[str, Callable[[], np.ndarray]]
     for name, arr in tensors.items():
         if not compressed:
             store.require_finite(path, name, arr)
-        if projections[name] is not None and (arr.ndim != 2 or 0 in arr.shape):
+        if projections[name] is None:
+            continue
+        store.require_float(path, name, arr)
+        if arr.ndim != 2 or 0 in arr.shape:
             raise DataError(f"{path}: projection tensor {name!r} has shape {arr.shape}; expected a non-empty matrix")
     out = []
     for name, parsed in projections.items():
@@ -300,18 +307,21 @@ def cmd_compress(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model, _manifest = _load_model(args.model, args.config)
-    stream = read_token_file(args.data, args.data_format)
-    ppl, wall = pipeline.timed_perplexity(model, stream, args.seqlen)
-    print(f"ppl={ppl}")
-    print(f"eval_wall_time_s={wall:.3f}", file=sys.stderr)
-    if args.update_report:
+    if args.update_report:  # before any scoring, so a missing report fails at once
         container = store.compressed_container(args.model)
         if container is None:
             raise CompressionError(f"--update-report: {args.model} is a bare checkpoint, which has no run report")
         report_path = container.parent / "report.json"
         if not report_path.exists():
             raise CompressionError(f"--update-report: no report.json at {report_path}")
+    model, _manifest = _load_model(args.model, args.config)
+    stream = read_token_file(args.data, args.data_format)
+    t0 = time.perf_counter()
+    ppl = perplexity(model, stream, args.seqlen)
+    wall = time.perf_counter() - t0
+    print(f"ppl={ppl}")
+    print(f"eval_wall_time_s={wall:.3f}", file=sys.stderr)
+    if args.update_report:
         pipeline.record_evaluation(report_path, Path(args.data).name, ppl, wall)
     if args.out:
         Path(args.out).write_text(

@@ -16,7 +16,10 @@ advance through it, so they advance through exactly the factors that are
 written.  The run is bit-deterministic given (model bytes, calibration
 bytes, seed, plan).  The plan (`store.layer_plan`) fixes every layer's
 attention ranks and FFN channel counts once per run; each layer is
-factored at those ranks in one `compress_mha` call.  The manifest
+factored at those ranks in one `compress_mha` call.  Whole heads
+(`head_prune`) and FFN channels are pruned by the one routine,
+`pruning.group_scores` and `apply_pruning`: heads at group=head_dim, their
+kept heads expanded to rows, FFN channels at group 1.  The manifest
 records the plan once, as `global.plan`, and per layer only what the
 calibration data decided (kept heads, retained channels, provenance;
 `_layer_record`), the source of the container's index tensors.  Every
@@ -38,7 +41,6 @@ caller that keeps its model keeps all of it.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -62,7 +64,6 @@ from .transformer import (
     load_dense_model,
     model_from_tensors,
     model_to_tensors,
-    perplexity,
 )
 from .util import canonical_json
 
@@ -263,21 +264,18 @@ def _layer_record(i, kept_heads, decision):
 
 
 def _prune_heads(cfg, weights, x_by_proj, plan):
-    qkvo = [weights[p] for p in store.ATTN_PROJS]
-    scores = pruning.head_scores(
-        *qkvo, x_by_proj["q_proj"], x_by_proj["o_proj"], cfg.n_heads, cfg.head_dim, plan.aggregation,
-    )
+    ins, out = {p: weights[p] for p in ("q_proj", "k_proj", "v_proj")}, {"o_proj": weights["o_proj"]}
+    scores = pruning.group_scores(ins, out, x_by_proj["q_proj"], x_by_proj["o_proj"], plan.aggregation, cfg.head_dim)
     kept = pruning.decide_head_pruning(scores, plan.keep_ratio)
-    pruned = pruning.apply_head_pruning(*qkvo, kept, cfg.head_dim)
-    return {p: Dense(w) for p, w in zip(store.ATTN_PROJS, pruned)}, kept
+    rows = (np.array(kept)[:, None] * cfg.head_dim + np.arange(cfg.head_dim)).ravel()
+    return {p: Dense(w) for p, w in pruning.apply_pruning(ins, out, rows).items()}, kept
 
 
 def _prune_ffn(weights, x_by_proj, plan):
-    up, gate, down = weights["up_proj"], weights["gate_proj"], weights["down_proj"]
-    scores = pruning.group_scores(up, gate, down, x_by_proj["up_proj"], x_by_proj["down_proj"], plan.aggregation)
+    ins, out = {p: weights[p] for p in ("up_proj", "gate_proj")}, {"down_proj": weights["down_proj"]}
+    scores = pruning.group_scores(ins, out, x_by_proj["up_proj"], x_by_proj["down_proj"], plan.aggregation)
     decision = pruning.decide_pruning(scores, plan.keep_ratio, plan.retain_least)
-    up, gate, down = pruning.apply_pruning(up, gate, down, decision)
-    return {"up_proj": Dense(up), "gate_proj": Dense(gate), "down_proj": Dense(down)}, decision
+    return {p: Dense(w) for p, w in pruning.apply_pruning(ins, out, decision.retained).items()}, decision
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +311,3 @@ def record_evaluation(report_path: str | Path, data_key: str, ppl: float, wall_t
     report.setdefault("evaluations", {})[data_key] = ppl
     report.setdefault("timing", {})[data_key] = {"eval_wall_time_s": wall_time_s}
     report_path.write_text(canonical_json(report), encoding="utf-8")
-
-
-def timed_perplexity(model: TransformerModel, stream: np.ndarray, seq_len: int) -> tuple[float, float]:
-    t0 = time.perf_counter()
-    ppl = perplexity(model, stream, seq_len)
-    return ppl, time.perf_counter() - t0

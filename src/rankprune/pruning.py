@@ -1,12 +1,12 @@
-"""Gradient-free structured pruning of the FFN sub-layer, the
-activation-aware importance scores behind it, and the spectral / mask
-diagnostics.
+"""Gradient-free structured pruning, the activation-aware importance
+scores behind it, and the spectral / mask diagnostics.
 
 Importance of a single weight is |W_ij| * x_din[j]; channels aggregate
-importance over their row (l1, l2 or linf), and the FFN prunes the
-group {up row i, gate row i, down column i} atomically.  Within a fixed
-budget a small slice of the *least* important groups is retained
-alongside the top-scoring ones (default 1%).
+importance over their row (l1, l2 or linf).  One routine scores and slices
+channel groups: the FFN's {up row i, gate row i, down column i}, and a
+head's head_dim rows of q, k and v with the matching columns of o.  Within
+a fixed budget a small slice of the *least* important FFN groups is
+retained alongside the top-scoring ones (default 1%).
 """
 
 from __future__ import annotations
@@ -46,24 +46,32 @@ def channel_scores(importance: np.ndarray, agg: str = "l2") -> np.ndarray:
     raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {agg!r}")
 
 
-def group_scores(up, gate, down, x_ffn_input, x_down_input, agg: str = "l2") -> np.ndarray:
-    """Importance per intermediate channel: up row + gate row + down column.
-
-    The down matrix contributes the score of its column i (the weights
-    that multiply intermediate feature i), computed against the norms of
-    its own input site, i.e. the gated intermediate activations.
+def group_scores(ins, out, x_in, x_out, agg: str = "l2", group: int = 1) -> np.ndarray:
+    """Importance per group of `group` consecutive channels.  Channel i is row i
+    of each input-side matrix in `ins` ({name: W}, fed by x_in) and column i of
+    the one output-side matrix in `out` ({name: W}, fed by its own input norms
+    x_out).  Each matrix's channel scores are summed per group, then added in
+    the order given, ins before out: the FFN passes {up, gate} | {down} at
+    group 1, whole-head pruning {q, k, v} | {o} at group=head_dim.
     """
-    # Checked in their stored dtype, and scored one matrix at a time: each
-    # importance matrix and its square are freed before the next is made.
-    up, gate, down = checked_matrix(up, "up"), checked_matrix(gate, "gate"), checked_matrix(down, "down")
-    if gate.shape != up.shape or down.shape[1] != up.shape[0]:
-        raise ShapeMismatchError(
-            f"inconsistent FFN shapes: up {up.shape}, gate {gate.shape}, down {down.shape}"
-        )
-    s_up = channel_scores(weight_importance(up, x_ffn_input), agg)
-    s_gate = channel_scores(weight_importance(gate, x_ffn_input), agg)
-    s_down = channel_scores(weight_importance(down, x_down_input).T, agg)
-    return s_up + s_gate + s_down
+    ins, (_, o) = _checked_group(ins, out)
+    # Scored one matrix at a time, in its stored dtype: each importance matrix
+    # and its square are freed before the next is made.
+    scores = 0.0  # exact, as every score is non-negative
+    for w in ins.values():
+        scores = scores + channel_scores(weight_importance(w, x_in), agg).reshape(-1, group).sum(axis=1)
+    return scores + channel_scores(weight_importance(o, x_out).T, agg).reshape(-1, group).sum(axis=1)
+
+
+def _checked_group(ins, out) -> tuple[dict[str, np.ndarray], tuple[str, np.ndarray]]:
+    """Each matrix of a group set `checked_matrix` under its name, as (ins,
+    (out name, out matrix)); every input-side matrix has a row per out column."""
+    ((out_name, o),) = out.items()
+    ins, o = {name: checked_matrix(w, name) for name, w in ins.items()}, checked_matrix(o, out_name)
+    if any(w.shape[0] != o.shape[1] for w in ins.values()):
+        shapes = ", ".join(f"{name} {w.shape}" for name, w in {**ins, out_name: o}.items())
+        raise ShapeMismatchError(f"inconsistent group shapes: {shapes}")
+    return ins, (out_name, o)
 
 
 @dataclass(frozen=True)
@@ -135,16 +143,25 @@ def decide_pruning(scores, keep_ratio: float, retain_least: float = 0.01) -> Pru
     return PruneDecision(retained=retained, provenance=provenance)
 
 
-def apply_pruning(up, gate, down, decision: PruneDecision) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slice the group: up/gate keep retained rows, down keeps retained columns.
-    The slices keep the dtype of the arrays given (float32 and float64 as they
-    are, anything else as float64)."""
-    up, gate, down = checked_matrix(up, "up"), checked_matrix(gate, "gate"), checked_matrix(down, "down")
-    d_m = up.shape[0]
-    idx = decision.retained
-    if idx.size and (idx.min() < 0 or idx.max() >= d_m):
-        raise IndexError(f"retained channel index out of range [0, {d_m})")
-    return up[idx, :], gate[idx, :], down[:, idx]
+def decide_head_pruning(scores: np.ndarray, keep_ratio: float) -> tuple[int, ...]:
+    """Keep the round(keep_ratio * n_heads) highest-scoring heads (>= 1)."""
+    if not 0.0 < keep_ratio <= 1.0:
+        raise ValueError(f"keep_ratio must lie in (0, 1], got {keep_ratio}")
+    n_keep = kept_head_count(scores.size, keep_ratio)
+    kept = _order(np.asarray(scores, dtype=np.float64), descending=True)[:n_keep]
+    return tuple(int(h) for h in np.sort(kept))
+
+
+def apply_pruning(ins, out, rows) -> dict[str, np.ndarray]:
+    """Slice a group set, as `group_scores` takes it, to `rows` (a PruneDecision's
+    retained channels, or the rows of the kept heads): rows of each ins matrix,
+    columns of the out one.  Returns {name: slice}, ins first, each in the dtype
+    given (float32 and float64 as they are, anything else as float64)."""
+    ins, (out_name, o) = _checked_group(ins, out)
+    rows = np.asarray(rows)
+    if rows.size and (rows.min() < 0 or rows.max() >= o.shape[1]):
+        raise IndexError(f"row index out of range [0, {o.shape[1]})")
+    return {**{name: w[rows, :] for name, w in ins.items()}, out_name: o[:, rows]}
 
 
 # ---------------------------------------------------------------------------
@@ -205,42 +222,3 @@ def energy_rank_ratio(w, energy: float, x_din=None, use_singular_values: bool = 
     k = int(np.searchsorted(cum, energy * cum[-1], side="left")) + 1
     k = min(k, s.size)
     return 100.0 * k / s.size
-
-
-# ---------------------------------------------------------------------------
-# Whole-head pruning (diagnostic baseline for A/B comparison only)
-
-
-def head_scores(
-    q, k, v, o, x_attn_input, x_o_input, n_heads: int, head_dim: int, agg: str = "l2"
-) -> np.ndarray:
-    """Summed group score per attention head.
-
-    A head's group is its head_dim rows of q/k/v plus the matching
-    columns of o; the o contribution is scored against the norms of its
-    own input (the concatenated head outputs).
-    """
-    scores = np.zeros(n_heads)
-    for name, w in (("q", q), ("k", k), ("v", v)):
-        s = channel_scores(weight_importance(w, x_attn_input), agg)
-        if s.size != n_heads * head_dim:
-            raise ShapeMismatchError(f"{name} has {s.size} rows, expected {n_heads * head_dim}")
-        scores += s.reshape(n_heads, head_dim).sum(axis=1)
-    s_o = channel_scores(weight_importance(o, x_o_input).T, agg)
-    scores += s_o.reshape(n_heads, head_dim).sum(axis=1)
-    return scores
-
-
-def decide_head_pruning(scores: np.ndarray, keep_ratio: float) -> tuple[int, ...]:
-    """Keep the round(keep_ratio * n_heads) highest-scoring heads (>= 1)."""
-    if not 0.0 < keep_ratio <= 1.0:
-        raise ValueError(f"keep_ratio must lie in (0, 1], got {keep_ratio}")
-    n_keep = kept_head_count(scores.size, keep_ratio)
-    kept = _order(np.asarray(scores, dtype=np.float64), descending=True)[:n_keep]
-    return tuple(int(h) for h in np.sort(kept))
-
-
-def apply_head_pruning(q, k, v, o, kept: tuple[int, ...], head_dim: int):
-    """Slice q/k/v rows and o columns down to the kept heads."""
-    rows = np.concatenate([np.arange(h * head_dim, (h + 1) * head_dim) for h in kept])
-    return q[rows, :], k[rows, :], v[rows, :], o[:, rows]

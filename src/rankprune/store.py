@@ -297,11 +297,11 @@ def load_model(path: str | Path, config: ModelConfig) -> dict[str, np.ndarray]:
     """Load a dense checkpoint as float32 tensors.
 
     Every expected tensor must be present with the shape the config
-    implies and hold only finite values; unexpected extras (e.g. rotary
-    frequency buffers some exporters include) are ignored.  F32 tensors
-    are the arrays the container reader filled, so loading F float32
-    bytes holds F bytes; an F16 tensor is widened to float32, one at a
-    time.
+    implies, be float and hold only finite values; unexpected extras (e.g.
+    rotary frequency buffers some exporters include) are ignored.  F32
+    tensors are the arrays the container reader filled, so loading F
+    float32 bytes holds F bytes; an F16 tensor is widened to float32, one
+    at a time.
     """
     tensors, _ = read_container(path)
     shapes = expected_shapes(config)
@@ -315,9 +315,15 @@ def load_model(path: str | Path, config: ModelConfig) -> dict[str, np.ndarray]:
             raise ShapeMismatchError(
                 f"{path}: tensor {name!r} has shape {arr.shape}, expected {want}"
             )
+        require_float(path, name, arr)
         require_finite(path, name, arr)
         out[name] = arr.astype(np.float32, copy=False)
     return out
+
+
+def require_float(path: str | Path, name: str, arr: np.ndarray) -> None:
+    if arr.dtype.kind != "f":
+        raise ContainerFormatError(f"{path}: tensor {name!r} has dtype {arr.dtype}; weights are float")
 
 
 def require_finite(path: str | Path, name: str, arr: np.ndarray) -> None:
@@ -481,6 +487,15 @@ def _ascending_within(values: list[int], upper: int) -> bool:
     return all(a < b for a, b in zip(values, values[1:])) and all(type(v) is int and 0 <= v < upper for v in values)
 
 
+def _manifest_config(manifest: dict, manifest_path: Path) -> ModelConfig:
+    """The model config of a manifest read from or written to `manifest_path`;
+    a manifest without a valid config object is a ManifestError."""
+    try:
+        return ModelConfig.from_dict(manifest["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(f"{manifest_path}: no usable model config: {exc}") from exc
+
+
 def write_compressed(out_dir: str | Path, tensors: dict[str, np.ndarray], manifest: dict) -> Path:
     """Write the compressed container plus its sidecar manifest.
 
@@ -488,7 +503,7 @@ def write_compressed(out_dir: str | Path, tensors: dict[str, np.ndarray], manife
     as int32, merged under `tensors` (one passed in is compared); the whole
     is validated first so an inconsistent pair can never reach disk.
     """
-    config = ModelConfig.from_dict(manifest["config"])
+    config = _manifest_config(manifest, Path(out_dir) / "manifest.json")
     lists = (("kept_heads", kept_heads_name), ("retained_channels", retained_channels_name))
     try:  # `validate_manifest` checks the lists; here they need only make arrays
         index = {name(i): np.array(rec[key], np.int32) for i, rec in enumerate(manifest["layers"])
@@ -530,10 +545,7 @@ def load_compressed(path: str | Path) -> tuple[ModelConfig, dict[str, np.ndarray
     if not manifest_path.exists():
         raise ManifestError(f"no manifest.json found next to {model_path}")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    try:
-        config = ModelConfig.from_dict(manifest["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"{manifest_path}: no usable model config: {exc}") from exc
+    config = _manifest_config(manifest, manifest_path)
     tensors, _ = read_container(model_path)
     for name, arr in tensors.items():
         require_finite(model_path, name, arr)

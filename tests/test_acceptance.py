@@ -115,7 +115,7 @@ def test_criterion_3_pruning_oracle_equivalence():
         down = rng.normal(size=(d, d_m))
         x = rng.normal(size=(6, d))
         dec = decide_pruning(rng.uniform(size=d_m), float(rng.uniform(0.3, 1.0)), 0.01)
-        u, g, dn = apply_pruning(up, gate, down, dec)
+        u, g, dn = apply_pruning({"up": up, "gate": gate}, {"down": down}, dec.retained).values()
         pruned_out = (silu(x @ g.T) * (x @ u.T)) @ dn.T
         inter = silu(x @ gate.T) * (x @ up.T)
         mask = np.zeros(d_m)

@@ -791,11 +791,51 @@ def test_a_directory_without_a_manifest_exits_2(fixture_dir, tmp_path, capsys, c
     assert not (tmp_path / "mask.pgm").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "mask", "calibrate", "compress", "eval", "stats"])
+def test_a_checkpoint_with_an_integer_weight_exits_2(fixture_dir, tmp_path, capsys, command):
+    # Every command that reads a dense checkpoint requires float weights, as a
+    # compressed output's are.
+    from rankprune.container import read_container, write_container
+
+    tensors, _ = read_container(fixture_dir / "model.safetensors")
+    tensors[Q_PROJ] = np.round(tensors[Q_PROJ] * 100).astype(np.int32)
+    model = tmp_path / "model.safetensors"
+    write_container(model, tensors)
+    config, data = ["--config", str(fixture_dir / "config.json")], ["--data", str(fixture_dir / "calib.bin")]
+    args = {
+        "analyze": [],
+        "mask": ["--matrix", Q_PROJ, "--out", str(tmp_path / "mask.pgm")],
+        "calibrate": [*config, *data, "--samples", "2", "--seqlen", "16", "--out", str(tmp_path / "stats.json")],
+        "compress": _compress_args(fixture_dir, tmp_path / "z")[3:],
+        "eval": [*config, *data, "--seqlen", "64"],
+        "stats": config,
+    }[command]
+    assert main([command, "--model", str(model), *args]) == 2
+    captured = capsys.readouterr()
+    assert f"tensor {Q_PROJ!r} has dtype int32; weights are float" in captured.err
+    assert captured.out == ""
+    assert not any(p.name != "model.safetensors" for p in tmp_path.iterdir())
+
+
 def test_eval_update_report_of_a_bare_checkpoint_exits_2(fixture_dir, capsys):
     args = ["eval", "--model", str(fixture_dir / "model.safetensors"), "--config", str(fixture_dir / "config.json"),
             "--data", str(fixture_dir / "eval.bin"), "--seqlen", "64", "--update-report"]
     assert main(args) == 2
-    assert "is a bare checkpoint, which has no run report" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "is a bare checkpoint, which has no run report" in captured.err
+    assert captured.out == ""  # refused before any scoring
+
+
+def test_eval_update_report_of_an_output_without_its_report_exits_2(fixture_dir, compressed_out, tmp_path, capsys):
+    out = tmp_path / "z"
+    shutil.copytree(compressed_out, out)
+    (out / "report.json").unlink()
+    args = ["eval", "--model", str(out), "--data", str(fixture_dir / "eval.bin"), "--seqlen", "64", "--update-report"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "no report.json" in captured.err
+    assert captured.out == ""  # refused before any scoring
+    assert not (out / "report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["analyze", "mask"])

@@ -198,6 +198,19 @@ def test_compress_rejects_an_already_pruned_model(setup, tmp_path, pruned):
         compress_model(again, plan, calib)
 
 
+@pytest.mark.parametrize("keep", [0.3, 0.5, 0.8])
+def test_head_pruning_slices_the_rows_of_the_kept_heads(setup, keep):
+    # Each kept head's head_dim rows of q, k and v and columns of o, in head order.
+    cfg, model, calib, _ = setup
+    compressed, manifest, _ = compress_model(model, _plan(keep, mha_method="head_prune"), calib)
+    for dense, pruned, rec in zip(model.layers, compressed.layers, manifest["layers"]):
+        h = cfg.head_dim
+        rows = np.concatenate([np.arange(k * h, (k + 1) * h) for k in rec["kept_heads"]])
+        for name in ("q", "k", "v"):
+            assert getattr(pruned, name).w.tobytes() == getattr(dense, name).w[rows, :].tobytes()
+        assert pruned.o.w.tobytes() == dense.o.w[:, rows].tobytes()
+
+
 def test_compress_rejects_a_layer_sliced_by_hand(setup):
     # Dense projections at a width the config does not give are a pruned layer
     # too: the weight shapes, not a field beside them, say it was compressed.
@@ -357,7 +370,7 @@ def test_record_evaluation_updates_report(setup, tmp_path):
     compressed, manifest, report = compress_model(model, _plan(0.5), calib)
     out = tmp_path / "run"
     pipeline.write_outputs(out, compressed, manifest, report)
-    ppl, wall = pipeline.timed_perplexity(compressed, evalset, 64)
+    ppl, wall = perplexity(compressed, evalset, 64), 0.25
     pipeline.record_evaluation(out / "report.json", "eval.bin", ppl, wall)
     updated = json.loads((out / "report.json").read_text())
     assert updated["evaluations"]["eval.bin"] == ppl

@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 from rankprune.errors import AllocationError, ShapeMismatchError
 from rankprune.pruning import (
-    apply_head_pruning,
     apply_pruning,
     channel_scores,
     decide_head_pruning,
     decide_pruning,
     energy_rank_ratio,
     group_scores,
-    head_scores,
     mask_to_pgm,
     wanda_mask,
     weight_importance,
@@ -32,6 +30,16 @@ def sort_oracle(scores, keep_ratio, retain_least):
     by_asc = sorted(range(d_m), key=lambda i: (scores[i], i))
     bottom = [i for i in by_asc if i not in set(top)][:n_bottom]
     return sorted(top + bottom), set(top), set(bottom)
+
+
+def _ffn_group(up, gate, down):
+    """An FFN's channel groups as group_scores and apply_pruning take them."""
+    return {"up": up, "gate": gate}, {"down": down}
+
+
+def _head_group(q, k, v, o):
+    """Attention's heads as group_scores and apply_pruning take them (at group=head_dim)."""
+    return {"q": q, "k": k, "v": v}, {"o": o}
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +84,14 @@ def test_channel_scores_brute_force():
 
 
 def test_group_scores_zero_everything():
-    assert np.all(group_scores(np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((3, 4)), np.ones(3), np.ones(4)) == 0.0)
+    ffn = _ffn_group(np.zeros((4, 3)), np.zeros((4, 3)), np.zeros((3, 4)))
+    assert np.all(group_scores(*ffn, np.ones(3), np.ones(4)) == 0.0)
 
 
 def test_group_scores_locality():
     up = np.zeros((4, 3))
     up[2, 1] = 5.0
-    scores = group_scores(up, np.zeros((4, 3)), np.zeros((3, 4)), np.ones(3), np.ones(4))
+    scores = group_scores(*_ffn_group(up, np.zeros((4, 3)), np.zeros((3, 4))), np.ones(3), np.ones(4))
     assert scores[2] > 0.0
     assert np.all(scores[[0, 1, 3]] == 0.0)
 
@@ -95,7 +104,7 @@ def test_group_scores_hand_case():
     down = rng.integers(-3, 4, size=(4, 4)).astype(float)
     x_in = np.array([1.0, 2.0, 1.0, 0.5])
     x_mid = np.array([2.0, 1.0, 1.0, 3.0])
-    got = group_scores(up, gate, down, x_in, x_mid)
+    got = group_scores(*_ffn_group(up, gate, down), x_in, x_mid)
     for i in range(4):
         s_up = np.sqrt(np.sum((np.abs(up[i]) * x_in) ** 2))
         s_gate = np.sqrt(np.sum((np.abs(gate[i]) * x_in) ** 2))
@@ -109,9 +118,9 @@ def test_group_scores_permutation_equivariance():
     down = rng.normal(size=(6, 10))
     x_in = rng.uniform(0.1, 2.0, size=6)
     x_mid = rng.uniform(0.1, 2.0, size=10)
-    base = group_scores(up, gate, down, x_in, x_mid)
+    base = group_scores(*_ffn_group(up, gate, down), x_in, x_mid)
     perm = rng.permutation(10)
-    permuted = group_scores(up[perm], gate[perm], down[:, perm], x_in, x_mid[perm])
+    permuted = group_scores(*_ffn_group(up[perm], gate[perm], down[:, perm]), x_in, x_mid[perm])
     assert np.allclose(permuted, base[perm], atol=1e-12)
 
 
@@ -121,8 +130,8 @@ def test_group_scores_scale_invariance_of_selection():
     down = rng.normal(size=(5, 12))
     x_in = rng.uniform(0.1, 2.0, size=5)
     x_mid = rng.uniform(0.1, 2.0, size=12)
-    s1 = group_scores(up, gate, down, x_in, x_mid)
-    s2 = group_scores(up, gate, down, 4.0 * x_in, 4.0 * x_mid)
+    s1 = group_scores(*_ffn_group(up, gate, down), x_in, x_mid)
+    s2 = group_scores(*_ffn_group(up, gate, down), 4.0 * x_in, 4.0 * x_mid)
     assert np.allclose(s2, 4.0 * s1, rtol=1e-12)
     d1 = decide_pruning(s1, 0.5, 0.01)
     d2 = decide_pruning(s2, 0.5, 0.01)
@@ -225,7 +234,7 @@ def test_apply_pruning_retain_all_unchanged():
     up, gate = rng.normal(size=(2, 6, 4))
     down = rng.normal(size=(4, 6))
     dec = decide_pruning(np.arange(6.0), 1.0, 0.0)
-    u, g, d = apply_pruning(up, gate, down, dec)
+    u, g, d = apply_pruning(*_ffn_group(up, gate, down), dec.retained).values()
     assert np.array_equal(u, up) and np.array_equal(g, gate) and np.array_equal(d, down)
 
 
@@ -238,7 +247,7 @@ def test_apply_pruning_matches_masked_dense_oracle():
         x = rng.normal(size=(n, d))
         scores = rng.uniform(size=d_m)
         dec = decide_pruning(scores, float(rng.uniform(0.2, 1.0)), 0.01)
-        u, g, dn = apply_pruning(up, gate, down, dec)
+        u, g, dn = apply_pruning(*_ffn_group(up, gate, down), dec.retained).values()
         pruned_out = _ffn_forward(u, g, dn, x)
         inter = silu(x @ gate.T) * (x @ up.T)
         mask = np.zeros(d_m)
@@ -252,7 +261,7 @@ def test_apply_pruning_single_channel_shapes():
     up, gate = rng.normal(size=(2, 5, 3))
     down = rng.normal(size=(3, 5))
     dec = decide_pruning(np.arange(5.0), 0.2, 0.0)
-    u, g, d = apply_pruning(up, gate, down, dec)
+    u, g, d = apply_pruning(*_ffn_group(up, gate, down), dec.retained).values()
     assert u.shape == (1, 3) and g.shape == (1, 3) and d.shape == (3, 1)
 
 
@@ -261,7 +270,7 @@ def test_apply_pruning_index_out_of_range():
 
     bad = PruneDecision(retained=np.array([5]), provenance=("top",))
     with pytest.raises(IndexError):
-        apply_pruning(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((2, 3)), bad)
+        apply_pruning(*_ffn_group(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros((2, 3))), bad.retained)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +381,28 @@ def test_head_scores_locality():
     v = np.zeros((d, d))
     o = np.zeros((d, d))
     q[5, :] = 3.0  # row 5 belongs to head 1
-    scores = head_scores(q, k, v, o, np.ones(d), np.ones(d), n_heads, d_h)
+    scores = group_scores(*_head_group(q, k, v, o), np.ones(d), np.ones(d), group=d_h)
     assert scores[1] > 0.0 and scores[0] == 0.0
+
+
+@pytest.mark.parametrize("agg", ["l1", "l2", "linf"])
+def test_head_scores_are_per_head_sums_added_in_q_k_v_o_order(agg):
+    # At group=head_dim each matrix's channel scores are summed per head first,
+    # then the matrices are added in the order q, k, v, o.
+    rng = np.random.default_rng(12)
+    d, n_heads, d_h = 12, 3, 4
+    q, k, v, o = rng.normal(size=(4, d, d))
+    x_in, x_o = rng.uniform(0.1, 2.0, d), rng.uniform(0.1, 2.0, d)
+    got = group_scores(*_head_group(q, k, v, o), x_in, x_o, agg, group=d_h)
+
+    def per_head(s):
+        return s.reshape(n_heads, d_h).sum(axis=1)
+
+    want = np.zeros(n_heads)
+    for w in (q, k, v):
+        want += per_head(channel_scores(weight_importance(w, x_in), agg))
+    want += per_head(channel_scores(weight_importance(o, x_o).T, agg))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_decide_head_pruning_top_heads():
@@ -389,7 +418,9 @@ def test_apply_head_pruning_matches_zeroed_value_oracle(random_model):
     cfg = random_model.config
     layer = random_model.layers[0]
     kept = (0, 2, 3)
-    q, k, v, o = apply_head_pruning(layer.q.w, layer.k.w, layer.v.w, layer.o.w, kept, cfg.head_dim)
+    heads = _head_group(layer.q.w, layer.k.w, layer.v.w, layer.o.w)
+    rows = np.concatenate([np.arange(h * cfg.head_dim, (h + 1) * cfg.head_dim) for h in kept])
+    q, k, v, o = apply_pruning(*heads, rows).values()
     assert q.shape == (len(kept) * cfg.head_dim, cfg.dim)
     assert o.shape == (cfg.dim, len(kept) * cfg.head_dim)
 
@@ -424,12 +455,12 @@ def test_float32_ffn_scores_and_slices_are_the_bits_of_its_float64_copy(agg):
     # Widening float32 is exact, so scoring and slicing need not widen first.
     (up, gate, down), x_in, x_mid = _ffn(np.float32)
     wide = [a.astype(np.float64) for a in (up, gate, down)]
-    scores = group_scores(up, gate, down, x_in, x_mid, agg)
-    assert scores.tobytes() == group_scores(*wide, x_in, x_mid, agg).tobytes()
+    scores = group_scores(*_ffn_group(up, gate, down), x_in, x_mid, agg)
+    assert scores.tobytes() == group_scores(*_ffn_group(*wide), x_in, x_mid, agg).tobytes()
     decision = decide_pruning(scores, 0.5)
-    sliced = apply_pruning(up, gate, down, decision)
+    sliced = apply_pruning(*_ffn_group(up, gate, down), decision.retained).values()
     assert [a.dtype for a in sliced] == [np.float32] * 3
-    for got, want in zip(sliced, apply_pruning(*wide, decision)):
+    for got, want in zip(sliced, apply_pruning(*_ffn_group(*wide), decision.retained).values()):
         assert got.tobytes() == want.astype(np.float32).tobytes()
 
 
@@ -446,7 +477,7 @@ def test_float32_ffn_scores_and_slices_are_the_bits_of_its_float64_copy(agg):
 def test_ffn_scoring_and_slicing_reject_a_malformed_matrix(dtype, bad, message):
     (up, gate, down), x_in, x_mid = _ffn(dtype)
     with pytest.raises(ValueError, match=message):
-        group_scores(bad(up), gate, down, x_in, x_mid)
-    decision = decide_pruning(group_scores(up, gate, down, x_in, x_mid), 0.5)
+        group_scores(*_ffn_group(bad(up), gate, down), x_in, x_mid)
+    decision = decide_pruning(group_scores(*_ffn_group(up, gate, down), x_in, x_mid), 0.5)
     with pytest.raises(ValueError, match=message):
-        apply_pruning(bad(up), gate, down, decision)
+        apply_pruning(*_ffn_group(bad(up), gate, down), decision.retained)

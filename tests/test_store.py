@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -593,6 +594,24 @@ def test_write_compressed_rejects_a_list_that_is_no_index_list(head_pruned_out, 
     with pytest.raises(ManifestError):
         store.write_compressed(tmp_path / "bad", weights, manifest)
     assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("config", [{}, None, "dim 65", "absent"])
+def test_a_manifest_without_a_usable_config_is_a_manifest_error(head_pruned_out, tmp_path, config):
+    # Writing and loading hold a manifest's config to the one guard.
+    _, weights, manifest = store.load_compressed(head_pruned_out)
+    if config == "absent":
+        del manifest["config"]
+    else:
+        manifest["config"] = {**manifest["config"], "dim": 65} if config == "dim 65" else config
+    with pytest.raises(ManifestError, match="no usable model config"):
+        store.write_compressed(tmp_path / "bad", weights, manifest)
+    assert not (tmp_path / "bad").exists()
+    out = tmp_path / "edited"
+    shutil.copytree(head_pruned_out, out)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ManifestError, match="no usable model config"):
+        store.load_compressed(out)
 
 
 # ---------------------------------------------------------------------------

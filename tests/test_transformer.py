@@ -14,7 +14,7 @@ from rankprune import synth, transformer, util
 from rankprune.config import ModelConfig
 from rankprune.errors import CalibrationError, DataError
 from rankprune.lowrank import awsvd_factor
-from rankprune.pruning import apply_head_pruning
+from rankprune.pruning import apply_pruning
 from rankprune.transformer import (
     ALL_SITES,
     SITE_ATTN_INPUT,
@@ -175,7 +175,8 @@ def oracle_layers(toy_cfg):
         return Factored(u[:, :rank] * s[:rank], vt[:rank])
 
     kept = (0, 2, 3)
-    q, k, v, o = apply_head_pruning(dense.q.w, dense.k.w, dense.v.w, dense.o.w, kept, toy_cfg.head_dim)
+    rows = np.concatenate([np.arange(h * toy_cfg.head_dim, (h + 1) * toy_cfg.head_dim) for h in kept])
+    q, k, v, o = apply_pruning({"q": dense.q.w, "k": dense.k.w, "v": dense.v.w}, {"o": dense.o.w}, rows).values()
     return {
         "dense": dense,
         "factored": TransformerLayer(
