@@ -307,13 +307,16 @@ def cmd_compress(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.update_report:  # before any scoring, so a missing report fails at once
+    if args.update_report:  # before any scoring, so a missing or malformed report fails at once
         container = store.compressed_container(args.model)
         if container is None:
             raise CompressionError(f"--update-report: {args.model} is a bare checkpoint, which has no run report")
         report_path = container.parent / "report.json"
         if not report_path.exists():
             raise CompressionError(f"--update-report: no report.json at {report_path}")
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        if not isinstance(report, dict) or not all(isinstance(report.get(k, {}), dict) for k in ("evaluations", "timing")):
+            raise DataError(f"{report_path}: a run report must be a JSON object whose evaluations and timing are objects")
     model, _manifest = _load_model(args.model, args.config)
     stream = read_token_file(args.data, args.data_format)
     t0 = time.perf_counter()
@@ -322,7 +325,7 @@ def cmd_eval(args) -> int:
     print(f"ppl={ppl}")
     print(f"eval_wall_time_s={wall:.3f}", file=sys.stderr)
     if args.update_report:
-        pipeline.record_evaluation(report_path, Path(args.data).name, ppl, wall)
+        pipeline.record_evaluation(report_path, report, Path(args.data).name, ppl, wall)
     if args.out:
         Path(args.out).write_text(
             canonical_json({"ppl": ppl, "seq_len": args.seqlen, "data": Path(args.data).name,

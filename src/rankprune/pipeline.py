@@ -15,11 +15,11 @@ to the dtype of the dense projection it replaces before the states
 advance through it, so they advance through exactly the factors that are
 written.  The run is bit-deterministic given (model bytes, calibration
 bytes, seed, plan).  The plan (`store.layer_plan`) fixes every layer's
-attention ranks and FFN channel counts once per run; each layer is
+attention ranks, head and FFN channel counts once per run; each layer is
 factored at those ranks in one `compress_mha` call.  Whole heads
-(`head_prune`) and FFN channels are pruned by the one routine,
-`pruning.group_scores` and `apply_pruning`: heads at group=head_dim, their
-kept heads expanded to rows, FFN channels at group 1.  The manifest
+(`head_prune`) and FFN channels are pruned at those counts by one helper,
+`_prune`: heads at group=head_dim, FFN channels at group 1 with
+`store.bottom_quota` of them least important.  The manifest
 records the plan once, as `global.plan`, and per layer only what the
 calibration data decided (kept heads, retained channels, provenance;
 `_layer_record`), the source of the container's index tensors.  Every
@@ -40,7 +40,6 @@ caller that keeps its model keeps all of it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,7 +47,7 @@ import numpy as np
 
 from . import pruning, store
 from .config import ModelConfig
-from .errors import CalibrationError, DataError, DecompositionError, ManifestError
+from .errors import CalibrationError, DecompositionError, ManifestError
 from .lowrank import compress_mha
 from .store import FFN_METHODS, MANIFEST_VERSION, MHA_METHODS  # noqa: F401 - the methods are re-exported
 from .transformer import (
@@ -238,44 +237,42 @@ def _compress_layer(cfg, i, source, x_din, plan, planned):
         pairs = compress_mha(weights, x_factor, store.planned_ranks(planned))
     except DecompositionError as exc:
         raise DecompositionError(f"layer {i}: {exc}") from exc
-    head_prune, ffn_prune = plan.mha_method == "head_prune", plan.ffn_method == "prune"
-    head_maps, kept_heads = _prune_heads(cfg, weights, x_by_proj, plan) if head_prune else ({}, None)
-    ffn_maps, decision = _prune_ffn(weights, x_by_proj, plan) if ffn_prune else ({}, None)
+    n_heads, n_channels = planned["mha"]["kept_head_count"], planned["ffn"].get("retained_count")
+    head_maps, heads = _prune(weights, x_by_proj, plan.aggregation, store.ATTN_PROJS, n_heads, group=cfg.head_dim)
+    ffn_names = ("up_proj", "gate_proj", "down_proj")  # scored in this order
+    ffn_maps, channels = _prune(weights, x_by_proj, plan.aggregation, ffn_names, n_channels, plan.retain_least)
 
     factored = {p: Factored(pair.l, pair.r) for p, pair in pairs.items() if pair is not None}
     # Factors and pruned slices come back in float64; store them in the source's dtype.
     maps = {name: proj.astype(weights[name].dtype) for name, proj in {**factored, **head_maps, **ffn_maps}.items()}
     compressed = source.with_projections(maps)
     errors = {p: {"weighted_error": pair.weighted_error} for p, pair in pairs.items() if pair is not None}
-    return compressed, _layer_record(i, kept_heads, decision), {"layer": i, **errors}
+    return compressed, _layer_record(i, heads, channels), {"layer": i, **errors}
 
 
-def _layer_record(i, kept_heads, decision):
-    """Layer i's manifest entry: what its calibration data decided, the kept heads
-    (None unless head-pruned) and the retained channels and their provenance (the
-    FFN PruneDecision, None when factored)."""
+def _layer_record(i, heads, channels):
+    """Layer i's manifest entry: what its calibration data decided, the kept heads and the
+    retained channels and their provenance, from the head and FFN PruneDecisions (or None)."""
     record = {"layer": i}
-    if kept_heads is not None:
-        record["kept_heads"] = list(kept_heads)
-    if decision is not None:
-        record["retained_channels"] = [int(c) for c in decision.retained]
-        record["provenance"] = list(decision.provenance)
+    if heads is not None:
+        record["kept_heads"] = [int(h) for h in heads.retained]
+    if channels is not None:
+        record["retained_channels"] = [int(c) for c in channels.retained]
+        record["provenance"] = list(channels.provenance)
     return record
 
 
-def _prune_heads(cfg, weights, x_by_proj, plan):
-    ins, out = {p: weights[p] for p in ("q_proj", "k_proj", "v_proj")}, {"o_proj": weights["o_proj"]}
-    scores = pruning.group_scores(ins, out, x_by_proj["q_proj"], x_by_proj["o_proj"], plan.aggregation, cfg.head_dim)
-    kept = pruning.decide_head_pruning(scores, plan.keep_ratio)
-    rows = (np.array(kept)[:, None] * cfg.head_dim + np.arange(cfg.head_dim)).ravel()
-    return {p: Dense(w) for p, w in pruning.apply_pruning(ins, out, rows).items()}, kept
-
-
-def _prune_ffn(weights, x_by_proj, plan):
-    ins, out = {p: weights[p] for p in ("up_proj", "gate_proj")}, {"down_proj": weights["down_proj"]}
-    scores = pruning.group_scores(ins, out, x_by_proj["up_proj"], x_by_proj["down_proj"], plan.aggregation)
-    decision = pruning.decide_pruning(scores, plan.keep_ratio, plan.retain_least)
-    return {p: Dense(w) for p, w in pruning.apply_pruning(ins, out, decision.retained).items()}, decision
+def _prune(weights, x_by_proj, agg, names, n_keep, retain_least=0.0, group=1):
+    """Prune the group set `names` (its input-side matrices, then its output-side one) to the
+    plan's n_keep groups of `group` channels, `store.bottom_quota` of them least important;
+    returns ({name: Dense slice}, the PruneDecision), or ({}, None) where n_keep is None."""
+    if n_keep is None:
+        return {}, None
+    ins, out = {p: weights[p] for p in names[:-1]}, {names[-1]: weights[names[-1]]}
+    scores = pruning.group_scores(ins, out, x_by_proj[names[0]], x_by_proj[names[-1]], agg, group)
+    decision = pruning.decide_pruning(scores, n_keep, store.bottom_quota(scores.size, n_keep, retain_least))
+    rows = (decision.retained[:, None] * group + np.arange(group)).ravel()
+    return {p: Dense(w) for p, w in pruning.apply_pruning(ins, out, rows).items()}, decision
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +298,9 @@ def load_any_model(path: str | Path, config: ModelConfig | None = None) -> tuple
     return load_dense_model(path, config), None
 
 
-def record_evaluation(report_path: str | Path, data_key: str, ppl: float, wall_time_s: float) -> None:
-    """Append an evaluation result to an existing run report; a report that is not an
-    object, or whose evaluations or timing is not one, is a DataError and is left as it is."""
-    report_path = Path(report_path)
-    report = json.loads(report_path.read_text(encoding="utf-8"))
-    if not isinstance(report, dict) or not all(isinstance(report.get(k, {}), dict) for k in ("evaluations", "timing")):
-        raise DataError(f"{report_path}: a run report must be a JSON object whose evaluations and timing are objects")
+def record_evaluation(report_path: str | Path, report: dict, data_key: str, ppl: float, wall_time_s: float) -> None:
+    """Add an evaluation result to `report`, the run report read from report_path (whose
+    evaluations and timing, where present, are objects), and write it back there."""
     report.setdefault("evaluations", {})[data_key] = ppl
     report.setdefault("timing", {})[data_key] = {"eval_wall_time_s": wall_time_s}
-    report_path.write_text(canonical_json(report), encoding="utf-8")
+    Path(report_path).write_text(canonical_json(report), encoding="utf-8")

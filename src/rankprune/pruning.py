@@ -4,19 +4,18 @@ scores behind it, and the spectral / mask diagnostics.
 Importance of a single weight is |W_ij| * x_din[j]; channels aggregate
 importance over their row (l1, l2 or linf).  One routine scores and slices
 channel groups: the FFN's {up row i, gate row i, down column i}, and a
-head's head_dim rows of q, k and v with the matching columns of o.  Within
-a fixed budget a small slice of the *least* important FFN groups is
-retained alongside the top-scoring ones (default 1%).
+head's head_dim rows of q, k and v with the matching columns of o, and
+`decide_pruning` keeps the plan's count of top-scoring groups, the FFN's
+with a small slice of its *least* important ones (default 1%).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import floor
 
 import numpy as np
 
-from .errors import AllocationError, ShapeMismatchError
+from .errors import ShapeMismatchError
 from .linalg import XDIN_EPS, as_matrix, checked_matrix, svd
 from .util import round_half_up
 
@@ -54,7 +53,7 @@ def group_scores(ins, out, x_in, x_out, agg: str = "l2", group: int = 1) -> np.n
     the order given, ins before out: the FFN passes {up, gate} | {down} at
     group 1, whole-head pruning {q, k, v} | {o} at group=head_dim.
     """
-    ins, (_, o) = _checked_group(ins, out)
+    ins, (_, o) = _checked_group(ins, out, group)
     # Scored one matrix at a time, in its stored dtype: each importance matrix
     # and its square are freed before the next is made.
     scores = 0.0  # exact, as every score is non-negative
@@ -63,20 +62,23 @@ def group_scores(ins, out, x_in, x_out, agg: str = "l2", group: int = 1) -> np.n
     return scores + channel_scores(weight_importance(o, x_out).T, agg).reshape(-1, group).sum(axis=1)
 
 
-def _checked_group(ins, out) -> tuple[dict[str, np.ndarray], tuple[str, np.ndarray]]:
+def _checked_group(ins, out, group: int = 1) -> tuple[dict[str, np.ndarray], tuple[str, np.ndarray]]:
     """Each matrix of a group set `checked_matrix` under its name, as (ins,
-    (out name, out matrix)); every input-side matrix has a row per out column."""
+    (out name, out matrix)); every input-side matrix has a row per out column,
+    and the channels split into whole groups of `group`."""
     ((out_name, o),) = out.items()
     ins, o = {name: checked_matrix(w, name) for name, w in ins.items()}, checked_matrix(o, out_name)
+    shapes = ", ".join(f"{name} {w.shape}" for name, w in {**ins, out_name: o}.items())
     if any(w.shape[0] != o.shape[1] for w in ins.values()):
-        shapes = ", ".join(f"{name} {w.shape}" for name, w in {**ins, out_name: o}.items())
         raise ShapeMismatchError(f"inconsistent group shapes: {shapes}")
+    if not (group >= 1 and o.shape[1] % group == 0):
+        raise ShapeMismatchError(f"{o.shape[1]} channels are no whole number of groups of {group}: {shapes}")
     return ins, (out_name, o)
 
 
 @dataclass(frozen=True)
 class PruneDecision:
-    """Retained intermediate channels with top/bottom provenance.
+    """Retained groups (FFN channels or heads) with top/bottom provenance.
 
     retained is sorted ascending; provenance[i] tells whether
     retained[i] was kept for scoring in the top block or in the
@@ -92,46 +94,17 @@ def _order(scores: np.ndarray, descending: bool) -> np.ndarray:
     return np.argsort(-scores if descending else scores, kind="stable")
 
 
-def bottom_quota(d_m: int, n_retained: int, retain_least: float) -> int:
-    """How many of n_retained kept channels come from the bottom of the
-    score order: max(1, floor(retain_least * d_m)) when retain_least > 0,
-    shrunk to fit inside the retained count."""
-    quota = max(1, floor(retain_least * d_m)) if retain_least > 0 else 0
-    return min(quota, n_retained)
-
-
-def retained_count(d_m: int, keep_ratio: float) -> int:
-    """How many of d_m FFN channels a keep ratio retains: round(keep_ratio * d_m)."""
-    return round_half_up(keep_ratio * d_m)
-
-
-def kept_head_count(n_heads: int, keep_ratio: float) -> int:
-    """How many whole heads a keep ratio keeps: round(keep_ratio * n_heads), at least 1."""
-    return max(1, round_half_up(keep_ratio * n_heads))
-
-
-def decide_pruning(scores, keep_ratio: float, retain_least: float = 0.01) -> PruneDecision:
-    """Choose round(keep_ratio * d_m) channels to keep.
-
-    max(1, floor(retain_least * d_m)) of them come from the bottom of the
-    score order (when retain_least > 0), the rest from the top.  Ties
-    break toward the lower channel index; if the bottom quota cannot fit
-    inside the retained count it shrinks.
+def decide_pruning(scores, n_keep: int, n_bottom: int = 0) -> PruneDecision:
+    """Keep n_keep groups: the n_keep - n_bottom highest-scoring ones, then the
+    n_bottom lowest-scoring of the rest.  Ties break toward the lower index.
+    The counts are the plan's (`store.layer_plan`, `store.bottom_quota`); any
+    outside 1 <= n_keep <= len(scores) and 0 <= n_bottom <= n_keep is a ValueError.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    d_m = scores.size
-    if not 0.0 < keep_ratio <= 1.0:
-        raise ValueError(f"keep_ratio must lie in (0, 1], got {keep_ratio}")
-    if not 0.0 <= retain_least < keep_ratio:
-        raise ValueError(f"retain_least must lie in [0, keep_ratio), got {retain_least}")
-    n_retained = retained_count(d_m, keep_ratio)
-    if n_retained < 1:
-        raise AllocationError(f"keep_ratio {keep_ratio} retains no channel of {d_m}")
-    n_bottom = bottom_quota(d_m, n_retained, retain_least)
-    n_top = n_retained - n_bottom
-
-    top = _order(scores, descending=True)[:n_top]
-    in_top = np.zeros(d_m, dtype=bool)
+    if not (1 <= n_keep <= scores.size and 0 <= n_bottom <= n_keep):
+        raise ValueError(f"cannot keep {n_keep} of {scores.size} groups, {n_bottom} of them from the bottom")
+    top = _order(scores, descending=True)[: n_keep - n_bottom]
+    in_top = np.zeros(scores.size, dtype=bool)
     in_top[top] = True
     asc = _order(scores, descending=False)
     bottom = asc[~in_top[asc]][:n_bottom]
@@ -141,15 +114,6 @@ def decide_pruning(scores, keep_ratio: float, retain_least: float = 0.01) -> Pru
     retained = np.sort(np.concatenate([top, bottom])).astype(np.int64)
     provenance = tuple(flags[int(i)] for i in retained)
     return PruneDecision(retained=retained, provenance=provenance)
-
-
-def decide_head_pruning(scores: np.ndarray, keep_ratio: float) -> tuple[int, ...]:
-    """Keep the round(keep_ratio * n_heads) highest-scoring heads (>= 1)."""
-    if not 0.0 < keep_ratio <= 1.0:
-        raise ValueError(f"keep_ratio must lie in (0, 1], got {keep_ratio}")
-    n_keep = kept_head_count(scores.size, keep_ratio)
-    kept = _order(np.asarray(scores, dtype=np.float64), descending=True)[:n_keep]
-    return tuple(int(h) for h in np.sort(kept))
 
 
 def apply_pruning(ins, out, rows) -> dict[str, np.ndarray]:

@@ -21,7 +21,8 @@ calibration data decided, kept heads, retained channels and their
 provenance, which are checked beside it.  The container's index tensors are
 check copies of those lists.  `check_plan` is the one check of the plan
 fields, for a `pipeline.CompressionPlan` and a manifest's `global`.  The
-plan's attention record is `lowrank.allocate_mha`'s result as it is, and
+plan's attention record is `lowrank.allocate_mha`'s result as it is, its
+pruning counts follow the count rules beside `layer_plan`, and
 `plan_ratio` returns the layer ratio ratio_l that a whole-model removal
 target asks of the transformer layers.
 
@@ -53,7 +54,7 @@ from .errors import (
     MissingTensorError,
     ShapeMismatchError,
 )
-from .pruning import AGGREGATIONS, bottom_quota, kept_head_count, retained_count
+from .pruning import AGGREGATIONS
 from .util import canonical_json, round_half_up
 
 MANIFEST_VERSION = 2
@@ -252,14 +253,32 @@ def check_plan(global_plan: dict) -> None:
         raise ValueError(f"target_ratio_s must be null or a number, got {target!r}")
 
 
+def retained_count(d_m: int, keep_ratio: float) -> int:
+    """How many of d_m FFN channels a keep ratio retains: round(keep_ratio * d_m)."""
+    return round_half_up(keep_ratio * d_m)
+
+
+def kept_head_count(n_heads: int, keep_ratio: float) -> int:
+    """How many whole heads a keep ratio keeps: round(keep_ratio * n_heads), at least 1."""
+    return max(1, round_half_up(keep_ratio * n_heads))
+
+
+def bottom_quota(d_m: int, n_retained: int, retain_least: float) -> int:
+    """How many of n_retained kept channels come from the bottom of the score order:
+    max(1, floor(retain_least * d_m)) when retain_least > 0, at most n_retained."""
+    quota = max(1, math.floor(retain_least * d_m)) if retain_least > 0 else 0
+    return min(quota, n_retained)
+
+
 def layer_plan(config: ModelConfig, global_plan: dict) -> dict:
     """The plan record a `global` implies, decided once per run and the same
     for every layer: awsvd/svd attention by `lowrank.allocate_mha`, the
-    kept-head and retained-channel counts by `pruning`, FFN factor ranks by
-    max(1, floor(keep_ratio * size / (d_out + d_in))).  Compress records it
-    once, as the manifest's `global.plan`; a layer record holds only the
-    lists its calibration data decided.  A global no plan has is a
-    ValueError (`check_plan`) or AllocationError.
+    kept-head and retained-channel counts, which compress prunes at, by the
+    count rules above, FFN factor ranks by max(1, floor(keep_ratio * size /
+    (d_out + d_in))).  Compress records it once, as the manifest's
+    `global.plan`; a layer record holds only the lists its calibration data
+    decided.  A global no plan has is a ValueError (`check_plan`) or
+    AllocationError (one that retains no FFN channel, say).
     """
     from .lowrank import allocate_mha  # lowrank imports this module's projection table
 
@@ -282,6 +301,8 @@ def layer_plan(config: ModelConfig, global_plan: dict) -> dict:
         mha = {**allocate_mha({p: dense[p] for p in ATTN_PROJS}, keep, alloc_ratio), "kept_head_count": None}
     if ffn_method == "prune":
         ffn = {"retained_count": retained_count(config.ffn_dim, keep)}
+        if ffn["retained_count"] < 1:
+            raise AllocationError(f"keep_ratio {keep} retains no channel of {config.ffn_dim}")
     else:
         ffn = {"ranks": {p: max(1, int(keep * math.prod(dense[p]) / sum(dense[p]))) for p in FFN_PROJS}}
     return {"mha": mha, "ffn": ffn}

@@ -103,7 +103,8 @@ def test_criterion_3_pruning_oracle_equivalence():
             retain_least = float(rng.uniform(0.0, keep * 0.9))
             if int(np.floor(keep * d_m + 0.5)) < 1:
                 continue
-            dec = decide_pruning(scores, keep, retain_least)
+            n_keep = store.retained_count(d_m, keep)
+            dec = decide_pruning(scores, n_keep, store.bottom_quota(d_m, n_keep, retain_least))
             assert dec.retained.tolist() == _sort_oracle(scores, keep, retain_least), (d_m, keep, retain_least)
             checked += 1
     assert checked >= 500
@@ -114,7 +115,9 @@ def test_criterion_3_pruning_oracle_equivalence():
         up, gate = rng.normal(size=(2, d_m, d))
         down = rng.normal(size=(d, d_m))
         x = rng.normal(size=(6, d))
-        dec = decide_pruning(rng.uniform(size=d_m), float(rng.uniform(0.3, 1.0)), 0.01)
+        scores, keep = rng.uniform(size=d_m), float(rng.uniform(0.3, 1.0))
+        n_keep = store.retained_count(d_m, keep)
+        dec = decide_pruning(scores, n_keep, store.bottom_quota(d_m, n_keep, 0.01))
         u, g, dn = apply_pruning({"up": up, "gate": gate}, {"down": down}, dec.retained).values()
         pruned_out = (silu(x @ g.T) * (x @ u.T)) @ dn.T
         inter = silu(x @ gate.T) * (x @ up.T)

@@ -32,8 +32,10 @@ def _traced_cycle(bench, workload, tmp_path):
     assert {name: layer[f"{name}.errors"] for name in bench.SCOPE} == dict.fromkeys(bench.SCOPE, 0)
     # One factoring call per layer, whatever the plan leaves to factor.
     assert layer["lowrank.compress_mha.calls"] == workload.n_layers
-    # The plan prunes FFN channels and factors attention: one channel-group set per layer.
-    assert layer["pruning.group_scores.calls"] == layer["pruning.apply_pruning.calls"] == workload.n_layers
+    # The plan prunes FFN channels and factors attention: one channel-group set, and so
+    # one FFN pruning decision, per layer.
+    scored, decided, sliced = (layer[f"pruning.{fn}.calls"] for fn in ("group_scores", "decide_pruning", "apply_pruning"))
+    assert scored == decided == sliced == workload.n_layers
     # Neither compress nor eval calls transformer.forward: perfbench's count hook for it
     # reads stop_after_layer, which forward no longer takes, and would raise KeyError.
     assert [s["name"] for cycle in b.spans for s in cycle if s["name"] == "transformer.forward"] == []

@@ -425,7 +425,9 @@ def test_eval_update_report_rejects_a_malformed_report(fixture_dir, compressed_o
          "--seqlen", "64", "--update-report"]
     )
     assert code == 2
-    assert "report.json" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "report.json" in captured.err
+    assert captured.out == ""  # refused before any scoring
     assert (out / "report.json").read_bytes() == raw
 
 

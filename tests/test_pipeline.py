@@ -371,7 +371,7 @@ def test_record_evaluation_updates_report(setup, tmp_path):
     out = tmp_path / "run"
     pipeline.write_outputs(out, compressed, manifest, report)
     ppl, wall = perplexity(compressed, evalset, 64), 0.25
-    pipeline.record_evaluation(out / "report.json", "eval.bin", ppl, wall)
+    pipeline.record_evaluation(out / "report.json", report, "eval.bin", ppl, wall)
     updated = json.loads((out / "report.json").read_text())
     assert updated["evaluations"]["eval.bin"] == ppl
     assert "eval_wall_time_s" in updated["timing"]["eval.bin"]
@@ -456,6 +456,18 @@ def test_allocation_runs_once_per_compress(setup, monkeypatch):
     assert cfg.n_layers > 1 and len(made) == 1
 
 
+def test_a_plan_that_retains_no_channel_fails_before_any_layer_pass(setup, monkeypatch):
+    # 0.002 of 172 channels rounds to none, and head_prune keeps one head of 4, so only
+    # the FFN count fails: in store.layer_plan, before calibration runs a single layer.
+    cfg, model, calib, _ = setup
+    passes = []
+    layer_forward = transformer._layer_forward
+    monkeypatch.setattr(transformer, "_layer_forward", lambda *args, **kw: passes.append(1) or layer_forward(*args, **kw))
+    with pytest.raises(AllocationError, match=f"keep_ratio 0.002 retains no channel of {cfg.ffn_dim}"):
+        compress_model(model, _plan(0.002, mha_method="head_prune", retain_least=0.0), calib)
+    assert passes == []
+
+
 def test_a_compress_that_strays_from_its_plan_is_refused(setup, tmp_path, monkeypatch):
     cfg, model, calib, _ = setup
     compress_mha = pipeline.compress_mha
@@ -535,7 +547,8 @@ def test_ffn_pruning_holds_about_two_float64_copies_of_one_matrix(heap_peak):
                "gate_proj": rng.normal(size=(d_m, d)).astype(np.float32),
                "down_proj": rng.normal(size=(d, d_m)).astype(np.float32)}
     x_by_proj = {"up_proj": rng.uniform(0.1, 2.0, d), "down_proj": rng.uniform(0.1, 2.0, d_m)}
-    (maps, decision), peak = heap_peak(pipeline._prune_ffn, weights, x_by_proj, _plan(0.5))
+    names = ("up_proj", "gate_proj", "down_proj")
+    (maps, decision), peak = heap_peak(pipeline._prune, weights, x_by_proj, "l2", names, d_m // 2, 0.01)
     assert len(decision.retained) == d_m // 2
     assert all(proj.w.dtype == np.float32 for proj in maps.values())
     assert peak < 2.5 * d_m * d * 8

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankprune.errors import AllocationError, ShapeMismatchError
+from rankprune.errors import ShapeMismatchError
 from rankprune.pruning import (
     apply_pruning,
     channel_scores,
-    decide_head_pruning,
     decide_pruning,
     energy_rank_ratio,
     group_scores,
@@ -15,6 +14,7 @@ from rankprune.pruning import (
     wanda_mask,
     weight_importance,
 )
+from rankprune.store import bottom_quota, kept_head_count, retained_count
 from rankprune.transformer import silu
 
 
@@ -30,6 +30,12 @@ def sort_oracle(scores, keep_ratio, retain_least):
     by_asc = sorted(range(d_m), key=lambda i: (scores[i], i))
     bottom = [i for i in by_asc if i not in set(top)][:n_bottom]
     return sorted(top + bottom), set(top), set(bottom)
+
+
+def _decide(scores, keep_ratio, retain_least=0.01):
+    """decide_pruning at the counts a plan gives an FFN of len(scores) channels."""
+    n_keep = retained_count(len(scores), keep_ratio)
+    return decide_pruning(scores, n_keep, bottom_quota(len(scores), n_keep, retain_least))
 
 
 def _ffn_group(up, gate, down):
@@ -133,8 +139,8 @@ def test_group_scores_scale_invariance_of_selection():
     s1 = group_scores(*_ffn_group(up, gate, down), x_in, x_mid)
     s2 = group_scores(*_ffn_group(up, gate, down), 4.0 * x_in, 4.0 * x_mid)
     assert np.allclose(s2, 4.0 * s1, rtol=1e-12)
-    d1 = decide_pruning(s1, 0.5, 0.01)
-    d2 = decide_pruning(s2, 0.5, 0.01)
+    d1 = _decide(s1, 0.5, 0.01)
+    d2 = _decide(s2, 0.5, 0.01)
     assert np.array_equal(d1.retained, d2.retained)
 
 
@@ -145,42 +151,47 @@ def test_group_scores_scale_invariance_of_selection():
 def test_decide_pruning_counts_example():
     rng = np.random.default_rng(4)
     scores = rng.uniform(size=128)
-    dec = decide_pruning(scores, 0.8, 0.01)
+    dec = _decide(scores, 0.8, 0.01)
     assert dec.retained.size == 102
     assert dec.provenance.count("bottom") == 1
     assert sum(1 for p in dec.provenance if p == "top") == 101
 
 
 def test_decide_pruning_keep_all():
-    dec = decide_pruning(np.arange(10.0), 1.0, 0.01)
+    dec = _decide(np.arange(10.0), 1.0, 0.01)
     assert dec.retained.tolist() == list(range(10))
+    for n_bottom in (0, 1, 4):
+        dec = decide_pruning(np.array([3.0, 1.0, 2.0, 1.0]), 4, n_bottom)
+        assert dec.retained.tolist() == [0, 1, 2, 3] and dec.provenance.count("bottom") == n_bottom
 
 
 def test_decide_pruning_pure_topk():
     scores = np.array([5.0, 1.0, 4.0, 2.0, 3.0])
-    dec = decide_pruning(scores, 0.6, 0.0)
+    dec = _decide(scores, 0.6, 0.0)
     assert dec.retained.tolist() == [0, 2, 4]
     assert dec.provenance.count("bottom") == 0
 
 
 def test_decide_pruning_bottom_is_least():
     scores = np.array([5.0, 1.0, 4.0, 2.0, 3.0] * 20)
-    dec = decide_pruning(scores, 0.5, 0.02)
+    dec = _decide(scores, 0.5, 0.02)
     assert dec.provenance.count("bottom") == 2
     bottoms = [i for i, p in zip(dec.retained, dec.provenance) if p == "bottom"]
     assert all(scores[b] == 1.0 for b in bottoms)
 
 
 def test_decide_pruning_tie_break_lower_index():
-    dec = decide_pruning(np.ones(8), 0.5, 0.0)
+    dec = _decide(np.ones(8), 0.5, 0.0)
     assert dec.retained.tolist() == [0, 1, 2, 3]
 
 
 def test_decide_pruning_infeasible():
-    with pytest.raises(AllocationError):
-        decide_pruning(np.ones(3), 0.1, 0.0)
-    with pytest.raises(ValueError):
-        decide_pruning(np.ones(3), 0.5, 0.9)
+    # A keep ratio that retains no channel is the plan's AllocationError (store.layer_plan),
+    # and a retain_least at or above it the plan's ValueError (store.check_plan); counts
+    # outside 1 <= n_keep <= len(scores) and 0 <= n_bottom <= n_keep are refused here.
+    for n_keep, n_bottom in [(retained_count(3, 0.1), 0), (2, 3), (4, 0), (4, 1), (2, -1)]:
+        with pytest.raises(ValueError, match=f"cannot keep {n_keep} of 3 groups, {n_bottom} of them from the bottom"):
+            decide_pruning(np.ones(3), n_keep, n_bottom)
 
 
 @settings(max_examples=200, deadline=None)
@@ -197,11 +208,13 @@ def test_decide_pruning_matches_sort_oracle(d_m, keep, retain_least, seed, tie_p
     rng = np.random.default_rng(seed)
     scores = rng.uniform(size=d_m)
     scores[rng.uniform(size=d_m) < tie_prob] = 0.5  # force ties
-    try:
-        dec = decide_pruning(scores, keep, retain_least)
-    except AllocationError:
+    n_keep = retained_count(d_m, keep)
+    if n_keep < 1:  # the plan refuses this keep ratio (store.layer_plan)
         assert int(np.floor(keep * d_m + 0.5)) < 1
+        with pytest.raises(ValueError):
+            decide_pruning(scores, n_keep)
         return
+    dec = decide_pruning(scores, n_keep, bottom_quota(d_m, n_keep, retain_least))
     retained, top, bottom = sort_oracle(scores, keep, retain_least)
     assert dec.retained.tolist() == retained
     assert {int(i) for i, p in zip(dec.retained, dec.provenance) if p == "top"} == top
@@ -214,7 +227,7 @@ def test_decide_pruning_invariants_random():
         d_m = int(rng.integers(2, 64))
         scores = rng.uniform(size=d_m)
         keep = float(rng.uniform(0.3, 1.0))
-        dec = decide_pruning(scores, keep, 0.01)
+        dec = _decide(scores, keep, 0.01)
         retained_set = set(dec.retained.tolist())
         pruned = [i for i in range(d_m) if i not in retained_set]
         tops = [i for i, p in zip(dec.retained, dec.provenance) if p == "top"]
@@ -233,7 +246,7 @@ def test_apply_pruning_retain_all_unchanged():
     rng = np.random.default_rng(6)
     up, gate = rng.normal(size=(2, 6, 4))
     down = rng.normal(size=(4, 6))
-    dec = decide_pruning(np.arange(6.0), 1.0, 0.0)
+    dec = _decide(np.arange(6.0), 1.0, 0.0)
     u, g, d = apply_pruning(*_ffn_group(up, gate, down), dec.retained).values()
     assert np.array_equal(u, up) and np.array_equal(g, gate) and np.array_equal(d, down)
 
@@ -246,7 +259,7 @@ def test_apply_pruning_matches_masked_dense_oracle():
         down = rng.normal(size=(d, d_m))
         x = rng.normal(size=(n, d))
         scores = rng.uniform(size=d_m)
-        dec = decide_pruning(scores, float(rng.uniform(0.2, 1.0)), 0.01)
+        dec = _decide(scores, float(rng.uniform(0.2, 1.0)), 0.01)
         u, g, dn = apply_pruning(*_ffn_group(up, gate, down), dec.retained).values()
         pruned_out = _ffn_forward(u, g, dn, x)
         inter = silu(x @ gate.T) * (x @ up.T)
@@ -260,7 +273,7 @@ def test_apply_pruning_single_channel_shapes():
     rng = np.random.default_rng(8)
     up, gate = rng.normal(size=(2, 5, 3))
     down = rng.normal(size=(3, 5))
-    dec = decide_pruning(np.arange(5.0), 0.2, 0.0)
+    dec = _decide(np.arange(5.0), 0.2, 0.0)
     u, g, d = apply_pruning(*_ffn_group(up, gate, down), dec.retained).values()
     assert u.shape == (1, 3) and g.shape == (1, 3) and d.shape == (3, 1)
 
@@ -405,10 +418,19 @@ def test_head_scores_are_per_head_sums_added_in_q_k_v_o_order(agg):
     assert got.tobytes() == want.tobytes()
 
 
-def test_decide_head_pruning_top_heads():
-    kept = decide_head_pruning(np.array([1.0, 5.0, 3.0, 5.0]), 0.5)
-    assert kept == (1, 3)  # tie at 5.0 resolves to the lower index first
-    assert decide_head_pruning(np.array([1.0, 2.0]), 0.1) == (1,)
+@pytest.mark.parametrize("group", [4, 0])
+def test_group_scores_at_a_group_that_does_not_divide_the_channels_names_the_matrices(group):
+    q, k, v, o = np.ones((6, 8)), np.ones((6, 8)), np.ones((6, 8)), np.ones((8, 6))
+    message = rf"6 channels are no whole number of groups of {group}: q \(6, 8\), k \(6, 8\), v \(6, 8\), o \(8, 6\)"
+    with pytest.raises(ShapeMismatchError, match=message):
+        group_scores(*_head_group(q, k, v, o), np.ones(8), np.ones(6), group=group)
+
+
+def test_decide_pruning_keeps_the_top_heads():
+    kept = decide_pruning(np.array([1.0, 5.0, 3.0, 5.0]), kept_head_count(4, 0.5))
+    assert kept.retained.tolist() == [1, 3]  # tie at 5.0 resolves to the lower index first
+    assert kept.provenance == ("top", "top")
+    assert decide_pruning(np.array([1.0, 2.0]), kept_head_count(2, 0.1)).retained.tolist() == [1]
 
 
 def test_apply_head_pruning_matches_zeroed_value_oracle(random_model):
@@ -457,7 +479,7 @@ def test_float32_ffn_scores_and_slices_are_the_bits_of_its_float64_copy(agg):
     wide = [a.astype(np.float64) for a in (up, gate, down)]
     scores = group_scores(*_ffn_group(up, gate, down), x_in, x_mid, agg)
     assert scores.tobytes() == group_scores(*_ffn_group(*wide), x_in, x_mid, agg).tobytes()
-    decision = decide_pruning(scores, 0.5)
+    decision = _decide(scores, 0.5)
     sliced = apply_pruning(*_ffn_group(up, gate, down), decision.retained).values()
     assert [a.dtype for a in sliced] == [np.float32] * 3
     for got, want in zip(sliced, apply_pruning(*_ffn_group(*wide), decision.retained).values()):
@@ -478,6 +500,6 @@ def test_ffn_scoring_and_slicing_reject_a_malformed_matrix(dtype, bad, message):
     (up, gate, down), x_in, x_mid = _ffn(dtype)
     with pytest.raises(ValueError, match=message):
         group_scores(*_ffn_group(bad(up), gate, down), x_in, x_mid)
-    decision = decide_pruning(group_scores(*_ffn_group(up, gate, down), x_in, x_mid), 0.5)
+    decision = _decide(group_scores(*_ffn_group(up, gate, down), x_in, x_mid), 0.5)
     with pytest.raises(ValueError, match=message):
         apply_pruning(*_ffn_group(bad(up), gate, down), decision.retained)

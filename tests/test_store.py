@@ -9,6 +9,7 @@ from rankprune import store, synth
 from rankprune.config import ModelConfig
 from rankprune.container import read_container, write_container
 from rankprune.errors import (
+    AllocationError,
     ContainerFormatError,
     InfeasibleRatioError,
     ManifestError,
@@ -769,6 +770,17 @@ def test_manifest_records_the_plan_once(outputs, mha, ffn):
     assert set(plan) == {"mha", "ffn"} and set(plan["mha"]) == mha_keys
     assert set(plan["ffn"]) == ({"retained_count"} if ffn == "prune" else {"ranks"})
     assert not (mha_keys | set(plan["ffn"])) & set(manifest["global"])
+
+
+def test_a_plan_that_retains_no_channel_is_an_allocation_error(toy_cfg):
+    # 0.002 of 172 channels rounds to none; head_prune keeps one head, so only the FFN count is refused.
+    from rankprune import pipeline
+
+    global_plan = pipeline.CompressionPlan(keep_ratio=0.002, retain_least=0.0, mha_method="head_prune").global_fields()
+    with pytest.raises(AllocationError, match=f"keep_ratio 0.002 retains no channel of {toy_cfg.ffn_dim}"):
+        store.layer_plan(toy_cfg, global_plan)
+    global_plan["ffn_method"] = "svd"  # a factored FFN retains no channel count to refuse
+    assert "ranks" in store.layer_plan(toy_cfg, global_plan)["ffn"]
 
 
 @pytest.mark.parametrize("version", [1, 3, "2", None])
