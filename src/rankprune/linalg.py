@@ -10,6 +10,11 @@ GRAM_MIN_SIGMA_RATIO.
 All arithmetic is done in float64 regardless of the dtype weights were
 stored in, so the tolerances used by the factorizers and their test
 oracles stay tight at small sizes.
+
+Only numpy is imported at load.  `scipy.linalg`, whose gesvd driver `svd`
+retries when numpy's SVD fails to converge, is imported on that retry
+alone: importing it costs a process about 24 MB and 0.2 s that no other
+path needs.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DecompositionError, ShapeMismatchError
 
@@ -88,6 +92,8 @@ def _svd(m, name: str) -> SvdResult:
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:
+        import scipy.linalg  # see the module docstring
+
         try:
             u, s, vt = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
         except Exception as exc:

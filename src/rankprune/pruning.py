@@ -97,9 +97,13 @@ def _order(scores: np.ndarray, descending: bool) -> np.ndarray:
 def decide_pruning(scores, n_keep: int, n_bottom: int = 0) -> PruneDecision:
     """Keep n_keep groups: the n_keep - n_bottom highest-scoring ones, then the
     n_bottom lowest-scoring of the rest.  Ties break toward the lower index.
-    The counts are the plan's (`store.layer_plan`, `store.bottom_quota`); any
-    outside 1 <= n_keep <= len(scores) and 0 <= n_bottom <= n_keep is a ValueError.
+    The counts are the plan's (`store.layer_plan`, `store.bottom_quota`); one
+    that is not an integer (a bool included) is a TypeError naming it, and any
+    outside 1 <= n_keep <= len(scores) and 0 <= n_bottom <= n_keep a ValueError.
     """
+    for name, count in (("n_keep", n_keep), ("n_bottom", n_bottom)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise TypeError(f"{name} must be an integer count, got {count!r}")
     scores = np.asarray(scores, dtype=np.float64)
     if not (1 <= n_keep <= scores.size and 0 <= n_bottom <= n_keep):
         raise ValueError(f"cannot keep {n_keep} of {scores.size} groups, {n_bottom} of them from the bottom")

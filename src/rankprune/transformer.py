@@ -321,13 +321,16 @@ def decode_step(model: TransformerModel, tokens: np.ndarray, caches: list[KVCach
 
 @np.errstate(over="ignore", invalid="ignore")  # see the module docstring: reductions reject non-finite values
 def _layer_forward(
-    cfg: ModelConfig, layer: TransformerLayer, x: np.ndarray, grab=lambda site, values: None, cache: KVCache | None = None
-) -> np.ndarray:
+    cfg: ModelConfig, layer: TransformerLayer, x: np.ndarray, grab=lambda site, values: None,
+    cache: KVCache | None = None, output: bool = True,
+) -> np.ndarray | None:
     """One layer on x of shape (..., n_pos, dim); leading axes are independent windows.
 
     The positions are 0..n_pos-1, or follow a cache's filled positions,
     which the queries attend to as well.  grab(site, values) sees each
-    input site as (rows, features), all windows' positions stacked.
+    input site as (rows, features), all windows' positions stacked.  With
+    output=False the step returns None after the last site, skipping the
+    down projection and residual add that only the output needs.
     Everything runs in x's dtype, which must be the layer's.
     """
     *lead, n_pos, dim = x.shape
@@ -362,6 +365,8 @@ def _layer_forward(
     grab(SITE_FFN_INPUT, h2)
     inter = silu(layer.gate(h2)) * layer.up(h2)
     grab(SITE_FFN_DOWN_INPUT, inter)
+    if not output:
+        return None
     return (x + layer.down(inter)).reshape(*lead, n_pos, dim)
 
 
@@ -369,10 +374,13 @@ def _layer_forward(
 # Calibration statistics
 
 
-def _site_sq_sums(model: TransformerModel, state: np.ndarray, layer: int) -> tuple[dict[str, np.ndarray], np.ndarray]:
+def _site_sq_sums(
+    model: TransformerModel, state: np.ndarray, layer: int, output: bool = True
+) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
     """Run one layer on one hidden state; return the per-feature float64 sums
-    of squares of its four input sites and the layer's output.  A sum that
-    is not finite is a CalibrationError naming the layer and site."""
+    of squares of its four input sites and the layer's output (None, and not
+    computed, with output=False).  A sum that is not finite is a
+    CalibrationError naming the layer and site."""
     sq_sums: dict[str, np.ndarray] = {}
 
     def grab(site: str, values: np.ndarray) -> None:
@@ -385,7 +393,7 @@ def _site_sq_sums(model: TransformerModel, state: np.ndarray, layer: int) -> tup
                 f"layer {layer}: {site} activations are not finite; the layer overflows its float range"
             )
 
-    out = _layer_forward(model.config, model.layers[layer], state, grab)
+    out = _layer_forward(model.config, model.layers[layer], state, grab, output=output)
     return sq_sums, out
 
 
@@ -401,15 +409,16 @@ def layer_stats(model: TransformerModel, states: list[np.ndarray], layer: int) -
     """x_din of one layer's four input sites, {site: vector}, over carried hidden states.
 
     Each state is one calibration window as it enters `layer`; the layer
-    runs once per state.  Accumulation is sequential in sample order in
-    float64, which keeps the result bit-stable and order-invariant.  A
-    window whose activations overflow is a CalibrationError.
+    runs once per state and stops at its last site, `ffn_down_input`: the
+    layer's output is not computed.  Accumulation is sequential in sample
+    order in float64, which keeps the result bit-stable and order-invariant.
+    A window whose activations overflow is a CalibrationError.
     """
     if not states:
         raise CalibrationError("calibration set is empty")
     acc = None
     for state in states:
-        acc = _accumulate(acc, _site_sq_sums(model, state, layer)[0])
+        acc = _accumulate(acc, _site_sq_sums(model, state, layer, output=False)[0])
     return {site: np.sqrt(sq) for site, sq in acc.items()}
 
 

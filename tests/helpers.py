@@ -1,11 +1,15 @@
 """Helpers that only the tests call: a random-init model, random byte
 streams, the layer step with its input sites captured, the name of the
-BLAS kernel the golden pins were measured on, and the leaf edits of the
-JSON mutation sweeps."""
+BLAS kernel the golden pins were measured on, a snippet run in a fresh
+interpreter, and the leaf edits of the JSON mutation sweeps."""
 
 import ctypes
 import glob
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 
@@ -76,6 +80,21 @@ def openblas_core() -> str:
 def kernel_note() -> str:
     """The message of a failed golden pin: which kernels it was pinned on and which runs now."""
     return f"pinned on OpenBLAS cores {', '.join(PINNED_CORES)}, running on {openblas_core()}"
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(script: str, timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run a Python snippet in a fresh interpreter that imports rankprune from
+    this checkout's src/, with the caller's environment, its BLAS thread and
+    core variables included; stdout and stderr are captured as text.  What a
+    process imports can only be seen this way: the test process has loaded
+    every module some test imports."""
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=timeout,
+    )
 
 
 def json_leaves(node, path=()):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import PINNED_CORES, json_leaves, kernel_note, leaf_edits, openblas_core, set_leaf
+from helpers import PINNED_CORES, json_leaves, kernel_note, leaf_edits, openblas_core, run_fresh, set_leaf
 from rankprune import pipeline, synth
 from rankprune.cli import main
 from rankprune.pruning import energy_rank_ratio
@@ -284,6 +284,22 @@ def test_eval_prints_ppl_line(fixture_dir, tmp_path, capsys):
     m = re.search(r"^ppl=([0-9.]+(e[+-]?\d+)?)$", stdout, re.MULTILINE)
     assert m, stdout
     assert float(m.group(1)) > 0
+
+
+def test_the_cli_runs_without_loading_scipy(fixture_dir, tmp_path):
+    # Importing scipy.linalg costs a process about 24 MB and 0.2 s; only the
+    # gesvd retry of linalg.svd, when numpy's SVD fails, may load it.
+    out = tmp_path / "z"
+    evaluate = ["eval", "--model", str(out), "--data", str(fixture_dir / "eval.bin"), "--seqlen", "128"]
+    run = run_fresh(f"""
+        import sys
+        import rankprune
+        from rankprune.cli import main
+        codes = main({_compress_args(fixture_dir, out)!r}), main({evaluate!r})
+        print(codes, "scipy" in sys.modules)
+    """)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "(0, 0) False", run.stdout
 
 
 # ppl printed by `eval --seqlen 128` on the fixture above, per OpenBLAS

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import run_fresh
 from rankprune.errors import DecompositionError, ShapeMismatchError
 from rankprune.linalg import (
     GRAM_MIN_SIGMA_RATIO,
@@ -89,6 +90,32 @@ def test_svd_nonconvergence_reported_with_name(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "svd", boom)
     with pytest.raises(DecompositionError, match="q_proj"):
         linalg.svd(np.eye(3), name="q_proj")
+
+
+def test_svd_fallback_loads_scipy_in_a_process_that_never_had_it():
+    # scipy.linalg is imported by the gesvd retry alone, so the retry must work
+    # in a process where nothing imported scipy before it.
+    run = run_fresh("""
+        import sys
+        import numpy as np
+        from rankprune import linalg
+
+        def boom(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        a = np.random.default_rng(3).normal(size=(4, 3))
+        np.linalg.svd = boom
+        before = "scipy" in sys.modules
+        got = linalg.svd(a)
+        after = "scipy.linalg" in sys.modules
+        import scipy.linalg
+        u, s, vt = scipy.linalg.svd(a, full_matrices=False, lapack_driver="gesvd")
+        u, vt = linalg._canonical_signs(u, vt)
+        same = [np.array_equal(*pair) for pair in ((got.u, u), (got.singular_values, s), (got.vt, vt))]
+        print(before, after, same)
+    """)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False True [True, True, True]", run.stdout
 
 
 def test_truncate_full_rank_exact():

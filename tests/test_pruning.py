@@ -194,6 +194,15 @@ def test_decide_pruning_infeasible():
             decide_pruning(np.ones(3), n_keep, n_bottom)
 
 
+def test_decide_pruning_refuses_counts_that_are_not_integers():
+    # A float count would fail inside slicing, and a bool one keep a group the plan never gave.
+    for n_keep, n_bottom, name in [(2.0, 0, "n_keep"), (True, 0, "n_keep"), (np.float64(2.0), 0, "n_keep"),
+                                   (2, 1.0, "n_bottom"), (2, False, "n_bottom"), (2, np.bool_(True), "n_bottom")]:
+        with pytest.raises(TypeError, match=f"{name} must be an integer count"):
+            decide_pruning(np.ones(3), n_keep, n_bottom)
+    assert decide_pruning(np.ones(3), np.int64(2), np.int32(1)).retained.tolist() == [0, 1]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     d_m=st.integers(min_value=1, max_value=64),

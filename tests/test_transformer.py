@@ -706,6 +706,23 @@ def test_collect_stats_all_layers_matches_per_layer(random_model):
         states = [advance(random_model, state, layer) for state in states]
 
 
+def test_layer_stats_never_applies_the_layers_down(random_model):
+    # The stats pass stops at its last site, ffn_down_input: only the layer's
+    # output needs the down projection, and compress advances the states
+    # through the compressed layer instead.  collect_stats does need it.
+    calib = [random_token_stream(10, s) for s in (41, 42)]
+    layer = random_model.layers[0]
+    seen = []
+    spy = replace(layer, down=lambda x: seen.append(x.shape) or layer.down(x))
+    model = random_model.replace_layer(0, spy)
+    single = layer_stats(model, [embed(model, stream) for stream in calib], 0)
+    assert seen == []
+    merged = collect_stats(model, calib)[0]
+    assert seen == [(10, model.config.ffn_dim)] * len(calib)
+    for site in ALL_SITES:
+        assert np.array_equal(merged[site], single[site]), site
+
+
 def test_collect_stats_runs_one_layer_pass_per_window(random_model, monkeypatch):
     calib = [random_token_stream(10, s) for s in (31, 32, 33)]
     passes = []

@@ -1,14 +1,11 @@
 import os
-import subprocess
-import sys
-import textwrap
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import run_fresh
 from rankprune import util
 
 
@@ -69,7 +66,7 @@ def test_one_worker_per_other_cpu_without_an_affinity_set(monkeypatch):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
 def test_a_forked_child_makes_its_own_pool():
     # The parent's pool threads do not exist in a fork; the child must not wait on them.
-    script = textwrap.dedent("""
+    script = """
         import os, signal
         from rankprune import util
         util._workers = lambda: 1
@@ -79,7 +76,6 @@ def test_a_forked_child_makes_its_own_pool():
             signal.alarm(10)  # a hung child dies instead of outliving the test
             os._exit(0 if util.parallel_map(abs, range(-4, 0)) == [4, 3, 2, 1] else 1)
         raise SystemExit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    """)
-    src = Path(util.__file__).resolve().parents[1]
-    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
-    assert result.returncode == 0
+    """
+    result = run_fresh(script, timeout=60)
+    assert result.returncode == 0, result.stderr
