@@ -1,10 +1,11 @@
 """Layer-by-layer compression orchestration.
 
 Each calibration window is embedded once and its hidden state is carried
-from layer to layer.  For each layer in order: run the dense layer on
-every state to collect input-norm statistics, factor the attention
-matrices under the allocated budget, prune the FFN channel groups, then
-advance every state through the compressed layer - so the statistics of
+from layer to layer by `transformer.layer_pass`.  For each layer in
+order: a stats pass runs the dense layer on every state to collect
+input-norm statistics, the attention matrices are factored under the
+allocated budget and the FFN channel groups pruned, then a second pass
+advances every state through the compressed layer - so the statistics of
 layer i+1 always see the output of the compressed layer i.  That is 2L-1
 layer passes per window for L layers.  The layer passes run in the
 model's dtype (see `transformer`): for a model loaded from disk the
@@ -55,11 +56,10 @@ from .transformer import (
     Factored,
     TransformerLayer,
     TransformerModel,
-    advance,
     check_tokens,
     count_params_macs,
     embed,
-    layer_stats,
+    layer_pass,
     load_dense_model,
     model_from_tensors,
     model_to_tensors,
@@ -178,13 +178,11 @@ def compress_model(
     layer_reports: list[dict] = []
     for i in range(cfg.n_layers):
         compressed, layer_manifest, layer_report = _compress_layer(
-            cfg, i, work.layers[i], layer_stats(work, states, i), plan, planned
+            cfg, i, work.layers[i], layer_pass(work, states, i, output=False), plan, planned
         )
         work = work.replace_layer(i, compressed)
         if i + 1 < cfg.n_layers:
-            # In place, so at most one window's state exists twice.
-            for w, state in enumerate(states):
-                states[w] = advance(work, state, i)
+            layer_pass(work, states, i, stats=False)
         layer_manifests.append(layer_manifest)
         layer_reports.append(layer_report)
 

@@ -6,13 +6,13 @@ capture calibration activations, score perplexity, decode fixture tokens
 a position at a time with a per-layer `KVCache` (`decode_step`), and
 count parameters/MACs.  Calibration statistics are x_din maps, one
 {site: vector} per layer: the l2 norm of each input feature of the
-layer's four input sites over the calibration windows.  Compress builds
-them from three steps on one window's (tokens, dim) state - embed a
-window (`embed`), reduce one layer's sites over the carried states
-(`layer_stats`) and carry the state through one layer (`advance`) - so
-it can interleave them with compressing that layer.  `collect_stats`
-gives every layer's map of the model as it is in one pass per layer per
-window.  Both reduce through the same per-window sums of squares.
+layer's four input sites over the calibration windows.  Each window is
+embedded once (`embed`) and its (tokens, dim) state carried from layer
+to layer by one function, `layer_pass`, which runs a layer over every
+carried state in window order and reduces its sites, carries the states
+through it, or both.  Compress runs a stats pass on each dense layer and
+carries the states through the compressed one; `collect_stats` gives
+every layer's map of the model as it is, one pass per layer doing both.
 Factored matrices participate in the forward as two sequential products
 (R then L), pruned FFNs and head-pruned attention at their stored widths:
 a layer holds only weights, and which heads and channels were kept is the
@@ -374,76 +374,55 @@ def _layer_forward(
 # Calibration statistics
 
 
-def _site_sq_sums(
-    model: TransformerModel, state: np.ndarray, layer: int, output: bool = True
-) -> tuple[dict[str, np.ndarray], np.ndarray | None]:
-    """Run one layer on one hidden state; return the per-feature float64 sums
-    of squares of its four input sites and the layer's output (None, and not
-    computed, with output=False).  A sum that is not finite is a
-    CalibrationError naming the layer and site."""
-    sq_sums: dict[str, np.ndarray] = {}
+def layer_pass(
+    model: TransformerModel, states: list[np.ndarray], layer: int, stats: bool = True, output: bool = True
+) -> dict[str, np.ndarray] | None:
+    """Run `layer` once on each carried hidden state, in window order.
+
+    Each state is one calibration window, (tokens, dim), as it enters
+    `layer`.  With `output`, each window's output replaces its state in
+    `states`, in place, so at most one window's state exists twice;
+    without, the layer stops at its last site, `ffn_down_input`, and its
+    down projection never runs.  With `stats`, returns x_din of the
+    layer's four input sites, {site: vector}: per-feature float64 sums of
+    squares added in window order from 0.0 (exact, as they are
+    non-negative), which keeps the result bit-stable and order-invariant.
+    A sum that is not finite, a window's or the running total's, is a
+    CalibrationError naming the layer and site; so is an empty `states`.
+    """
+    if not states:
+        raise CalibrationError("calibration set is empty")
+    sq_sums: dict[str, np.ndarray | float] = dict.fromkeys(ALL_SITES, 0.0)
 
     def grab(site: str, values: np.ndarray) -> None:
         # Reduce a C-ordered array, so the summation order never depends
         # on how the producing op laid out its result.
         vals = np.ascontiguousarray(values)
-        sq_sums[site] = np.einsum("lj,lj->j", vals, vals, dtype=np.float64)
+        sq_sums[site] = sq_sums[site] + np.einsum("lj,lj->j", vals, vals, dtype=np.float64)
         if not np.isfinite(sq_sums[site]).all():
             raise CalibrationError(
                 f"layer {layer}: {site} activations are not finite; the layer overflows its float range"
             )
 
-    out = _layer_forward(model.config, model.layers[layer], state, grab, output=output)
-    return sq_sums, out
-
-
-def _accumulate(acc: dict[str, np.ndarray] | None, sq_sums: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    # Sums of squares are non-negative, so starting from the first window
-    # equals starting from zeros (0.0 + x == x).
-    if acc is None:
-        return sq_sums
-    return {site: acc[site] + sq_sums[site] for site in ALL_SITES}
-
-
-def layer_stats(model: TransformerModel, states: list[np.ndarray], layer: int) -> dict[str, np.ndarray]:
-    """x_din of one layer's four input sites, {site: vector}, over carried hidden states.
-
-    Each state is one calibration window as it enters `layer`; the layer
-    runs once per state and stops at its last site, `ffn_down_input`: the
-    layer's output is not computed.  Accumulation is sequential in sample
-    order in float64, which keeps the result bit-stable and order-invariant.
-    A window whose activations overflow is a CalibrationError.
-    """
-    if not states:
-        raise CalibrationError("calibration set is empty")
-    acc = None
-    for state in states:
-        acc = _accumulate(acc, _site_sq_sums(model, state, layer, output=False)[0])
-    return {site: np.sqrt(sq) for site, sq in acc.items()}
-
-
-def advance(model: TransformerModel, state: np.ndarray, layer: int) -> np.ndarray:
-    """Carry one hidden state through `layer` as the model currently has it."""
-    return _layer_forward(model.config, model.layers[layer], state)
+    cfg, step = model.config, model.layers[layer]
+    record = grab if stats else lambda site, values: None
+    for w, state in enumerate(states):
+        out = _layer_forward(cfg, step, state, record, output=output)
+        if output:
+            states[w] = out
+    return {site: np.sqrt(sq) for site, sq in sq_sums.items()} if stats else None
 
 
 def collect_stats(model: TransformerModel, calib: list[np.ndarray]) -> list[dict[str, np.ndarray]]:
     """x_din of every layer of the model as it is, one {site: vector} map per layer.
 
-    Each window is embedded and run through the layers once, its output at
-    each layer being the next layer's state, so a window takes L layer
-    passes and only one window's state is held at a time.  The sums are
-    the ones `layer_stats` takes over the carried states.
+    Every window is embedded, then `layer_pass` carries all of them through
+    each layer in turn: L layer passes per window, and the last layer's
+    output, which nothing reads, is not computed.
     """
-    if not calib:
-        raise CalibrationError("calibration set is empty")
-    acc: list[dict[str, np.ndarray] | None] = [None] * len(model.layers)
-    for stream in calib:
-        state = embed(model, stream)
-        for layer in range(len(model.layers)):
-            sq_sums, state = _site_sq_sums(model, state, layer)
-            acc[layer] = _accumulate(acc[layer], sq_sums)
-    return [{site: np.sqrt(sq) for site, sq in sums.items()} for sums in acc]
+    states = [embed(model, stream) for stream in calib]
+    n_layers = len(model.layers)
+    return [layer_pass(model, states, i, output=i + 1 < n_layers) for i in range(n_layers)]
 
 
 # ---------------------------------------------------------------------------

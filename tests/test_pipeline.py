@@ -284,12 +284,13 @@ def test_carried_state_stats_equal_reforward_oracle(deep_setup, monkeypatch):
     model, stream, plan = deep_setup
     seen = []
 
-    def spy(work, states, layer):
-        stats = transformer.layer_stats(work, states, layer)
-        seen.append(stats)
-        return stats
+    def spy(work, states, layer, stats=True, output=True):
+        x_din = transformer.layer_pass(work, states, layer, stats, output)
+        if stats:
+            seen.append(x_din)
+        return x_din
 
-    monkeypatch.setattr(pipeline, "layer_stats", spy)
+    monkeypatch.setattr(pipeline, "layer_pass", spy)
     compressed, _, _ = compress_model(model, plan, stream)
     windows, _ = sample_calibration_windows(stream, plan.calib_samples, plan.calib_tokens, plan.seed)
     assert len(seen) == model.config.n_layers
@@ -333,13 +334,14 @@ def test_compress_model_frees_a_dense_layer_it_holds_alone(setup, monkeypatch):
         return model
 
     alive_at = {}
-    real_layer_stats = pipeline.layer_stats
+    real_layer_pass = pipeline.layer_pass
 
-    def checking_layer_stats(model, states, layer):
-        alive_at[layer] = [ref() is not None for ref in dense_refs]
-        return real_layer_stats(model, states, layer)
+    def checking_layer_pass(model, states, layer, stats=True, output=True):
+        if stats:
+            alive_at[layer] = [ref() is not None for ref in dense_refs]
+        return real_layer_pass(model, states, layer, stats, output)
 
-    monkeypatch.setattr(pipeline, "layer_stats", checking_layer_stats)
+    monkeypatch.setattr(pipeline, "layer_pass", checking_layer_pass)
     _, manifest, _ = compress_model(handed_over_model(), _plan(0.5), calib)
     plan = manifest["global"]["plan"]
     assert {s["kind"] for s in plan["mha"]["schemes"].values()} == {"factored"}

@@ -27,13 +27,12 @@ from rankprune.transformer import (
     TransformerLayer,
     TransformerModel,
     apply_rope,
-    advance,
     collect_stats,
     count_params_macs,
     detokenize_bytes,
     embed,
     forward,
-    layer_stats,
+    layer_pass,
     model_from_tensors,
     model_to_tensors,
     perplexity,
@@ -692,35 +691,42 @@ def test_collect_stats_order_invariance(random_model):
 
 
 def test_collect_stats_all_layers_matches_per_layer(random_model):
-    # collect_stats's one pass per window gives, bit for bit, what layer_stats
-    # takes over states carried through the dense model with advance.
+    # collect_stats gives, bit for bit, what a stats pass takes over states
+    # carried through the dense model by passes without stats.
     calib = [random_token_stream(10, s) for s in (21, 22)]
     merged = collect_stats(random_model, calib)
     assert len(merged) == random_model.config.n_layers
     states = [embed(random_model, stream) for stream in calib]
     for layer in range(random_model.config.n_layers):
-        single = layer_stats(random_model, states, layer)
+        single = layer_pass(random_model, states, layer, output=False)
         assert list(merged[layer]) == list(single) == list(ALL_SITES)
         for site in ALL_SITES:
             assert np.array_equal(merged[layer][site], single[site]), (layer, site)
-        states = [advance(random_model, state, layer) for state in states]
+        assert layer_pass(random_model, states, layer, stats=False) is None
 
 
-def test_layer_stats_never_applies_the_layers_down(random_model):
-    # The stats pass stops at its last site, ffn_down_input: only the layer's
-    # output needs the down projection, and compress advances the states
-    # through the compressed layer instead.  collect_stats does need it.
+def test_layer_pass_never_applies_the_layers_down_without_output(random_model):
+    # A pass without output stops at its last site, ffn_down_input: only the
+    # layer's output needs the down projection, and compress advances the
+    # states through the compressed layer instead.  collect_stats needs it
+    # for every layer but the last, whose output nothing reads.
     calib = [random_token_stream(10, s) for s in (41, 42)]
-    layer = random_model.layers[0]
     seen = []
-    spy = replace(layer, down=lambda x: seen.append(x.shape) or layer.down(x))
-    model = random_model.replace_layer(0, spy)
-    single = layer_stats(model, [embed(model, stream) for stream in calib], 0)
+
+    def spied(i, layer):
+        return replace(layer, down=lambda x: seen.append((i, x.shape)) or layer.down(x))
+
+    model = replace(random_model, layers=tuple(spied(i, layer) for i, layer in enumerate(random_model.layers)))
+    single = layer_pass(model, [embed(model, stream) for stream in calib], 0, output=False)
     assert seen == []
-    merged = collect_stats(model, calib)[0]
-    assert seen == [(10, model.config.ffn_dim)] * len(calib)
+    merged = collect_stats(model, calib)
+    n_layers = model.config.n_layers
+    assert seen == [(i, (10, model.config.ffn_dim)) for i in range(n_layers - 1) for _ in calib]
     for site in ALL_SITES:
-        assert np.array_equal(merged[site], single[site]), site
+        assert np.array_equal(merged[0][site], single[site]), site
+    for layer, (spied_map, plain_map) in enumerate(zip(merged, collect_stats(random_model, calib))):
+        for site in ALL_SITES:
+            assert np.array_equal(spied_map[site], plain_map[site]), (layer, site)
 
 
 def test_collect_stats_runs_one_layer_pass_per_window(random_model, monkeypatch):
@@ -736,7 +742,32 @@ def test_collect_stats_runs_one_layer_pass_per_window(random_model, monkeypatch)
     monkeypatch.setattr(transformer, "_layer_forward", counting)
     collect_stats(random_model, calib)
     n_layers = random_model.config.n_layers
-    assert passes == list(range(n_layers)) * len(calib)
+    # layer-major: every window through layer 0, then every window through layer 1, ...
+    assert passes == [i for i in range(n_layers) for _ in calib]
+
+
+def test_an_overflowing_total_of_windows_is_a_calibration_error():
+    # Each window's sums of squares are finite, but two windows' total
+    # overflows float64; it is rejected naming the layer and site, not
+    # returned as inf.  Scaling layer 0's attn_norm by c and its q, k and v
+    # by 1/c scales attn_input by c and leaves the layer's output unchanged.
+    model = make_random_model(synth.toy_config(n_layers=2), seed=1)
+    window = random_token_stream(10, 51)
+    peak = collect_stats(model, [window])[0][SITE_ATTN_INPUT].max() ** 2
+    c = math.sqrt(1.2e308 / peak)
+    layer = model.layers[0]
+    scaled = layer.with_projections(
+        {name: Dense(layer.projections()[name].w / c) for name in ("q_proj", "k_proj", "v_proj")},
+        attn_norm=layer.attn_norm * c,
+    )
+    model = model.replace_layer(0, scaled)
+    alone = collect_stats(model, [window])
+    assert all(np.isfinite(v).all() for by_site in alone for v in by_site.values())
+    assert alone[0][SITE_ATTN_INPUT].max() ** 2 == pytest.approx(1.2e308, rel=1e-9)
+    with pytest.raises(CalibrationError, match="layer 0: attn_input activations are not finite"):
+        collect_stats(model, [window, window])
+    with pytest.raises(CalibrationError, match="layer 0: attn_input activations are not finite"):
+        layer_pass(model, [embed(model, window)] * 2, 0, output=False)  # compress's stats pass
 
 
 def test_collect_stats_empty_calibration(random_model):
