@@ -20,7 +20,7 @@ from .errors import (
     MissingTensorError,
     ShapeMismatchError,
 )
-from .linalg import SvdResult, svd, truncate, weighted_frobenius_error
+from .linalg import weighted_frobenius_error
 from .lowrank import FactorPair, allocate_mha, awsvd_factor, compress_mha
 from .pipeline import CompressionPlan, compress_model, plan_from_ratio_s, write_outputs
 from .pruning import (
@@ -60,7 +60,6 @@ __all__ = [
     "ModelConfig",
     "PruneDecision",
     "ShapeMismatchError",
-    "SvdResult",
     "TransformerModel",
     "allocate_mha",
     "apply_pruning",
@@ -79,9 +78,7 @@ __all__ = [
     "perplexity",
     "plan_from_ratio_s",
     "plan_ratio",
-    "svd",
     "tokenize_bytes",
-    "truncate",
     "wanda_mask",
     "weight_importance",
     "weighted_frobenius_error",

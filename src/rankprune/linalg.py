@@ -1,11 +1,12 @@
-"""Dense matrix primitives: SVD with a fixed sign convention, truncation,
-top-r factor pairs, and diagonally weighted Frobenius errors.
+"""Dense matrix primitives: the checked x_din weighting, spectra, top-r
+factor pairs, and diagonally weighted Frobenius errors.
 
-`top_factors` gives the best rank-r pair of a matrix A from the
-eigendecomposition of its smaller Gram matrix (A Aᵀ or Aᵀ A), which costs
-well under a full SVD of the same matrix.  It falls back to truncating the
-full SVD when the eigendecomposition fails or when σ_r/σ_1 drops below
-GRAM_MIN_SIGMA_RATIO.
+Both spectral routines read the smaller Gram matrix of A (A Aᵀ or Aᵀ A),
+which costs well under a full SVD of the same matrix.  `spectrum` gives
+every σ² from its eigenvalues, and `top_factors` the best rank-r pair from
+its top eigenpairs.  Each falls back to the full SVD (`svd`, with a fixed
+sign convention, and `truncate`) when the eigendecomposition fails;
+`top_factors` also when σ_r/σ_1 drops below GRAM_MIN_SIGMA_RATIO.
 
 All arithmetic is done in float64 regardless of the dtype weights were
 stored in, so the tolerances used by the factorizers and their test
@@ -60,13 +61,26 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return checked_matrix(a, name).astype(np.float64, copy=False)
 
 
+def checked_x_din(x_din, d_in: int) -> np.ndarray:
+    """x_din as float64, checked to hold d_in finite, non-negative entries."""
+    x = np.asarray(x_din, dtype=np.float64)
+    if x.shape != (d_in,):
+        raise ShapeMismatchError(f"x_din has shape {x.shape}, expected ({d_in},)")
+    if np.any(x < 0.0) or not np.all(np.isfinite(x)):
+        raise ValueError("x_din entries must be finite and non-negative")
+    return x
+
+
+def floored_weights(x_din, d_in: int) -> np.ndarray:
+    """The column weights D of a checked x_din, each at least XDIN_EPS."""
+    return np.maximum(checked_x_din(x_din, d_in), XDIN_EPS)
+
+
 @dataclass(frozen=True)
 class SvdResult:
-    """Thin SVD of a d_out x d_in matrix: u @ diag(singular_values) @ vt.
-
-    u is (d_out, k), vt is (k, d_in) with k = min(d_out, d_in);
-    singular values are non-increasing and non-negative.
-    """
+    """Thin SVD u @ diag(singular_values) @ vt of a d_out x d_in matrix: u is
+    (d_out, k) and vt (k, d_in), k = min(d_out, d_in); the singular values
+    are non-increasing and non-negative."""
 
     u: np.ndarray
     singular_values: np.ndarray
@@ -74,13 +88,9 @@ class SvdResult:
 
 
 def svd(m, name: str = "matrix") -> SvdResult:
-    """Thin SVD with a deterministic sign convention.
-
-    Each left singular vector is flipped so that its largest-magnitude
-    entry is positive (first such entry on ties), which keeps repeated
-    runs byte-stable.  Falls back to the slower gesvd driver if the
-    default divide-and-conquer driver fails to converge.
-    """
+    """Thin SVD, each left singular vector flipped so that its largest-magnitude
+    entry is positive (the first on ties), which keeps repeated runs byte-stable.
+    The slower gesvd driver retries when divide-and-conquer fails to converge."""
     return _svd(m, name)
 
 
@@ -111,17 +121,32 @@ def _canonical_signs(u: np.ndarray, vt: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def truncate(s: SvdResult, rank: int) -> tuple[np.ndarray, np.ndarray]:
-    """Best unweighted rank-r approximation as a (d_out x r, r x d_in) pair.
-
-    Returns (U_r Sigma_r, V_r^T); their product is the Eckart-Young
-    optimum among all rank-r matrices.
-    """
+    """The best unweighted rank-r pair (U_r Σ_r, V_rᵀ), (d_out x r, r x d_in):
+    their product is the Eckart-Young optimum among all rank-r matrices."""
     k = len(s.singular_values)
     if not 1 <= rank <= k:
         raise ValueError(f"rank {rank} out of range [1, {k}]")
     left = s.u[:, :rank] * s.singular_values[None, :rank]
     right = s.vt[:rank, :]
     return np.ascontiguousarray(left), np.ascontiguousarray(right)
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    """The smaller Gram matrix of a: a @ a.T when rows <= cols, else a.T @ a."""
+    return a @ a.T if a.shape[0] <= a.shape[1] else a.T @ a
+
+
+def spectrum(m, name: str = "matrix") -> np.ndarray:
+    """σ² of m in descending order: the eigenvalues of its smaller Gram matrix,
+    clipped at 0, or the squared full SVD when eigvalsh fails.  Unlike
+    top_factors it needs no GRAM_MIN_SIGMA_RATIO fallback: each eigenvalue's
+    absolute error is about eps·σ₁², and an energy count sums the large ones."""
+    a = as_matrix(m, name)
+    try:
+        lam = np.linalg.eigvalsh(_gram(a))
+    except np.linalg.LinAlgError:
+        return _svd(a, name).singular_values ** 2
+    return np.maximum(lam[::-1], 0.0)
 
 
 def top_factors(m, rank: int, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +164,7 @@ def top_factors(m, rank: int, name: str = "matrix") -> tuple[np.ndarray, np.ndar
         raise ValueError(f"rank {rank} out of range [1, {min(rows, cols)}]")
     wide = rows <= cols
     try:
-        lam, vec = np.linalg.eigh(a @ a.T if wide else a.T @ a)
+        lam, vec = np.linalg.eigh(_gram(a))
     except np.linalg.LinAlgError:
         return truncate(_svd(a, name), rank)
     # eigh sorts ascending; take the top `rank` in descending order.
@@ -162,9 +187,7 @@ def weighted_frobenius_error(w, l, r, d) -> float:
     r = as_matrix(r, "r")
     d = np.asarray(d, dtype=np.float64)
     if l.shape[0] != w.shape[0] or r.shape[1] != w.shape[1] or l.shape[1] != r.shape[0]:
-        raise ShapeMismatchError(
-            f"factor shapes {l.shape} x {r.shape} do not conform with {w.shape}"
-        )
+        raise ShapeMismatchError(f"factor shapes {l.shape} x {r.shape} do not conform with {w.shape}")
     if d.shape != (w.shape[1],):
         raise ShapeMismatchError(f"weight vector has shape {d.shape}, expected ({w.shape[1]},)")
     if np.any(d <= 0.0):

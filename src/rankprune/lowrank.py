@@ -2,8 +2,9 @@
 the budget allocation that decides each matrix's rank.
 
 A matrix W is replaced by L @ R where L = U_r Sigma_r and
-R = V_r^T D^{-1}, the top r singular triplets of W D with D = diag(x_din);
-this pair minimizes ||(W - LR) D||_F over all rank-r pairs.  The triplets
+R = V_r^T D^{-1}, the top r singular triplets of W D; D is diag(x_din)
+floored at XDIN_EPS (`linalg.floored_weights`, which checks x_din too).
+This pair minimizes ||(W - LR) D||_F over all rank-r pairs.  Its triplets
 come from the eigendecomposition of the smaller Gram matrix of W D, or
 from its full SVD when that is ill-conditioned (linalg.top_factors).
 The MHA budget is split between the (q, k) and (v, o) groups (default
@@ -25,8 +26,8 @@ from math import floor, isfinite
 
 import numpy as np
 
-from .errors import AllocationError, CalibrationError, ShapeMismatchError
-from .linalg import XDIN_EPS, _weighted_error, checked_matrix, top_factors
+from .errors import AllocationError, CalibrationError
+from .linalg import _weighted_error, checked_matrix, floored_weights, top_factors
 from .store import ATTN_PROJS
 from .util import parallel_map, round_half_up
 
@@ -51,15 +52,6 @@ class FactorPair:
     l: np.ndarray       # (d_out, r)
     r: np.ndarray       # (r, d_in)
     weighted_error: float
-
-
-def floored_weights(x_din, d_in: int) -> np.ndarray:
-    x = np.asarray(x_din, dtype=np.float64)
-    if x.shape != (d_in,):
-        raise ShapeMismatchError(f"x_din has shape {x.shape}, expected ({d_in},)")
-    if np.any(x < 0.0) or not np.all(np.isfinite(x)):
-        raise ValueError("x_din entries must be finite and non-negative")
-    return np.maximum(x, XDIN_EPS)
 
 
 def awsvd_factor(w, x_din, rank: int, name: str = "matrix") -> FactorPair:

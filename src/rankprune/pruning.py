@@ -1,5 +1,6 @@
 """Gradient-free structured pruning, the activation-aware importance
-scores behind it, and the spectral / mask diagnostics.
+scores behind it, and the spectral / mask diagnostics.  The x_din check,
+its floor and the σ² of `energy_rank_ratio` all come from `linalg`.
 
 Importance of a single weight is |W_ij| * x_din[j]; channels aggregate
 importance over their row (l1, l2 or linf).  One routine scores and slices
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .linalg import XDIN_EPS, as_matrix, checked_matrix, svd
+from .linalg import checked_matrix, checked_x_din, floored_weights, spectrum
 from .util import round_half_up
 
 AGGREGATIONS = ("l1", "l2", "linf")
@@ -28,10 +29,7 @@ def weight_importance(w, x_din) -> np.ndarray:
     A float32 W is not widened first: |W| stays float32 and the product
     widens it, which gives the same bits as widening first."""
     w = checked_matrix(w, "w")
-    x = np.asarray(x_din, dtype=np.float64)
-    if x.shape != (w.shape[1],):
-        raise ShapeMismatchError(f"x_din has shape {x.shape}, expected ({w.shape[1]},)")
-    return np.abs(w) * x[None, :]
+    return np.abs(w) * checked_x_din(x_din, w.shape[1])[None, :]
 
 
 def channel_scores(importance: np.ndarray, agg: str = "l2") -> np.ndarray:
@@ -113,11 +111,8 @@ def decide_pruning(scores, n_keep: int, n_bottom: int = 0) -> PruneDecision:
     asc = _order(scores, descending=False)
     bottom = asc[~in_top[asc]][:n_bottom]
 
-    flags = {int(i): "top" for i in top}
-    flags.update({int(i): "bottom" for i in bottom})
     retained = np.sort(np.concatenate([top, bottom])).astype(np.int64)
-    provenance = tuple(flags[int(i)] for i in retained)
-    return PruneDecision(retained=retained, provenance=provenance)
+    return PruneDecision(retained=retained, provenance=tuple("top" if in_top[i] else "bottom" for i in retained))
 
 
 def apply_pruning(ins, out, rows) -> dict[str, np.ndarray]:
@@ -173,20 +168,12 @@ def energy_rank_ratio(w, energy: float, x_din=None, use_singular_values: bool = 
     """
     if not 0.0 < energy < 1.0:
         raise ValueError(f"energy must lie in (0, 1), got {energy}")
-    a = as_matrix(w, "w")
+    a = checked_matrix(w, "w")
     if x_din is not None:
-        x = np.asarray(x_din, dtype=np.float64)
-        if x.shape != (a.shape[1],):
-            raise ShapeMismatchError(f"x_din has shape {x.shape}, expected ({a.shape[1]},)")
-        a = a * np.maximum(x, XDIN_EPS)[None, :]
+        a = a * floored_weights(x_din, a.shape[1])[None, :]
     if not np.any(a):
         return 0.0
-    try:
-        s = np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError:  # the gesvd fallback, or a DecompositionError
-        s = svd(a).singular_values
-    mass = s if use_singular_values else s * s
-    cum = np.cumsum(mass)
-    k = int(np.searchsorted(cum, energy * cum[-1], side="left")) + 1
-    k = min(k, s.size)
-    return 100.0 * k / s.size
+    s2 = spectrum(a, "w")
+    cum = np.cumsum(np.sqrt(s2) if use_singular_values else s2)
+    k = min(int(np.searchsorted(cum, energy * cum[-1], side="left")) + 1, s2.size)
+    return 100.0 * k / s2.size

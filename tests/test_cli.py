@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import PINNED_CORES, json_leaves, kernel_note, leaf_edits, openblas_core, run_fresh, set_leaf
-from rankprune import pipeline, synth
+from rankprune import pipeline, store, synth
 from rankprune.cli import main
 from rankprune.pruning import energy_rank_ratio
 
@@ -523,6 +523,63 @@ def test_analyze_compressed_directory(fixture_dir, tmp_path, capsys):
     stdout = capsys.readouterr().out
     # factored matrices are reconstructed for analysis, so all 14 rows appear
     assert stdout.count("%") == 14
+
+
+# analyze's tables on the CLI fixture, as rank counts k: every matrix's smaller
+# side is 64, so a row's percentage is 100 k / 64.  Each list is one column in
+# table order (layer 0's q k v o gate up down, then layer 1's): the dense
+# checkpoint, its --stats column ("weighted") and the awsvd/prune output.
+ANALYZE_COUNTS = {
+    "0.5": {
+        "dense": [2, 2, 5, 5, 12, 11, 18, 3, 2, 5, 5, 12, 11, 18],
+        "dense --sigma": [3, 3, 7, 8, 19, 19, 24, 3, 3, 7, 7, 18, 18, 24],
+        "weighted": [2, 2, 3, 5, 8, 7, 8, 3, 2, 5, 5, 11, 11, 7],
+        "weighted --sigma": [3, 3, 5, 7, 16, 15, 14, 3, 3, 7, 7, 18, 18, 13],
+        "compressed": [2, 2, 5, 5, 11, 10, 14, 3, 2, 5, 5, 11, 10, 14],
+        "compressed --sigma": [3, 3, 7, 7, 17, 17, 20, 3, 3, 7, 7, 16, 16, 20],
+    },
+    "0.8": {
+        "dense": [4, 4, 10, 11, 25, 25, 36, 4, 4, 10, 10, 25, 24, 36],
+        "dense --sigma": [5, 5, 14, 14, 37, 38, 44, 5, 5, 14, 14, 37, 37, 44],
+        "weighted": [4, 3, 6, 10, 20, 19, 18, 4, 4, 10, 10, 24, 24, 17],
+        "weighted --sigma": [5, 5, 12, 14, 34, 34, 27, 5, 5, 14, 14, 37, 37, 28],
+        "compressed": [4, 4, 10, 11, 22, 22, 28, 4, 4, 10, 10, 22, 22, 29],
+        "compressed --sigma": [5, 5, 14, 14, 33, 32, 38, 5, 5, 14, 14, 32, 32, 39],
+    },
+    "0.95": {
+        "dense": [6, 6, 16, 16, 42, 43, 53, 6, 6, 16, 16, 42, 42, 53],
+        "dense --sigma": [13, 16, 19, 19, 55, 55, 58, 15, 12, 19, 19, 55, 55, 58],
+        "weighted": [5, 5, 12, 16, 37, 36, 30, 6, 6, 16, 16, 41, 42, 29],
+        "weighted --sigma": [7, 7, 18, 19, 53, 53, 42, 15, 11, 19, 19, 55, 55, 42],
+        "compressed": [6, 6, 16, 16, 35, 35, 44, 6, 6, 16, 16, 35, 35, 45],
+        "compressed --sigma": [6, 6, 18, 18, 50, 50, 54, 6, 6, 18, 18, 49, 50, 54],
+    },
+}
+
+
+@pytest.mark.parametrize("sigma", [False, True])
+@pytest.mark.parametrize("energy", sorted(ANALYZE_COUNTS))
+def test_analyze_tables_are_pinned(fixture_dir, stats_file, compressed_out, tmp_path, energy, sigma):
+    flags = ["--sigma"] if sigma else []
+    counts = {key.removesuffix(" --sigma"): pct for key, pct in ANALYZE_COUNTS[energy].items()
+              if key.endswith(" --sigma") == sigma}
+    names = [store.weight_name(i, p.name) for i in range(2) for p in store.PROJECTIONS]
+
+    def rows(model, *extra):
+        out = tmp_path / "analyze.json"
+        assert main(["analyze", "--model", str(model), "--energy", energy, "--out", str(out), *flags, *extra]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["energy"] == float(energy)
+        return payload["rows"]
+
+    def table(*columns):
+        return [{"matrix": name, **{key: 100.0 * k / 64 for key, k in zip(("rank_pct", "rank_pct_weighted"), ks)}}
+                for name, *ks in zip(names, *(counts[c] for c in columns))]
+
+    dense = fixture_dir / "model.safetensors"
+    assert rows(dense) == table("dense")
+    assert rows(dense, "--stats", str(stats_file)) == table("dense", "weighted")
+    assert rows(compressed_out) == table("compressed")
 
 
 def test_analyze_holds_the_checkpoint_and_two_float64_copies_of_one_matrix(tmp_path, heap_peak):

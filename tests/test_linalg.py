@@ -6,6 +6,7 @@ from rankprune.errors import DecompositionError, ShapeMismatchError
 from rankprune.linalg import (
     GRAM_MIN_SIGMA_RATIO,
     as_matrix,
+    spectrum,
     svd,
     top_factors,
     truncate,
@@ -237,6 +238,25 @@ def test_top_factors_rank_out_of_range():
         top_factors(np.eye(3), 0)
     with pytest.raises(ValueError):
         top_factors(np.ones((3, 5)), 4)
+
+
+_RNG = np.random.default_rng(16)
+SPECTRUM_CASES = {
+    "wide": _RNG.normal(size=(12, 30)),
+    "tall": _RNG.normal(size=(30, 12)),
+    "square": _RNG.normal(size=(20, 20)),
+    "rank-deficient": _RNG.normal(size=(18, 3)) @ _RNG.normal(size=(3, 24)),
+    "zero": np.zeros((5, 8)),
+}
+
+
+@pytest.mark.parametrize("case", SPECTRUM_CASES)
+def test_spectrum_is_the_descending_squared_singular_values(case):
+    a = SPECTRUM_CASES[case]
+    got, want = spectrum(a), svd(a).singular_values ** 2
+    assert got.shape == want.shape == (min(a.shape),)
+    assert np.all(got >= 0.0) and np.all(np.diff(got) <= 0.0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * want[0]
 
 
 def _exactly_truncated_svd(got, a, r):

@@ -72,6 +72,20 @@ def test_weight_importance_shape_check():
         weight_importance(np.zeros((2, 3)), np.ones(2))
 
 
+@pytest.mark.parametrize("x_din", [-np.ones(2), np.array([np.inf, 1.0]), np.array([1.0, np.nan])])
+def test_importance_rejects_a_negative_or_non_finite_x_din(x_din):
+    # A negative x_din would rank the least important weights first, and a
+    # non-finite one gives no order; wanda_mask and group_scores share the check.
+    w = np.array([[1.0, 0.1], [0.2, 2.0]])
+    for call in (
+        lambda: weight_importance(w, x_din),
+        lambda: wanda_mask(w, x_din, 0.5),
+        lambda: group_scores({"up": w}, {"down": w}, x_din, np.ones(2)),
+    ):
+        with pytest.raises(ValueError, match="x_din"):
+            call()
+
+
 def test_channel_scores_345():
     imp = np.array([[3.0, 4.0]])
     assert channel_scores(imp, "l2")[0] == pytest.approx(5.0)
@@ -376,17 +390,27 @@ def test_energy_rank_ratio_sigma_flag():
     assert energy_rank_ratio(w, 0.9, use_singular_values=True) >= energy_rank_ratio(w, 0.9)
 
 
+@pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+def test_energy_rank_ratio_rejects_a_negative_or_non_finite_x_din(bad):
+    # Neither is floored away or read as a spectrum: both are errors.
+    w = np.random.default_rng(15).normal(size=(6, 4))
+    with pytest.raises(ValueError, match="x_din"):
+        energy_rank_ratio(w, 0.5, x_din=[bad, 1.0, 1.0, 1.0])
+
+
 def test_energy_rank_ratio_keeps_the_svd_fallbacks(monkeypatch):
     import scipy.linalg
 
     from rankprune.errors import DecompositionError
 
     def boom(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("did not converge")
 
+    # The Gram eigenvalues first, then numpy's SVD, then scipy's gesvd.
     w = np.diag([3.0, 2.0, 1.0])
-    monkeypatch.setattr(np.linalg, "svd", boom)
-    assert energy_rank_ratio(w, 0.5) == pytest.approx(100.0 / 3.0, abs=1e-9)
+    for name in ("eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, boom)
+        assert energy_rank_ratio(w, 0.5) == pytest.approx(100.0 / 3.0, abs=1e-9)
     monkeypatch.setattr(scipy.linalg, "svd", boom)
     with pytest.raises(DecompositionError):
         energy_rank_ratio(w, 0.5)
